@@ -1,7 +1,7 @@
 package imc2_test
 
 // One benchmark per table/figure of the paper's evaluation (§VII) plus
-// the DESIGN.md ablations, each regenerating its artifact in quick mode
+// the ablations in internal/experiment (a1–a4), each regenerating its artifact in quick mode
 // (small campaigns, trimmed sweeps). Full-scale regeneration is
 // cmd/imc2bench's job; these benches track the cost of the underlying
 // machinery release over release.

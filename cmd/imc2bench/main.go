@@ -1,5 +1,6 @@
 // Command imc2bench regenerates the tables and figures of the paper's
-// evaluation (§VII) plus the DESIGN.md ablations.
+// evaluation (§VII) plus the ablations of internal/experiment (a1–a4)
+// and the truth-option calibration grid (cal).
 //
 // Usage:
 //

@@ -127,9 +127,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		if !reflect.DeepEqual(got, baseline) {
 			t.Fatal("report after SIGKILL+restart diverged from the never-crashed baseline")
 		}
-		ss, err := r.client.StoreStats(ctx)
-		if err != nil || !ss.Enabled || ss.RecoveredCampaigns != 1 {
-			t.Fatalf("store stats after recovery = %+v, %v", ss, err)
+		ps, err := r.client.Stats(ctx)
+		if err != nil || !ps.Store.Enabled || ps.Store.RecoveredCampaigns != 1 {
+			t.Fatalf("store stats after recovery = %+v, %v", ps, err)
 		}
 	})
 

@@ -12,7 +12,7 @@
 // Campaign settles are admission-controlled: a registry-wide scheduler
 // lets at most -max-settles campaigns run their two stages at once
 // (further closes queue FIFO, observable via settle_admission in the
-// campaign snapshot and GET /v2/scheduler), and all settles share one
+// campaign snapshot and GET /v2/stats), and all settles share one
 // -sched-workers truth-discovery pool instead of spawning a pool each.
 // The queue itself is bounded by -max-queued-settles: an overflowing
 // close is rejected with 503 + Retry-After instead of queueing without

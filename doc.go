@@ -64,7 +64,7 @@
 // separately: a FIFO admission semaphore lets at most
 // MaxConcurrentSettles campaigns run their stages concurrently (the
 // rest queue with observable positions — "settle_admission" in the /v2
-// snapshot, GET /v2/scheduler for totals), and all admitted settles
+// snapshot, GET /v2/stats for totals), and all admitted settles
 // share one fixed worker pool with round-robin fairness, so N closes
 // cost one pool instead of N×GOMAXPROCS goroutines:
 //
@@ -115,7 +115,7 @@
 //
 // (platformd wires this via -data-dir, -snapshot-every, and -fsync; see
 // API.md's "Durability" for the WAL format, fsync policy, and recovery
-// semantics, and GET /v2/store for observability.)
+// semantics, and GET /v2/stats for observability.)
 //
 // The whole platform is observable through one metrics registry
 // (internal/obs): hand imc2.NewMetricsRegistry() to the scheduler, the
@@ -149,7 +149,7 @@
 // wire protocol.
 //
 // Every figure and table of the paper's evaluation regenerates through
-// RunExperiment (see cmd/imc2bench and EXPERIMENTS.md).
+// RunExperiment (see cmd/imc2bench and internal/experiment).
 //
 // Contributors: the guarantees above are not just prose — a custom
 // analyzer suite (internal/lint, driver cmd/imc2lint) mechanically

@@ -45,7 +45,7 @@ func run(w io.Writer) error {
 	ds := campaign.Dataset
 
 	// Stage 1: truth discovery estimates the accuracy matrix
-	// (calibration per EXPERIMENTS.md).
+	// (calibration per `imc2bench -fig cal`).
 	opt := imc2.DefaultTruthOptions()
 	opt.CopyProb = 0.8
 	opt.PriorDependence = 0.05

@@ -44,7 +44,7 @@ func run(w io.Writer) error {
 		ds.NumWorkers(), len(campaign.CopierIndex), ds.NumTasks(), ds.NumObservations())
 
 	opt := imc2.DefaultTruthOptions()
-	// Calibrated to this generator (see EXPERIMENTS.md): its copiers copy
+	// Calibrated to this generator (`imc2bench -fig cal`): its copiers copy
 	// 80% of their answers, and sparse pairwise overlap wants a small
 	// dependence prior.
 	opt.CopyProb = 0.8

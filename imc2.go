@@ -154,7 +154,8 @@ func NewTruthEngine(ds *Dataset, method TruthMethod, opt TruthOptions) (*TruthEn
 // MergePresentations canonicalizes a dataset before truth discovery:
 // values of one task whose similarity reaches tau merge into their
 // majority representative. This is the robust realization of the paper's
-// §IV-A multi-presentation extension (see EXPERIMENTS.md, ablation A2).
+// §IV-A multi-presentation extension (ablation a2 in internal/experiment;
+// `imc2bench -fig a2`).
 func MergePresentations(ds *Dataset, sim SimilarityFunc, tau float64) (*Dataset, error) {
 	return truth.MergePresentations(ds, sim, tau)
 }
@@ -446,7 +447,7 @@ type FileCampaignStore = store.FileStore
 type CampaignStoreOptions = store.Options
 
 // CampaignStoreStats is a point-in-time snapshot of a file store's WAL,
-// snapshot, and recovery counters (served as GET /v2/store).
+// snapshot, and recovery counters (the store section of GET /v2/stats).
 type CampaignStoreStats = store.Stats
 
 // FsyncPolicy selects when the WAL is fsynced.
@@ -538,14 +539,6 @@ type SettleTrace = truth.Trace
 // convergence delta, and whether this iteration converged.
 type SettleIterationStats = truth.IterationStats
 
-// SettleTraceRecorder accumulates every traced iteration in order — the
-// simplest SettleTrace, and the one behind the audit's convergence log.
-type SettleTraceRecorder = truth.Recorder
-
-// MultiSettleTrace fans one settle's telemetry out to several sinks,
-// dropping nils; it returns nil when every sink is nil.
-func MultiSettleTrace(traces ...SettleTrace) SettleTrace { return truth.MultiTrace(traces...) }
-
 // Tracer records span trees — one per request or settle — into a
 // fixed-size flight recorder. A nil tracer disables tracing everywhere
 // at zero cost (no clock reads, no allocations on the hot paths), and
@@ -583,7 +576,8 @@ func WithTracing(tr *Tracer) RegistryOption { return registry.WithTracing(tr) }
 // ---- Workload generation -----------------------------------------------------
 
 // CampaignSpec parameterizes the synthetic workload generator that stands
-// in for the paper's external datasets (see DESIGN.md).
+// in for the paper's external datasets (internal/gen documents the
+// substitution).
 type CampaignSpec = gen.CampaignSpec
 
 // Campaign is a generated workload with known ground truth.
@@ -638,8 +632,9 @@ func ExperimentIDs() []string { return experiment.IDs() }
 // DefaultExperimentConfig returns the CLI default sweep configuration.
 func DefaultExperimentConfig() ExperimentConfig { return experiment.DefaultConfig() }
 
-// RunExperiment regenerates one of the paper's figures (see DESIGN.md's
-// experiment index for IDs).
+// RunExperiment regenerates one of the paper's figures or ablations (see
+// ExperimentIDs for the IDs; cmd/imc2bench runs them from the command
+// line).
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentTable, error) {
 	return experiment.Run(id, cfg)
 }

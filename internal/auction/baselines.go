@@ -13,7 +13,7 @@ import (
 //
 // The paper pays GA winners "the critical value". Because GA's selection
 // rule never reads the bids, no finite bid-threshold exists; the natural
-// instantiation — used here and documented in DESIGN.md — pays each winner
+// instantiation used here pays each winner
 // the bid of the worker that replaces it when the selection is rerun
 // without it (its market alternative), floored at its own bid so the
 // payment stays individually rational.

@@ -9,7 +9,7 @@ import (
 
 // maxExactWorkers bounds the exact solver; branch-and-bound over subsets
 // is exponential and exists to measure approximation ratios on small
-// instances (DESIGN.md experiment A1).
+// instances (ablation a1 in internal/experiment).
 const maxExactWorkers = 24
 
 // Optimal solves the SOAC instance exactly by branch and bound, returning

@@ -1,6 +1,6 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (§VII) plus the ablations promised in DESIGN.md. Each figure
-// is a parameter sweep over generated campaigns; results are rendered as
+// evaluation (§VII) plus four ablations (a1–a4) and the truth-option
+// calibration grid (cal). Each figure is a parameter sweep over generated campaigns; results are rendered as
 // aligned text, markdown, or CSV.
 package experiment
 

@@ -408,7 +408,7 @@ func auctionInstance(cfg Config, id string, spec gen.CampaignSpec, x float64, re
 // critical payments (hence truthfulness) only exist when every winner is
 // replaceable. At the paper's default scale the surviving coverage is far
 // above the Θ ∈ [2,4] band, so this clamp only bites in sparse sweep
-// corners; EXPERIMENTS.md documents it.
+// corners.
 func clampRequirements(in *auction.Instance) {
 	n := in.NumWorkers()
 	total := make([]float64, in.NumTasks())

@@ -8,8 +8,7 @@
 // the algorithms are sensitive to — domain size, participation sparsity
 // (low-index tasks receive more answers), copier fraction, copy
 // probability, copy-error rate, accuracy mix, and right-skewed costs —
-// with ground truth known by construction. DESIGN.md documents the
-// substitution rationale.
+// with ground truth known by construction.
 package gen
 
 import (

@@ -30,10 +30,11 @@
 //     a compile-time-constant metric name matching
 //     imc2_<subsystem>_<name>_<unit> (see MetricNameRE — the single source
 //     of truth the wire package's naming test also delegates to). Inside
-//     internal/*, any function that records to an obs instrument may only
-//     read the clock behind a nil-safe seam (an `if x.timed`-style boolean
-//     guard or a `!= nil` check), preserving the "nil registry = zero
-//     cost, no clock reads" guarantee.
+//     internal/* (internal/tracing excepted), a function that records to
+//     an obs instrument or a tracing span may not call time.Now or
+//     time.Since, guarded or not: phases are timed through
+//     tracing.StartPhase, whose one pair of clock readings feeds span and
+//     histogram alike and is skipped entirely when neither is attached.
 //   - ctxscope: internal/* library code may not call context.Background or
 //     context.TODO — contexts are originated by cmd/ binaries and tests
 //     and flow down, so cancellation always propagates.

@@ -107,31 +107,6 @@ func importPathOf(spec *ast.ImportSpec) string {
 	return path
 }
 
-// nodePath returns the chain of nodes from root down to the innermost
-// node whose source range contains pos (inclusive of root, exclusive of
-// nothing). The last element is the smallest enclosing node.
-func nodePath(root ast.Node, pos token.Pos) []ast.Node {
-	var path []ast.Node
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if n.Pos() <= pos && pos < n.End() {
-			path = append(path, n)
-			return true
-		}
-		return false
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		return visit(n)
-	})
-	return path
-}
-
 // containsReturn reports whether any return statement inside root lies
 // strictly between lo and hi.
 func containsReturn(root ast.Node, lo, hi token.Pos) bool {

@@ -3,19 +3,15 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
-	"go/types"
 	"regexp"
 )
 
 // obsPath is the observability package every instrument comes from.
 const obsPath = "imc2/internal/obs"
 
-// tracingPath is the span subsystem. Its methods carry the same
-// nil-is-zero-cost contract as obs instruments, so functions that
-// record spans are held to the clock-seam rule too — and the package
-// itself is checked (unlike obs) because every exported Span/Tracer
-// method must guard its own clock reads behind the nil receiver check.
+// tracingPath is the span subsystem and the one clock seam: its Phase
+// reads the clock for spans and histograms alike, so functions that
+// record spans are held to the clock-seam rule too.
 const tracingPath = "imc2/internal/tracing"
 
 // registrationMethods are the *obs.Registry constructors that take a
@@ -48,15 +44,12 @@ func CheckMetricName(name string) error {
 // ObsNamingAnalyzer checks every obs instrument registration in the
 // module: the metric name must be a compile-time constant matching
 // MetricNameRE. Inside internal packages it additionally enforces the
-// nil-safe seam: a function that records to an obs instrument may only
-// read the clock behind an instrumentation guard (an `if x.timed`-style
-// boolean field or a `!= nil` check, either enclosing the read or as an
-// earlier early-return), preserving "nil registry = zero cost, no clock
-// reads".
+// clock seam: a function that records to an obs instrument or a tracing
+// span may not read the clock itself (see checkClockSeam).
 func ObsNamingAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "obsnaming",
-		Doc:  "obs registrations use constant convention-conforming names; instrumented clock reads sit behind nil-safe guards",
+		Doc:  "obs registrations use constant convention-conforming names; instrumented functions read the clock only through tracing.Phase",
 		Run: func(pass *Pass) {
 			if pass.Pkg.Path == obsPath {
 				return // the instrument library itself, not a consumer
@@ -92,12 +85,18 @@ func ObsNamingAnalyzer() *Analyzer {
 	}
 }
 
-// checkClockSeam flags unguarded clock reads in functions that record
-// to obs instruments or tracing spans. Inside the tracing package every
-// function is checked unconditionally: its clock reads are the ones the
-// nil-tracer contract promises never happen.
+// checkClockSeam flags every direct clock read in a function that
+// records to obs instruments or tracing spans. Such functions time
+// their phases with tracing.StartPhase, whose single pair of readings
+// feeds span and histogram alike — so a second, local clock read is
+// either a measurement the sinks disagree on or a cost the
+// uninstrumented path pays for nothing, guarded or not. The tracing
+// package itself is the seam and is exempt.
 func checkClockSeam(pass *Pass, decl *ast.FuncDecl) {
-	usesObs := pass.Pkg.Path == tracingPath
+	if pass.Pkg.Path == tracingPath {
+		return
+	}
+	usesObs := false
 	var clocks []*ast.CallExpr
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -107,7 +106,12 @@ func checkClockSeam(pass *Pass, decl *ast.FuncDecl) {
 		if path, _, _, ok := pass.Method(call); ok && (path == obsPath || path == tracingPath) {
 			usesObs = true
 		}
-		if path, name, ok := pass.PkgFunc(call); ok && path == "time" && (name == "Now" || name == "Since") {
+		path, name, ok := pass.PkgFunc(call)
+		switch {
+		case !ok:
+		case path == tracingPath:
+			usesObs = true
+		case path == "time" && (name == "Now" || name == "Since"):
 			clocks = append(clocks, call)
 		}
 		return true
@@ -116,94 +120,7 @@ func checkClockSeam(pass *Pass, decl *ast.FuncDecl) {
 		return
 	}
 	for _, clock := range clocks {
-		if clockGuarded(pass, decl, clock) {
-			continue
-		}
 		pass.Reportf(clock.Pos(),
-			"clock read in an instrumented function must sit behind the nil-safe seam (guard it with the instrumented check, e.g. `if s.timed` or `if m != nil`): the uninstrumented path must not read the clock")
+			"clock read in an instrumented function: time the phase with tracing.StartPhase so span and histogram share one measurement and the uninstrumented path reads no clock")
 	}
-}
-
-// clockGuarded reports whether the clock-read call is dominated by an
-// instrumentation guard: an enclosing if whose condition tests a
-// boolean field or a nil comparison, or an earlier sibling early-return
-// if with such a condition.
-func clockGuarded(pass *Pass, decl *ast.FuncDecl, clock *ast.CallExpr) bool {
-	path := nodePath(decl, clock.Pos())
-	for _, n := range path {
-		if ifStmt, ok := n.(*ast.IfStmt); ok && isGuardCond(pass, ifStmt.Cond) {
-			return true
-		}
-	}
-	// Early-return guard: in any enclosing block, a statement before
-	// the one containing the clock read that is `if <guard> { ...
-	// return ... }`.
-	for i, n := range path {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok || i+1 >= len(path) {
-			continue
-		}
-		for _, stmt := range block.List {
-			if stmt.End() <= path[i+1].Pos() {
-				if ifStmt, ok := stmt.(*ast.IfStmt); ok && isGuardCond(pass, ifStmt.Cond) && endsInReturn(ifStmt.Body) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// isGuardCond reports whether a condition looks like an
-// instrumentation guard: it compares something against nil, or reads a
-// plain boolean variable/field (`s.timed`, `closed`) rather than
-// computing a fresh comparison.
-func isGuardCond(pass *Pass, cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch e := n.(type) {
-		case *ast.BinaryExpr:
-			if e.Op == token.NEQ || e.Op == token.EQL {
-				if isNilIdent(e.X) || isNilIdent(e.Y) {
-					found = true
-				}
-			}
-		case *ast.SelectorExpr:
-			if isBoolValue(pass, e) {
-				found = true
-			}
-		case *ast.Ident:
-			if isBoolValue(pass, e) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func isNilIdent(e ast.Expr) bool {
-	ident, ok := e.(*ast.Ident)
-	return ok && ident.Name == "nil"
-}
-
-func isBoolValue(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Pkg.Info.Types[e]
-	if !ok || tv.Type == nil || tv.Value != nil || tv.IsType() {
-		return false
-	}
-	basic, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.Bool
-}
-
-// endsInReturn reports whether the block's last statement is a return.
-func endsInReturn(block *ast.BlockStmt) bool {
-	if len(block.List) == 0 {
-		return false
-	}
-	_, ok := block.List[len(block.List)-1].(*ast.ReturnStmt)
-	return ok
 }

@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"imc2/internal/obs"
+	"imc2/internal/tracing"
 )
 
 // badSuffix is a constant name with a non-conforming unit suffix; the
 // analyzer resolves named constants, not just literals.
 const badSuffix = "imc2_wire_requests_elapsed"
 
-// Probe is an instrumented component with the nil-safe clock seam.
+// Probe is an instrumented component.
 type Probe struct {
 	reg     *obs.Registry
 	timed   bool
@@ -30,30 +31,41 @@ func (p *Probe) Wire(dynamic string) {
 	p.reg.Counter(dynamic, "not a constant") // want "must be a compile-time constant"
 }
 
-// ObserveGuarded reads the clock only behind the timed guard: the
-// uninstrumented path never touches it.
-func (p *Probe) ObserveGuarded(fn func()) {
-	var start time.Time
-	if p.timed {
-		start = time.Now()
-	}
+// ObservePhase times through the one seam: span and histogram share the
+// phase's two clock readings, and with neither attached none is taken.
+func (p *Probe) ObservePhase(parent *tracing.Span, fn func()) {
+	ph := tracing.StartPhase(parent, "probe.run", p.latency)
 	fn()
 	p.settles.Inc()
+	ph.End(nil)
+}
+
+// ObserveGuarded reads the clock behind the timed guard, beside a span:
+// the histogram and the span each take their own readings and disagree.
+func (p *Probe) ObserveGuarded(parent *tracing.Span, fn func()) {
+	span := parent.Child("probe.run")
+	var start time.Time
 	if p.timed {
-		p.latency.Observe(time.Since(start).Seconds())
+		start = time.Now() // want "clock read in an instrumented function"
+	}
+	fn()
+	span.End()
+	if p.timed {
+		p.latency.Observe(time.Since(start).Seconds()) // want "clock read in an instrumented function"
 	}
 }
 
-// ObserveEarlyReturn guards with an early return instead; also fine.
+// ObserveEarlyReturn guards with an early return instead; still a
+// second measurement outside the seam.
 func (p *Probe) ObserveEarlyReturn(fn func()) {
 	p.settles.Inc()
 	if p.reg == nil {
 		fn()
 		return
 	}
-	start := time.Now()
+	start := time.Now() // want "clock read in an instrumented function"
 	fn()
-	p.latency.Observe(time.Since(start).Seconds())
+	p.latency.Observe(time.Since(start).Seconds()) // want "clock read in an instrumented function"
 }
 
 // ObserveUnguarded reads the clock unconditionally in an instrumented
@@ -64,3 +76,7 @@ func (p *Probe) ObserveUnguarded(fn func()) {
 	p.settles.Inc()
 	p.latency.Observe(time.Since(start).Seconds()) // want "clock read in an instrumented function"
 }
+
+// Stamp reads the clock in a function that records nothing: not
+// instrumented, so not the seam's concern.
+func Stamp() time.Time { return time.Now() }

@@ -2,10 +2,23 @@
 // metrics registry of atomic counters, gauges, and fixed-bucket
 // histograms — plain and labeled — with Prometheus text-format
 // exposition. Every instrument the platform registers follows the
-// imc2_<subsystem>_<name>_<unit> naming convention (enforced by the
-// metrics-lint test in internal/wire), where <subsystem> is one of
-// wire, sched, store, registry, or truth, and <unit> is total,
-// seconds, bytes, count, ratio, or info.
+// imc2_<subsystem>_<name>_<unit> naming convention, where <subsystem>
+// is one of wire, sched, store, registry, truth, or tracing, and <unit>
+// is total, seconds, bytes, count, ratio, or info. The convention is
+// enforced statically by the obsnaming analyzer (internal/lint, run by
+// cmd/imc2lint) on every registration with a constant name, and at
+// runtime by TestMetricNamingConvention in internal/wire over the fully
+// wired stack's exposition.
+//
+// # Timing
+//
+// Histograms of durations are observed through tracing.Phase, never
+// from a local clock read: a phase reads the clock once at start and
+// once at end and gives that one measurement to both its span and its
+// histogram, so a *_seconds metric and the span of the same name cannot
+// disagree. obsnaming enforces it: inside internal packages, a function
+// that records to an instrument or a span may not call time.Now or
+// time.Since itself.
 //
 // # Nil safety
 //
@@ -35,9 +48,11 @@
 //
 // # Relation to the paper
 //
-// The per-iteration settle telemetry this package carries (see
-// truth.Trace) is the operational face of the paper's
-// iterate-to-convergence truth discovery: the same convergence
-// counters an operator watches are the warm-start signal a future
-// online/incremental settle engine consumes.
+// The per-iteration settle telemetry this package carries (the
+// imc2_truth_* histograms, observed from each recorded settle's audit
+// convergence history) is the operational face of the paper's
+// iterate-to-convergence truth discovery (Algorithm 1). The live
+// estimator's background folds are counted separately
+// (imc2_truth_incremental_*), and the iterations a warm close skips
+// show up as imc2_truth_incremental_warm_iterations_total.
 package obs

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"imc2/internal/imcerr"
+	"imc2/internal/truth"
 )
 
 // State is a campaign's lifecycle position. Campaigns move
@@ -163,6 +164,7 @@ func (p *Platform) Settle(ctx context.Context, cfg Config) (*Report, error) {
 	// settled event — the order replay depends on.
 	var rep *Report
 	var audit *Audit
+	var conv []truth.IterationStats
 	var err error
 	if cfg.RecordClosing != nil {
 		err = cfg.RecordClosing(ctx)
@@ -179,14 +181,14 @@ func (p *Platform) Settle(ctx context.Context, cfg Config) (*Report, error) {
 		if err == nil {
 			// No lock held: submissions are frozen, tasks are immutable
 			// after New.
-			rep, audit, err = p.runAdmitted(ctx, cfg, release)
+			rep, audit, conv, err = p.runAdmitted(ctx, cfg, release)
 		}
 	}
 	if err == nil && cfg.RecordSettled != nil {
 		// The report must be durable before the in-memory state admits
 		// the campaign settled; failing here discards the computed
 		// report rather than acknowledging an unpersisted obligation.
-		err = cfg.RecordSettled(ctx, rep, audit)
+		err = cfg.RecordSettled(ctx, rep, audit, conv)
 	}
 
 	p.mu.Lock()
@@ -207,7 +209,7 @@ func (p *Platform) Settle(ctx context.Context, cfg Config) (*Report, error) {
 // release is deferred so a panic inside a stage (possibly swallowed by
 // an embedder's recover) cannot strand the slot and starve every later
 // settle in the registry.
-func (p *Platform) runAdmitted(ctx context.Context, cfg Config, release func()) (*Report, *Audit, error) {
+func (p *Platform) runAdmitted(ctx context.Context, cfg Config, release func()) (*Report, *Audit, []truth.IterationStats, error) {
 	if release != nil {
 		defer release()
 	}

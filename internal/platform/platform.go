@@ -89,8 +89,12 @@ type Config struct {
 	// discarded) — a campaign never reads Settled in memory unless its
 	// report is durable. The campaign is still Closing while it runs,
 	// so no submission or lifecycle event can interleave. ctx carries
-	// the settle's trace span, as for RecordClosing.
-	RecordSettled func(ctx context.Context, rep *Report, audit *Audit) error
+	// the settle's trace span, as for RecordClosing. conv is the
+	// settle's per-iteration telemetry, recorded for every truth method;
+	// when audit is non-nil, audit.Convergence is the same slice (a
+	// method without a dependence model has no audit, but still
+	// iterates).
+	RecordSettled func(ctx context.Context, rep *Report, audit *Audit, conv []truth.IterationStats) error
 
 	// WarmStart, when non-nil, is consulted by the settle stages after
 	// the campaign enters Closing: given the frozen submission count, it
@@ -285,54 +289,50 @@ func (p *Platform) Run(cfg Config) (*Report, error) {
 // called by Settle while the campaign is Closing (submissions frozen),
 // and deliberately holds no lock: ctx is checked at stage boundaries so
 // an abandoned settle stops between the expensive phases.
-func (p *Platform) runStages(ctx context.Context, cfg Config) (*Report, *Audit, error) {
+func (p *Platform) runStages(ctx context.Context, cfg Config) (*Report, *Audit, []truth.IterationStats, error) {
 	if err := checkCtx(ctx); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	ds, bids, err := p.assemble()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	span := tracing.SpanFromContext(ctx)
-	rec := &truth.Recorder{}
+	// Stage 1 runs as the "truth.discover" phase; the settle observer
+	// is the engine's only Trace.
+	tph := tracing.StartPhase(span, "truth.discover", nil)
+	tph.Span().SetAttr("method", cfg.TruthMethod.String())
+	observer := &settleObserver{span: tph.Span(), next: cfg.TruthOptions.Trace}
 	topt := cfg.TruthOptions
-	// Stage 1 under its own child span: the engine's per-iteration
-	// telemetry is fanned into span events via SpanTrace, so the
-	// convergence history lives inside the settle's trace. Nil span →
-	// nil SpanTrace, dropped by MultiTrace.
-	tspan := span.Child("truth.discover")
-	tspan.SetAttr("method", cfg.TruthMethod.String())
-	topt.Trace = truth.MultiTrace(rec, topt.Trace, truth.SpanTrace(tspan))
+	topt.Trace = observer
 	res, err := p.discoverTruth(ds, cfg, topt)
 	if err != nil {
 		err = imcerr.Wrapf(imcerr.CodeInvalid, err, "platform: truth discovery")
-		tspan.SetError(err)
-		tspan.End()
-		return nil, nil, err
+		tph.End(err)
+		return nil, nil, nil, err
 	}
-	tspan.SetAttr("iterations", strconv.Itoa(res.Iterations))
-	tspan.SetAttr("converged", strconv.FormatBool(res.Converged))
-	tspan.End()
+	tph.Span().SetAttr("iterations", strconv.Itoa(res.Iterations))
+	tph.Span().SetAttr("converged", strconv.FormatBool(res.Converged))
+	tph.End(nil)
 	if err := checkCtx(ctx); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	audit := buildAudit(ds, res, 20)
 	if audit != nil {
-		audit.Convergence = rec.Iterations
+		audit.Convergence = observer.iterations
 	}
 	in := BuildInstance(ds, res.Accuracy, bids)
-	aspan := span.Child("auction")
-	aspan.SetAttr("mechanism", cfg.Mechanism.String())
+	aph := tracing.StartPhase(span, "auction", nil)
+	aph.Span().SetAttr("mechanism", cfg.Mechanism.String())
 	out, err := runAuction(in, cfg.Mechanism)
 	if err != nil {
-		aspan.SetError(err)
-		aspan.End()
-		return nil, nil, err
+		aph.End(err)
+		return nil, nil, nil, err
 	}
-	aspan.SetAttr("winners", strconv.Itoa(len(out.Winners)))
-	aspan.End()
+	aph.Span().SetAttr("winners", strconv.Itoa(len(out.Winners)))
+	aph.End(nil)
 	if err := checkCtx(ctx); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
 	values := make([]float64, ds.NumTasks())
@@ -357,7 +357,45 @@ func (p *Platform) runStages(ctx context.Context, cfg Config) (*Report, *Audit, 
 	for i, a := range res.WorkerAccuracy(ds) {
 		report.WorkerAccuracy[ds.WorkerID(i)] = a
 	}
-	return report, audit, nil
+	return report, audit, observer.iterations, nil
+}
+
+// settleObserver is a settle's only truth.Trace. Each iteration is
+// appended to the settle's convergence history (the audit's, and the
+// conv RecordSettled receives), emitted as a
+// "truth.iteration" event on the truth.discover span (nil: untraced),
+// and forwarded to the caller's TruthOptions.Trace (nil: none). It only
+// observes: the estimate stays bit-identical traced or not.
+type settleObserver struct {
+	iterations []truth.IterationStats
+	span       *tracing.Span
+	next       truth.Trace
+}
+
+func (o *settleObserver) ObserveIteration(it truth.IterationStats) {
+	o.iterations = append(o.iterations, it)
+	if o.span != nil {
+		attrs := make([]tracing.Attr, 0, 6)
+		attrs = append(attrs,
+			tracing.Int("iteration", it.Iteration),
+			tracing.Int("changed", it.Changed))
+		if it.DependenceSeconds > 0 {
+			attrs = append(attrs, tracing.F64("dependence_seconds", it.DependenceSeconds))
+		}
+		if it.IndependenceSeconds > 0 {
+			attrs = append(attrs, tracing.F64("independence_seconds", it.IndependenceSeconds))
+		}
+		if it.EstimateSeconds > 0 {
+			attrs = append(attrs, tracing.F64("estimate_seconds", it.EstimateSeconds))
+		}
+		if it.Converged {
+			attrs = append(attrs, tracing.Str("converged", "true"))
+		}
+		o.span.Event("truth.iteration", attrs...)
+	}
+	if o.next != nil {
+		o.next.ObserveIteration(it)
+	}
 }
 
 // runAuction dispatches stage 2 to the configured mechanism.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"imc2/internal/imcerr"
+	"imc2/internal/truth"
 )
 
 // TestSettleRecordHooksOrderAndSuccess asserts the durability hooks run
@@ -24,7 +25,7 @@ func TestSettleRecordHooksOrderAndSuccess(t *testing.T) {
 		calls = append(calls, "closing")
 		return nil
 	}
-	cfg.RecordSettled = func(_ context.Context, rep *Report, audit *Audit) error {
+	cfg.RecordSettled = func(_ context.Context, rep *Report, _ *Audit, _ []truth.IterationStats) error {
 		if rep == nil {
 			t.Error("RecordSettled got a nil report")
 		}
@@ -55,7 +56,7 @@ func TestRecordSettledFailureDiscardsReport(t *testing.T) {
 	boom := errors.New("disk full")
 	cfg := DefaultConfig()
 	fail := true
-	cfg.RecordSettled = func(context.Context, *Report, *Audit) error {
+	cfg.RecordSettled = func(context.Context, *Report, *Audit, []truth.IterationStats) error {
 		if fail {
 			return boom
 		}
@@ -86,7 +87,7 @@ func TestRecordClosingFailureAbortsBeforeStages(t *testing.T) {
 	boom := errors.New("wal sealed")
 	cfg := DefaultConfig()
 	cfg.RecordClosing = func(context.Context) error { return boom }
-	cfg.RecordSettled = func(context.Context, *Report, *Audit) error {
+	cfg.RecordSettled = func(context.Context, *Report, *Audit, []truth.IterationStats) error {
 		t.Error("stages ran (RecordSettled called) after RecordClosing failed")
 		return nil
 	}

@@ -235,11 +235,10 @@ func (c *Campaign) Settle(ctx context.Context) (*platform.Report, error) {
 // durable registry the settle's durability hooks are injected too: the
 // close request is logged before any stage runs, and the settled report
 // is logged before the campaign's in-memory state admits it settled.
-// On an instrumented registry the truth trace sink is chained in (the
-// campaign's own Trace, if configured, still sees every iteration) and
-// per-settle totals are observed via the RecordSettled hook — which the
-// platform invokes exactly once per executed settle, so racing callers
-// that share a cached report never double-count.
+// On an instrumented registry each settle's totals and convergence
+// history are observed via the RecordSettled hook — which the platform
+// invokes exactly once per executed settle, so racing callers that
+// share a cached report never double-count.
 func (c *Campaign) settleConfig() platform.Config {
 	cfg := c.baseSettleConfig()
 	// Warm-start seam: a settle adopts the background estimator's engine
@@ -279,7 +278,7 @@ func (c *Campaign) baseSettleConfig() platform.Config {
 			defer c.storeMu.Unlock()
 			return c.appendLockedCtx(ctx, store.Event{Type: store.EventCloseRequested, Campaign: c.id})
 		}
-		cfg.RecordSettled = func(ctx context.Context, rep *platform.Report, audit *platform.Audit) error {
+		cfg.RecordSettled = func(ctx context.Context, rep *platform.Report, audit *platform.Audit, _ []truth.IterationStats) error {
 			c.storeMu.Lock()
 			defer c.storeMu.Unlock()
 			return c.appendLockedCtx(ctx, store.Event{
@@ -293,15 +292,14 @@ func (c *Campaign) baseSettleConfig() platform.Config {
 		}
 	}
 	if c.m != nil {
-		cfg.TruthOptions.Trace = truth.MultiTrace(cfg.TruthOptions.Trace, c.m.trace())
 		inner := cfg.RecordSettled
-		cfg.RecordSettled = func(ctx context.Context, rep *platform.Report, audit *platform.Audit) error {
+		cfg.RecordSettled = func(ctx context.Context, rep *platform.Report, audit *platform.Audit, conv []truth.IterationStats) error {
 			if inner != nil {
-				if err := inner(ctx, rep, audit); err != nil {
+				if err := inner(ctx, rep, audit, conv); err != nil {
 					return err
 				}
 			}
-			c.m.noteSettled(rep)
+			c.m.noteSettled(rep, conv)
 			return nil
 		}
 	}

@@ -10,9 +10,10 @@ import (
 // (imc2_registry_*, imc2_truth_*) on o and threads instrumentation into
 // every campaign: a submissions counter on the accept path (one atomic
 // add — the in-memory path stays allocation-free), campaigns-by-state
-// gauges read at scrape time, and a truth.Trace sink feeding per-pass
-// and per-iteration settle telemetry. A nil o is a no-op, keeping the
-// option composable with "observability off" configurations.
+// gauges read at scrape time, and per-settle totals plus per-pass and
+// per-iteration telemetry observed from each recorded settle's
+// convergence history. A nil o is a no-op, keeping the option
+// composable with "observability off" configurations.
 func WithObservability(o *obs.Registry) Option {
 	return func(r *Registry) { r.m = newRegMetrics(o, r) }
 }
@@ -34,8 +35,8 @@ type regMetrics struct {
 	passSeconds      *obs.HistogramVec // pass=dependence|independence|estimate
 	iterChanged      *obs.Histogram    // truths moved per iteration
 
-	// passDep/passInd/passEst are the resolved pass children so the
-	// per-iteration trace path does not pay a Vec lookup.
+	// passDep/passInd/passEst are the resolved pass children so
+	// noteSettled does not pay a Vec lookup per iteration.
 	passDep, passInd, passEst     *obs.Histogram
 	convergedTrue, convergedFalse *obs.Counter
 
@@ -64,10 +65,10 @@ func newRegMetrics(o *obs.Registry, r *Registry) *regMetrics {
 		settleIterations: o.Histogram("imc2_truth_settle_iterations_count",
 			"Truth-discovery iterations per settle.", iterationBuckets),
 		passSeconds: o.HistogramVec("imc2_truth_pass_seconds",
-			"Wall time per truth-discovery pass per iteration.",
+			"Wall time per truth-discovery pass per iteration of recorded settles (from the settle's recorded convergence history).",
 			obs.LatencyBuckets, "pass"),
 		iterChanged: o.Histogram("imc2_truth_iteration_changed_count",
-			"Task truths that moved per iteration (the convergence delta).",
+			"Task truths that moved per iteration of recorded settles (the convergence delta).",
 			changedBuckets),
 		incFolds: o.Counter("imc2_truth_incremental_folds_total",
 			"Background estimate folds that advanced or rebuilt an engine."),
@@ -128,8 +129,13 @@ func (m *regMetrics) noteSubmissions(n int) {
 	}
 }
 
-// noteSettled observes one completed settle's totals from its report.
-func (m *regMetrics) noteSettled(rep *platform.Report) {
+// noteSettled observes one recorded settle: its totals from the report
+// and its per-iteration telemetry from the recorded convergence history
+// (the audit's, for methods that keep one). Passes a method does not
+// run (NC has no dependence or independence step) report exactly zero
+// and are not observed, so pass latencies describe passes that
+// executed.
+func (m *regMetrics) noteSettled(rep *platform.Report, conv []truth.IterationStats) {
 	if m == nil || rep == nil {
 		return
 	}
@@ -139,6 +145,18 @@ func (m *regMetrics) noteSettled(rep *platform.Report) {
 		m.convergedFalse.Inc()
 	}
 	m.settleIterations.Observe(float64(rep.TruthIterations))
+	for _, it := range conv {
+		if it.DependenceSeconds > 0 {
+			m.passDep.Observe(it.DependenceSeconds)
+		}
+		if it.IndependenceSeconds > 0 {
+			m.passInd.Observe(it.IndependenceSeconds)
+		}
+		if it.EstimateSeconds > 0 {
+			m.passEst.Observe(it.EstimateSeconds)
+		}
+		m.iterChanged.Observe(float64(it.Changed))
+	}
 }
 
 // noteFold observes one FoldEstimate outcome.
@@ -168,32 +186,4 @@ func (m *regMetrics) noteWarmStart(preDone int) {
 	}
 	m.incWarm.Inc()
 	m.incWarmIters.Add(uint64(preDone))
-}
-
-// trace returns the truth.Trace feeding the per-iteration metrics, or
-// nil on an uninstrumented registry.
-func (m *regMetrics) trace() truth.Trace {
-	if m == nil {
-		return nil
-	}
-	return metricsTrace{m}
-}
-
-// metricsTrace adapts regMetrics to truth.Trace. Passes a method does
-// not run (NC has no dependence or independence step) report exactly
-// zero and are not observed, so pass latencies describe passes that
-// executed.
-type metricsTrace struct{ m *regMetrics }
-
-func (t metricsTrace) ObserveIteration(s truth.IterationStats) {
-	if s.DependenceSeconds > 0 {
-		t.m.passDep.Observe(s.DependenceSeconds)
-	}
-	if s.IndependenceSeconds > 0 {
-		t.m.passInd.Observe(s.IndependenceSeconds)
-	}
-	if s.EstimateSeconds > 0 {
-		t.m.passEst.Observe(s.EstimateSeconds)
-	}
-	t.m.iterChanged.Observe(float64(s.Changed))
 }

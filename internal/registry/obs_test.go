@@ -10,6 +10,7 @@ import (
 
 	"imc2/internal/obs"
 	"imc2/internal/platform"
+	"imc2/internal/truth"
 )
 
 // TestMetricsCountSettlesExactlyOnce races several callers into each
@@ -96,6 +97,84 @@ func TestMetricsCountSettlesExactlyOnce(t *testing.T) {
 	wantLine := fmt.Sprintf("imc2_registry_campaigns_count{state=%q} %d", "settled", campaigns)
 	if !strings.Contains(sb.String(), wantLine) {
 		t.Errorf("exposition missing %q", wantLine)
+	}
+}
+
+// iterRecorder is a caller-side truth.Trace: the settle forwards every
+// iteration it records to it.
+type iterRecorder struct{ its []truth.IterationStats }
+
+func (r *iterRecorder) ObserveIteration(it truth.IterationStats) { r.its = append(r.its, it) }
+
+// TestPassMetricsObserveRecordedConvergence: the per-pass and
+// per-iteration histograms are observed from the settle's recorded
+// convergence history, so they describe exactly the iterations it lists
+// — the same settle set settles_total counts. That holds for NC too,
+// which keeps no dependence audit but still iterates.
+func TestPassMetricsObserveRecordedConvergence(t *testing.T) {
+	for _, method := range []truth.Method{truth.MethodDATE, truth.MethodNC} {
+		t.Run(method.String(), func(t *testing.T) {
+			r := New(WithObservability(obs.NewRegistry()))
+			w := testWorkload(t, 77)
+			cfg := platform.DefaultConfig()
+			cfg.TruthMethod = method
+			rec := &iterRecorder{}
+			cfg.TruthOptions.Trace = rec
+			c, err := r.Create("conv", w.Dataset.Tasks(), cfg, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < w.Dataset.NumWorkers(); i++ {
+				if err := c.Submit(submissionFor(w, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := c.Settle(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conv := rec.its
+			if len(conv) == 0 || len(conv) != rep.TruthIterations {
+				t.Fatalf("recorded %d iterations, report says %d", len(conv), rep.TruthIterations)
+			}
+			if audit, err := c.Audit(); err == nil {
+				if !reflect.DeepEqual(audit.Convergence, conv) {
+					t.Fatal("audit convergence differs from the iterations forwarded to the caller's trace")
+				}
+			} else if method == truth.MethodDATE {
+				t.Fatal(err)
+			}
+			// Passes that took no measurable time are not observed.
+			var depSum, estSum float64
+			var depN, estN uint64
+			for i, it := range conv {
+				if it.Iteration != i+1 {
+					t.Fatalf("convergence entry %d labeled iteration %d", i, it.Iteration)
+				}
+				if it.DependenceSeconds > 0 {
+					depSum += it.DependenceSeconds
+					depN++
+				}
+				if it.EstimateSeconds > 0 {
+					estSum += it.EstimateSeconds
+					estN++
+				}
+			}
+			if estN == 0 {
+				t.Fatal("no estimate pass was timed")
+			}
+			if got := r.m.iterChanged.Count(); got != uint64(len(conv)) {
+				t.Fatalf("iteration_changed observations = %d, want %d", got, len(conv))
+			}
+			if r.m.passDep.Count() != depN || r.m.passEst.Count() != estN {
+				t.Fatalf("dependence/estimate observations = %d/%d, want %d/%d",
+					r.m.passDep.Count(), r.m.passEst.Count(), depN, estN)
+			}
+			if r.m.passDep.Sum() != depSum || r.m.passEst.Sum() != estSum {
+				t.Fatalf("pass sums dep=%v est=%v, want the recorded %v and %v",
+					r.m.passDep.Sum(), r.m.passEst.Sum(), depSum, estSum)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"imc2/internal/imcerr"
 	"imc2/internal/obs"
@@ -150,10 +149,9 @@ type Scheduler struct {
 	queue   []*waiter
 	stats   Stats
 
-	// m holds the obs instruments; timed gates every clock read so the
-	// uninstrumented scheduler never calls time.Now.
-	m     metrics
-	timed bool
+	// m holds the obs instruments; all nil on an uninstrumented
+	// scheduler, whose phases then read no clock (see tracing.Phase).
+	m metrics
 }
 
 // waiter is one settle waiting for admission.
@@ -161,10 +159,9 @@ type waiter struct {
 	key      string
 	ready    chan struct{}
 	admitted bool // set under Scheduler.mu when the slot is granted
-	// enqueuedAt is set (only on instrumented or traced acquisitions)
-	// when the waiter joins the queue, for the queue-wait histogram and
-	// the "sched.admitted" span event.
-	enqueuedAt time.Time
+	// wait times the queue wait into the histogram and the
+	// "sched.admitted" span event; inert when neither is attached.
+	wait tracing.Phase
 }
 
 // New builds a scheduler and starts its shared pool.
@@ -182,7 +179,6 @@ func New(cfg Config) *Scheduler {
 		s.maxQueued = 0
 	}
 	s.m = newMetrics(cfg.Obs, s)
-	s.timed = cfg.Obs != nil
 	return s
 }
 
@@ -219,10 +215,7 @@ func (s *Scheduler) Acquire(ctx context.Context, key string) (release func(), er
 		s.m.overflowed.Inc()
 		return nil, ErrQueueFull
 	}
-	w := &waiter{key: key, ready: make(chan struct{})}
-	if s.timed || span != nil {
-		w.enqueuedAt = time.Now()
-	}
+	w := &waiter{key: key, ready: make(chan struct{}), wait: tracing.StartEventPhase(span, s.m.queueWait)}
 	s.queue = append(s.queue, w)
 	if q := len(s.queue); q > s.stats.PeakQueuedSettles {
 		s.stats.PeakQueuedSettles = q
@@ -231,7 +224,7 @@ func (s *Scheduler) Acquire(ctx context.Context, key string) (release func(), er
 
 	select {
 	case <-w.ready:
-		s.observeQueueWait(w, span)
+		w.wait.EndEvent("sched.admitted", "queue_wait_seconds", tracing.Str("queued", "true"))
 		return s.releaseFunc(key, span), nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -239,7 +232,7 @@ func (s *Scheduler) Acquire(ctx context.Context, key string) (release func(), er
 			// The slot was granted in the instant ctx fired; keep it —
 			// the settle proceeds rather than wasting the admission.
 			s.mu.Unlock()
-			s.observeQueueWait(w, span)
+			w.wait.EndEvent("sched.admitted", "queue_wait_seconds", tracing.Str("queued", "true"))
 			return s.releaseFunc(key, span), nil
 		}
 		for i, qw := range s.queue {
@@ -255,38 +248,15 @@ func (s *Scheduler) Acquire(ctx context.Context, key string) (release func(), er
 	}
 }
 
-// releaseFunc wraps release for one admission; on instrumented or
-// traced acquisitions it also times how long the slot was held. span
-// may be nil.
+// releaseFunc wraps release for one admission, timing how long the
+// slot was held into the histogram and the "sched.released" event on
+// span (nil: untraced).
 func (s *Scheduler) releaseFunc(key string, span *tracing.Span) func() {
-	if !s.timed && span == nil {
-		return func() { s.release(key) }
-	}
-	start := time.Now()
+	run := tracing.StartEventPhase(span, s.m.runDuration)
 	return func() {
-		elapsed := time.Since(start)
-		if s.timed {
-			s.m.runDuration.Observe(elapsed.Seconds())
-		}
-		span.Event("sched.released", tracing.F64("run_seconds", elapsed.Seconds()))
+		run.EndEvent("sched.released", "run_seconds")
 		s.release(key)
 	}
-}
-
-// observeQueueWait records how long a queued waiter waited, on the
-// histogram and as a "sched.admitted" event on the settle's span; span
-// may be nil.
-func (s *Scheduler) observeQueueWait(w *waiter, span *tracing.Span) {
-	if !s.timed && span == nil {
-		return
-	}
-	wait := time.Since(w.enqueuedAt)
-	if s.timed {
-		s.m.queueWait.Observe(wait.Seconds())
-	}
-	span.Event("sched.admitted",
-		tracing.Str("queued", "true"),
-		tracing.F64("queue_wait_seconds", wait.Seconds()))
 }
 
 // admitLocked grants key a slot and updates the counters.

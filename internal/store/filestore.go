@@ -45,10 +45,9 @@ type FileStore struct {
 	snapshotsWritten   uint64
 	snapshotErr        error
 
-	// m holds the obs instruments; timed gates every clock read so the
-	// uninstrumented store's append path never calls time.Now.
-	m     storeMetrics
-	timed bool
+	// m holds the obs instruments; all nil on an uninstrumented store,
+	// whose phases then read no clock (see tracing.Phase).
+	m storeMetrics
 }
 
 // storeMetrics holds the store's instruments. The zero value (all nil)
@@ -71,7 +70,7 @@ func newStoreMetrics(r *obs.Registry, s *FileStore) (m storeMetrics) {
 	m.appends = r.Counter("imc2_store_appends_total",
 		"Events made durable in the WAL.")
 	m.appendDur = r.Histogram("imc2_store_append_seconds",
-		"Append critical-section latency (apply, encode, write, fsync policy).",
+		"Append latency, the store.append span's interval: lock wait, apply, encode, write, fsync policy, and any snapshot the append triggers.",
 		obs.LatencyBuckets)
 	m.fsyncs = r.Counter("imc2_store_fsyncs_total",
 		"fsync calls on WAL segments.")
@@ -116,7 +115,6 @@ func Open(opts Options) (*FileStore, error) {
 		snapshotEvery: snapshotEvery,
 	}
 	s.m = newStoreMetrics(opts.Obs, s)
-	s.timed = opts.Obs != nil
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
@@ -201,7 +199,7 @@ func (s *FileStore) recover() error {
 	s.f = f
 	s.walBytes = info.Size()
 	if hadState {
-		s.recoveredAt = time.Now()
+		s.recoveredAt = time.Now() //lint:allow obsnaming wall-clock recovery timestamp served in Stats, not a phase timing
 		s.recoveredCampaigns = s.state.Len()
 	}
 	return nil
@@ -252,7 +250,7 @@ func (s *FileStore) RecoveredAt() time.Time {
 // describe a legal transition), writes the checksummed record, and
 // applies the fsync policy. A snapshot is folded and the WAL compacted
 // every SnapshotEvery appends. Append satisfies Store.
-func (s *FileStore) Append(ev Event) error { return s.append(nil, ev) }
+func (s *FileStore) Append(ev Event) error { return s.appendPhase(nil, ev) }
 
 // AppendContext is Append with the caller's trace attached: when ctx
 // carries a span, the append — and any fsync or snapshot it triggers —
@@ -261,11 +259,18 @@ func (s *FileStore) Append(ev Event) error { return s.append(nil, ev) }
 // nil span is zero-cost, so durability latency is identical either way.
 // AppendContext satisfies ContextAppender.
 func (s *FileStore) AppendContext(ctx context.Context, ev Event) error {
-	span := tracing.SpanFromContext(ctx).Child("store.append")
-	span.SetAttr("event", string(ev.Type))
-	err := s.append(span, ev)
-	span.SetError(err)
-	span.End()
+	return s.appendPhase(tracing.SpanFromContext(ctx), ev)
+}
+
+// appendPhase times one append as the "store.append" phase under parent
+// (nil: untraced) into imc2_store_append_seconds. Span and histogram
+// share one interval: the lock wait, the write and fsync, and any
+// snapshot the append triggers.
+func (s *FileStore) appendPhase(parent *tracing.Span, ev Event) error {
+	ph := tracing.StartPhase(parent, "store.append", s.m.appendDur)
+	ph.Span().SetAttr("event", string(ev.Type))
+	err := s.append(ph.Span(), ev)
+	ph.End(err)
 	return err
 }
 
@@ -274,10 +279,6 @@ func (s *FileStore) AppendContext(ctx context.Context, ev Event) error {
 func (s *FileStore) append(span *tracing.Span, ev Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var start time.Time
-	if s.timed {
-		start = time.Now()
-	}
 	if s.closed {
 		return imcerr.New(imcerr.CodeConflict, "store: appending to a closed store")
 	}
@@ -311,9 +312,6 @@ func (s *FileStore) append(span *tracing.Span, ev Event) error {
 	s.appended++
 	s.m.appends.Inc()
 	s.m.writtenBytes.Add(uint64(len(rec)))
-	if s.timed {
-		s.m.appendDur.Observe(time.Since(start).Seconds())
-	}
 
 	if s.snapshotEvery > 0 && s.lastSeq-s.lastSnapshotSeq >= uint64(s.snapshotEvery) {
 		// Snapshot failures do not fail the append — the event is
@@ -324,22 +322,13 @@ func (s *FileStore) append(span *tracing.Span, ev Event) error {
 	return nil
 }
 
-// syncWAL fsyncs the live segment, timing the call on instrumented
-// stores and recording a "store.fsync" child on traced appends; span
-// may be nil.
+// syncWAL fsyncs the live segment as the "store.fsync" phase under
+// span (nil: untraced).
 func (s *FileStore) syncWAL(span *tracing.Span) error {
-	fs := span.Child("store.fsync")
-	var err error
-	if !s.timed {
-		err = s.f.Sync()
-	} else {
-		start := time.Now()
-		err = s.f.Sync()
-		s.m.fsyncDur.Observe(time.Since(start).Seconds())
-		s.m.fsyncs.Inc()
-	}
-	fs.SetError(err)
-	fs.End()
+	ph := tracing.StartPhase(span, "store.fsync", s.m.fsyncDur)
+	err := s.f.Sync()
+	ph.End(err)
+	s.m.fsyncs.Inc()
 	return err
 }
 
@@ -364,16 +353,8 @@ func (s *FileStore) fail(err error) error {
 // skipping a damaged snapshot costs replay time, never data. Called
 // with s.mu held; span may be nil (untraced fold).
 func (s *FileStore) snapshotLocked(span *tracing.Span) (err error) {
-	snap := span.Child("store.snapshot")
-	defer func() {
-		snap.SetError(err)
-		snap.End()
-	}()
-	var start time.Time
-	if s.timed {
-		start = time.Now()
-		defer func() { s.m.snapshotDur.Observe(time.Since(start).Seconds()) }()
-	}
+	ph := tracing.StartPhase(span, "store.snapshot", s.m.snapshotDur)
+	defer func() { ph.End(err) }()
 	if err := writeSnapshot(s.dir, s.lastSeq, s.state); err != nil {
 		return err
 	}

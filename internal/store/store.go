@@ -98,8 +98,8 @@ type Options struct {
 // snapshot writes dominate the append path.
 const defaultSnapshotEvery = 256
 
-// Stats is a point-in-time snapshot of a FileStore, served as
-// GET /v2/store.
+// Stats is a point-in-time snapshot of a FileStore, served as the store
+// section of GET /v2/stats.
 type Stats struct {
 	// Dir is the data directory.
 	Dir string

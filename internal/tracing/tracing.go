@@ -229,13 +229,19 @@ func (t *Tracer) StartRoot(ctx context.Context, name, remote string) (context.Co
 	if t == nil {
 		return ctx, nil
 	}
+	return t.startRootAt(ctx, name, remote, time.Now())
+}
+
+// startRootAt is StartRoot with the start time supplied by the caller
+// (a Phase's single start reading); t must be non-nil.
+func (t *Tracer) startRootAt(ctx context.Context, name, remote string, start time.Time) (context.Context, *Span) {
 	tid, parent, ok := ParseTraceParent(remote)
 	if !ok {
 		tid = newTraceID()
 		parent = SpanID{}
 	}
 	tr := &trace{id: tid, col: t.col, maxSpans: t.maxSpans}
-	s := &Span{tr: tr, id: newSpanID(), parent: parent, name: name, start: time.Now()}
+	s := &Span{tr: tr, id: newSpanID(), parent: parent, name: name, start: start}
 	tr.root = s
 	tr.spans = append(tr.spans, s)
 	return ContextWithSpan(ctx, s), s
@@ -276,7 +282,12 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{tr: s.tr, id: newSpanID(), parent: s.id, name: name, start: time.Now()}
+	return s.childAt(name, time.Now())
+}
+
+// childAt opens a sub-span starting at start; s must be non-nil.
+func (s *Span) childAt(name string, start time.Time) *Span {
+	c := &Span{tr: s.tr, id: newSpanID(), parent: s.id, name: name, start: start}
 	s.tr.register(c)
 	return c
 }
@@ -301,14 +312,18 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	now := time.Now()
+	s.eventAt(time.Now(), name, attrs)
+}
+
+// eventAt records an event stamped at; s must be non-nil.
+func (s *Span) eventAt(at time.Time, name string, attrs []Attr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.events) >= maxEventsPerSpan {
 		s.droppedEvents++
 		return
 	}
-	s.events = append(s.events, spanEvent{name: name, at: now, attrs: attrs})
+	s.events = append(s.events, spanEvent{name: name, at: at, attrs: attrs})
 }
 
 // SetError marks the span (and therefore its trace) failed. A nil err
@@ -345,14 +360,18 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := time.Now()
+	s.endAt(time.Now())
+}
+
+// endAt closes the span at end; s must be non-nil.
+func (s *Span) endAt(end time.Time) {
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.end = now
+	s.end = end
 	s.mu.Unlock()
 	if s.tr.root == s {
 		s.tr.col.add(s.tr)

@@ -80,7 +80,7 @@ func TestTracedAndUntracedRunsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, m, err)
 			}
-			rec := &Recorder{}
+			rec := &recorder{}
 			opt := DefaultOptions()
 			opt.Trace = rec
 			traced, err := Discover(ds, m, opt)
@@ -130,7 +130,7 @@ func TestEngineSetTraceMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run(2)
-	rec := &Recorder{}
+	rec := &recorder{}
 	e.SetTrace(rec)
 	e.Run(0)
 	requireIdenticalResults(t, "resume under trace", want, e.Result())

@@ -33,45 +33,6 @@ type Trace interface {
 	ObserveIteration(IterationStats)
 }
 
-// Recorder is a Trace that retains every iteration in order — the shape
-// the platform embeds in a settle report's audit.
-type Recorder struct {
-	Iterations []IterationStats
-}
-
-// ObserveIteration appends the iteration's stats.
-func (r *Recorder) ObserveIteration(s IterationStats) {
-	r.Iterations = append(r.Iterations, s)
-}
-
-// multiTrace fans one run out to several sinks.
-type multiTrace []Trace
-
-func (m multiTrace) ObserveIteration(s IterationStats) {
-	for _, t := range m {
-		t.ObserveIteration(s)
-	}
-}
-
-// MultiTrace combines traces into one, dropping nils. It returns nil
-// when nothing remains — keeping the "nil means free" contract — and
-// the sole survivor unwrapped when only one remains.
-func MultiTrace(traces ...Trace) Trace {
-	kept := make(multiTrace, 0, len(traces))
-	for _, t := range traces {
-		if t != nil {
-			kept = append(kept, t)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return kept
-}
-
 // countChanged returns the number of positions where a and b differ —
 // the engine's single convergence predicate: an iteration converges iff
 // countChanged(prev, truth) == 0, traced or not.

@@ -7,6 +7,11 @@ import (
 	"imc2/internal/model"
 )
 
+// recorder is a Trace that retains every iteration in order.
+type recorder struct{ Iterations []IterationStats }
+
+func (r *recorder) ObserveIteration(s IterationStats) { r.Iterations = append(r.Iterations, s) }
+
 func traceDataset(t *testing.T) *model.Dataset {
 	t.Helper()
 	ds, _ := copierScenario(t, 12, 6, 40)
@@ -24,7 +29,7 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v untraced: %v", method, err)
 		}
-		rec := &Recorder{}
+		rec := &recorder{}
 		opt.Trace = rec
 		traced, err := Discover(ds, method, opt)
 		if err != nil {
@@ -54,25 +59,5 @@ func TestTraceDoesNotChangeResults(t *testing.T) {
 		if last.Converged != traced.Converged {
 			t.Fatalf("%v: last trace converged=%v, result converged=%v", method, last.Converged, traced.Converged)
 		}
-	}
-}
-
-func TestMultiTrace(t *testing.T) {
-	if MultiTrace() != nil || MultiTrace(nil, nil) != nil {
-		t.Fatal("MultiTrace of nothing is not nil")
-	}
-	a := &Recorder{}
-	if MultiTrace(nil, a, nil) != Trace(a) {
-		t.Fatal("single survivor was not unwrapped")
-	}
-	b := &Recorder{}
-	m := MultiTrace(a, b)
-	m.ObserveIteration(IterationStats{Iteration: 1, Changed: 3})
-	m.ObserveIteration(IterationStats{Iteration: 2, Converged: true})
-	if len(a.Iterations) != 2 || len(b.Iterations) != 2 {
-		t.Fatalf("fan-out lost iterations: %d/%d", len(a.Iterations), len(b.Iterations))
-	}
-	if a.Iterations[1].Converged != true || b.Iterations[0].Changed != 3 {
-		t.Fatal("fan-out delivered wrong stats")
 	}
 }

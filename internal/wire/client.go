@@ -143,7 +143,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		apiErr := &APIError{Status: resp.StatusCode, Code: eb.Code, Message: msg}
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			apiErr.RetryAfter = parseRetryAfter(ra, time.Now())
+			apiErr.RetryAfter = parseRetryAfter(ra, time.Now()) //lint:allow obsnaming reference time for an HTTP-date Retry-After, not a phase timing
 		}
 		return apiErr
 	}

@@ -166,31 +166,11 @@ func (c *Client) CampaignReport(ctx context.Context, id string) (*Report, error)
 	return &out, nil
 }
 
-// SchedulerStats fetches the registry-wide settle scheduler's counters;
-// Enabled is false when the server settles without admission control.
-func (c *Client) SchedulerStats(ctx context.Context) (*SchedulerStats, error) {
-	var out SchedulerStats
-	if err := c.do(ctx, "GET", "/v2/scheduler", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stats fetches the unified platform snapshot (GET /v2/stats): the
 // scheduler, store, and registry sections in one poll.
 func (c *Client) Stats(ctx context.Context) (*PlatformStats, error) {
 	var out PlatformStats
 	if err := c.do(ctx, "GET", "/v2/stats", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// StoreStats fetches the durable campaign store's counters; Enabled is
-// false when the server runs in-memory only.
-func (c *Client) StoreStats(ctx context.Context) (*StoreStats, error) {
-	var out StoreStats
-	if err := c.do(ctx, "GET", "/v2/store", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -222,10 +222,11 @@ func TestE2EConcurrentCampaignsMatchSerialBaseline(t *testing.T) {
 	// queue, visible over the wire with coherent positions.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		stats, err := client.SchedulerStats(ctx)
+		ps, err := client.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
+		stats := ps.Scheduler
 		if stats.QueuedSettles == e2eCampaigns {
 			break
 		}
@@ -287,10 +288,11 @@ func TestE2EConcurrentCampaignsMatchSerialBaseline(t *testing.T) {
 	}
 
 	// The scheduler stats endpoint reflects the drained state.
-	stats, err := client.SchedulerStats(ctx)
+	ps, err := client.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := ps.Scheduler
 	if !stats.Enabled || stats.ActiveSettles != 0 || stats.QueuedSettles != 0 {
 		t.Fatalf("scheduler stats after drain = %+v", stats)
 	}
@@ -307,10 +309,11 @@ func TestE2EConcurrentCampaignsMatchSerialBaseline(t *testing.T) {
 // enabled=false and campaigns settle exactly as before.
 func TestSchedulerStatsDisabled(t *testing.T) {
 	client, _ := startRegistry(t)
-	stats, err := client.SchedulerStats(context.Background())
+	ps, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := ps.Scheduler
 	if stats.Enabled {
 		t.Fatalf("scheduler reported enabled on a plain registry: %+v", stats)
 	}

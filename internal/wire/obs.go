@@ -1,13 +1,11 @@
 package wire
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
 	"log/slog"
 	"net/http"
 	"strconv"
-	"time"
 
 	"imc2/internal/imcerr"
 	"imc2/internal/obs"
@@ -113,21 +111,28 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 		// Set before the handler runs so writeError can echo it into
 		// error bodies by reading the response headers.
 		w.Header().Set(requestIDHeader, reqID)
-		var span *tracing.Span
+		var latency *obs.Histogram
+		if s.m != nil {
+			latency = s.m.latency.With(pattern)
+			s.m.inflight.Inc()
+		}
+		// One phase times the request for the root span, the latency
+		// histogram and the log record alike. The traceparent lookup
+		// allocates, so untraced servers skip it.
+		var remote string
 		if s.tracer != nil {
-			var ctx context.Context
-			ctx, span = s.tracer.StartRoot(r.Context(), pattern, r.Header.Get(tracing.TraceParentHeader))
+			remote = r.Header.Get(tracing.TraceParentHeader)
+		}
+		ctx, ph := s.tracer.StartRootPhase(r.Context(), pattern, remote, latency)
+		span := ph.Span()
+		if span != nil {
 			span.SetAttr("http.method", r.Method)
 			span.SetAttr("http.path", r.URL.Path)
 			span.SetAttr("request_id", reqID)
 			w.Header().Set("X-Trace-Id", span.TraceIDString())
 			r = r.WithContext(ctx)
 		}
-		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if s.m != nil {
-			s.m.inflight.Inc()
-		}
 		// Observe in a defer so a panicking handler can neither leak
 		// the inflight gauge nor vanish from the counters and the log;
 		// the panic is re-raised afterwards so net/http still aborts
@@ -137,17 +142,16 @@ func (s *Server) instrument(mux *http.ServeMux) http.Handler {
 			if p != nil {
 				sw.status = http.StatusInternalServerError
 			}
-			elapsed := time.Since(start)
+			span.SetAttr("http.status", strconv.Itoa(sw.status))
+			var err error
+			if sw.status >= http.StatusInternalServerError {
+				err = imcerr.New(imcerr.CodeInternal, "HTTP %d", sw.status)
+			}
+			elapsed := ph.End(err)
 			if s.m != nil {
 				s.m.inflight.Dec()
 				s.m.requests.With(pattern, strconv.Itoa(sw.status)).Inc()
-				s.m.latency.With(pattern).Observe(elapsed.Seconds())
 			}
-			span.SetAttr("http.status", strconv.Itoa(sw.status))
-			if sw.status >= http.StatusInternalServerError {
-				span.SetError(imcerr.New(imcerr.CodeInternal, "HTTP %d", sw.status))
-			}
-			span.End()
 			if s.slogger != nil {
 				args := []any{
 					"method", r.Method,

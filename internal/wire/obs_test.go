@@ -115,8 +115,7 @@ func TestMiddlewareCountsRequestsAndErrors(t *testing.T) {
 }
 
 // TestUnifiedStatsEndpoint exercises GET /v2/stats and its typed client:
-// one poll returns the scheduler, store, and registry sections, and the
-// legacy per-subsystem endpoints keep serving the same numbers.
+// one poll returns the scheduler, store, and registry sections.
 func TestUnifiedStatsEndpoint(t *testing.T) {
 	client, _ := startObservedStack(t)
 	ctx := context.Background()
@@ -135,22 +134,6 @@ func TestUnifiedStatsEndpoint(t *testing.T) {
 	}
 	if stats.Registry.Campaigns != 1 || stats.Registry.States["settled"] != 1 {
 		t.Errorf("registry section = %+v, want 1 settled campaign", stats.Registry)
-	}
-
-	// The aliases serve the matching sections byte-for-byte semantics.
-	scheduler, err := client.SchedulerStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *scheduler != stats.Scheduler {
-		t.Errorf("/v2/scheduler = %+v differs from stats section %+v", scheduler, stats.Scheduler)
-	}
-	storeStats, err := client.StoreStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if storeStats.AppendedEvents != stats.Store.AppendedEvents || storeStats.LastSeq < stats.Store.LastSeq {
-		t.Errorf("/v2/store = %+v inconsistent with stats section %+v", storeStats, stats.Store)
 	}
 }
 

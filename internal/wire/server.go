@@ -19,8 +19,6 @@
 //	GET  /v2/campaigns/{id}/audit        copier audit of a settled campaign
 //	GET  /v2/campaigns/{id}/estimate     live provisional truth estimate
 //	GET  /v2/stats                       unified platform stats (scheduler, store, registry)
-//	GET  /v2/scheduler                   settle-scheduler stats (admission, queue)
-//	GET  /v2/store                       durable-store stats (WAL, snapshots, recovery)
 //	GET  /v2/traces                      retained traces (?campaign=&min_duration_ms=&errors=)
 //	GET  /v2/traces/{id}                 one trace's full span tree
 //	GET  /v2/healthz                     liveness
@@ -37,8 +35,8 @@
 //
 // When the registry carries a durable store (internal/store), every
 // campaign mutation is logged before it is acknowledged, campaign
-// snapshots carry persisted/recovered_at, and GET /v2/store serves the
-// WAL and snapshot counters. See API.md's "Durability" section.
+// snapshots carry persisted/recovered_at, and GET /v2/stats serves the
+// WAL and snapshot counters in its store section. See API.md's "Durability" section.
 //
 // The original single-campaign /v1 endpoints remain as a compatibility
 // shim over a designated default campaign:
@@ -238,8 +236,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v2/campaigns/{id}/audit", s.handleCampaignAudit)
 	mux.HandleFunc("GET /v2/campaigns/{id}/estimate", s.handleCampaignEstimate)
 	mux.HandleFunc("GET /v2/stats", s.handleStats)
-	mux.HandleFunc("GET /v2/scheduler", s.handleSchedulerStats)
-	mux.HandleFunc("GET /v2/store", s.handleStoreStats)
 	mux.HandleFunc("GET /v2/traces", s.handleListTraces)
 	mux.HandleFunc("GET /v2/traces/{id}", s.handleGetTrace)
 	mux.HandleFunc("GET /v2/healthz", healthz)

@@ -32,7 +32,8 @@ func openStore(t *testing.T, dir string) *store.FileStore {
 // process "dies" (store handle dropped, never closed), and a second
 // server recovered from the same directory must serve the identical
 // settled report, the open campaign's submissions, persisted/
-// recovered_at in snapshots, and the recovery counters on /v2/store.
+// recovered_at in snapshots, and the recovery counters in the store
+// section of /v2/stats.
 func TestE2EDurableServerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := platform.DefaultConfig()
@@ -54,10 +55,11 @@ func TestE2EDurableServerRecovery(t *testing.T) {
 	if err := client1.SubmitTo(ctx, openInfo.ID, submissionFor(w, 0)); err != nil {
 		t.Fatal(err)
 	}
-	ss, err := client1.StoreStats(ctx)
+	ps, err := client1.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := ps.Store
 	if !ss.Enabled || ss.AppendedEvents == 0 || ss.Campaigns != 2 {
 		t.Fatalf("store stats before crash = %+v", ss)
 	}
@@ -98,10 +100,11 @@ func TestE2EDurableServerRecovery(t *testing.T) {
 	if gotOpen.State != "open" || gotOpen.Submissions != 1 {
 		t.Fatalf("open campaign after recovery = %+v", gotOpen)
 	}
-	ss2, err := client2.StoreStats(ctx)
+	ps2, err := client2.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss2 := ps2.Store
 	if !ss2.Enabled || ss2.RecoveredCampaigns != 2 || ss2.RecoveredEvents == 0 || ss2.RecoveredAt == "" {
 		t.Fatalf("store stats after recovery = %+v", ss2)
 	}
@@ -174,8 +177,8 @@ func TestE2EMidSettleRecoveryResumes(t *testing.T) {
 	if !reflect.DeepEqual(rep, baseline) {
 		t.Fatal("resumed settle diverged from the never-crashed baseline")
 	}
-	if sst, err := client2.SchedulerStats(ctx); err != nil || sst.TotalCompleted == 0 {
-		t.Fatalf("resumed settle bypassed the admission scheduler: %+v, %v", sst, err)
+	if ps, err := client2.Stats(ctx); err != nil || ps.Scheduler.TotalCompleted == 0 {
+		t.Fatalf("resumed settle bypassed the admission scheduler: %+v, %v", ps, err)
 	}
 }
 
@@ -256,8 +259,8 @@ func TestCloseBackpressure503(t *testing.T) {
 	if snap.State != "open" {
 		t.Fatalf("campaign state after rejected close = %q, want open", snap.State)
 	}
-	if sst, err := client.SchedulerStats(ctx); err != nil || sst.TotalOverflowed == 0 {
-		t.Fatalf("scheduler stats after door rejection = %+v, %v (want total_overflowed > 0)", sst, err)
+	if ps, err := client.Stats(ctx); err != nil || ps.Scheduler.TotalOverflowed == 0 {
+		t.Fatalf("scheduler stats after door rejection = %+v, %v (want total_overflowed > 0)", ps, err)
 	}
 
 	// The typed client surfaces the class and the hint...
@@ -295,10 +298,11 @@ func TestCloseBackpressure503(t *testing.T) {
 
 func TestStoreStatsDisabled(t *testing.T) {
 	client, _ := startRegistry(t)
-	ss, err := client.StoreStats(context.Background())
+	ps, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := ps.Store
 	if ss.Enabled {
 		t.Fatalf("store stats on an in-memory server = %+v, want disabled", ss)
 	}

@@ -51,8 +51,9 @@ type CampaignInfo struct {
 }
 
 // SchedulerStats is the wire view of the registry-wide settle scheduler
-// (GET /v2/scheduler). With no scheduler configured only Enabled=false
-// is returned: every settle then runs immediately with its own pool.
+// (the scheduler section of GET /v2/stats). With no scheduler
+// configured only Enabled=false is returned: every settle then runs
+// immediately with its own pool.
 type SchedulerStats struct {
 	Enabled bool `json:"enabled"`
 	// Workers is the shared truth-discovery pool size — the bound on
@@ -78,9 +79,9 @@ type SchedulerStats struct {
 }
 
 // StoreStats is the wire view of the registry's durable campaign store
-// (GET /v2/store). With no store configured only Enabled=false is
-// returned: campaigns then live in process memory alone and do not
-// survive a restart.
+// (the store section of GET /v2/stats). With no store configured only
+// Enabled=false is returned: campaigns then live in process memory
+// alone and do not survive a restart.
 type StoreStats struct {
 	Enabled bool `json:"enabled"`
 	// Dir is the store's data directory.
@@ -300,8 +301,7 @@ func (s *Server) registryStats() RegistryStats {
 }
 
 // PlatformStats is the unified GET /v2/stats body: one poll covers the
-// scheduler, the store, and the registry. The /v2/scheduler and
-// /v2/store endpoints remain as aliases serving the matching section.
+// scheduler, the store, and the registry.
 type PlatformStats struct {
 	Scheduler SchedulerStats `json:"scheduler"`
 	Store     StoreStats     `json:"store"`
@@ -315,18 +315,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Store:     s.storeStats(),
 		Registry:  s.registryStats(),
 	})
-}
-
-// handleSchedulerStats serves the registry-wide settle scheduler's
-// counters; a registry without a scheduler answers Enabled=false.
-func (s *Server) handleSchedulerStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.schedulerStats())
-}
-
-// handleStoreStats serves the durable campaign store's counters; a
-// registry without a store answers Enabled=false.
-func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.storeStats())
 }
 
 // campaign resolves the {id} path parameter, stamping the campaign ID
