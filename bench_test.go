@@ -99,8 +99,7 @@ func benchInstance(b *testing.B) *imc2.AuctionInstance {
 	return imc2.BuildAuctionInstance(c.Dataset, res.AccuracyMatrix(), c.Costs)
 }
 
-func benchMechanism(b *testing.B, run func(*imc2.AuctionInstance) (*imc2.AuctionOutcome, error)) {
-	in := benchInstance(b)
+func benchMechanism(b *testing.B, in *imc2.AuctionInstance, run func(*imc2.AuctionInstance) (*imc2.AuctionOutcome, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,9 +109,24 @@ func benchMechanism(b *testing.B, run func(*imc2.AuctionInstance) (*imc2.Auction
 	}
 }
 
-func BenchmarkReverseAuction(b *testing.B) { benchMechanism(b, imc2.RunReverseAuction) }
-func BenchmarkGreedyAccuracy(b *testing.B) { benchMechanism(b, imc2.RunGreedyAccuracy) }
-func BenchmarkGreedyBid(b *testing.B)      { benchMechanism(b, imc2.RunGreedyBid) }
+func BenchmarkReverseAuction(b *testing.B) {
+	benchMechanism(b, benchInstance(b), imc2.RunReverseAuction)
+}
+func BenchmarkGreedyAccuracy(b *testing.B) {
+	benchMechanism(b, benchInstance(b), imc2.RunGreedyAccuracy)
+}
+func BenchmarkGreedyBid(b *testing.B) { benchMechanism(b, benchInstance(b), imc2.RunGreedyBid) }
+
+// The fig5-scale mechanism benches time stage 2 alone on the instance a
+// fig5 settle builds. At this scale ReverseAuction's critical payments (one
+// selection rerun per winner) are most of a settle, which the small
+// instance above does not show.
+func BenchmarkReverseAuctionFig5(b *testing.B) {
+	benchMechanism(b, benchFig5Instance(b), imc2.RunReverseAuction)
+}
+func BenchmarkGreedyBidFig5(b *testing.B) {
+	benchMechanism(b, benchFig5Instance(b), imc2.RunGreedyBid)
+}
 
 // --- Settle-engine benchmarks (serial vs parallel truth discovery) --------
 
@@ -134,6 +148,22 @@ func benchFig5Campaign(b *testing.B) *imc2.Campaign {
 		b.Fatal(err)
 	}
 	return c
+}
+
+// benchFig5Instance builds the auction instance of the fig5-scale
+// campaign from three DATE iterations' accuracies.
+func benchFig5Instance(b *testing.B) *imc2.AuctionInstance {
+	b.Helper()
+	c := benchFig5Campaign(b)
+	opt := imc2.DefaultTruthOptions()
+	opt.CopyProb = 0.8
+	opt.PriorDependence = 0.05
+	opt.MaxIterations = 3
+	res, err := imc2.DiscoverTruth(c.Dataset, imc2.MethodDATE, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return imc2.BuildAuctionInstance(c.Dataset, res.AccuracyMatrix(), c.Costs)
 }
 
 // benchFig5Submissions assembles every worker's sealed envelope for the

@@ -1,7 +1,6 @@
 package auction
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -17,11 +16,19 @@ import (
 // the bid of the worker that replaces it when the selection is rerun
 // without it (its market alternative), floored at its own bid so the
 // payment stays individually rational.
+//
+// Each rerun starts from a reset state. Unlike ReverseAuction's reruns,
+// none can resume from the full run's prefix: GA's tie-break (coverage
+// within the covered tolerance, then the lower bid) is not a strict
+// total order, so removing a worker that lost a step can change that
+// step's pick.
 func GreedyAccuracy(in *Instance) (*Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	winners, err := selectByAccuracy(in, -1)
+	s := newCoverageIndex(in).newState()
+	taken := make([]bool, in.NumWorkers())
+	winners, err := selectByAccuracy(s, taken, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -32,14 +39,13 @@ func GreedyAccuracy(in *Instance) (*Outcome, error) {
 		inS[w] = true
 	}
 	for _, i := range winners {
-		alt, err := selectByAccuracy(in, i)
+		s.reset()
+		clear(taken)
+		alt, err := selectByAccuracy(s, taken, i)
 		if err != nil {
-			// Infeasibility without i means i is irreplaceable; any
-			// other failure keeps its own classification.
-			if errors.Is(err, ErrInfeasible) {
-				return nil, fmt.Errorf("%w (worker %d)", ErrMonopolist, i)
-			}
-			return nil, fmt.Errorf("selection without worker %d: %w", i, err)
+			// The full set covered every task, so W\{i} failing to
+			// means i is irreplaceable.
+			return nil, fmt.Errorf("%w (worker %d)", ErrMonopolist, i)
 		}
 		payments[i] = in.Bids[i]
 		for _, k := range alt {
@@ -54,27 +60,30 @@ func GreedyAccuracy(in *Instance) (*Outcome, error) {
 	return finishOutcome(in, winners, payments, "GA"), nil
 }
 
-func selectByAccuracy(in *Instance, skip int) ([]int, error) {
-	cs := newCoverageState(in)
-	selected := make([]bool, in.NumWorkers())
+// selectByAccuracy runs GA's selection from s over the workers neither
+// taken nor skip (-1 for none) and returns the winners in order, or
+// ErrInfeasible when no remaining worker covers anything while
+// requirements are still open.
+func selectByAccuracy(s *coverageState, taken []bool, skip int) ([]int, error) {
+	bids := s.ix.in.Bids
 	var winners []int
-	for !cs.done() {
+	for !s.done() {
 		best, bestCov := -1, 0.0
-		for k := 0; k < in.NumWorkers(); k++ {
-			if k == skip || selected[k] {
+		for k, cov := range s.cov {
+			if k == skip || taken[k] {
 				continue
 			}
-			if cov := cs.coverage(k); cov > bestCov+covered ||
-				(cov > covered && best >= 0 && math.Abs(cov-bestCov) <= covered && in.Bids[k] < in.Bids[best]) {
+			if cov > bestCov+covered ||
+				(cov > covered && best >= 0 && math.Abs(cov-bestCov) <= covered && bids[k] < bids[best]) {
 				best, bestCov = k, cov
 			}
 		}
 		if best < 0 {
 			return nil, ErrInfeasible
 		}
-		selected[best] = true
+		taken[best] = true
 		winners = append(winners, best)
-		cs.apply(best)
+		s.apply(best)
 	}
 	return winners, nil
 }
@@ -98,19 +107,19 @@ func GreedyBid(in *Instance) (*Outcome, error) {
 		return order[a] < order[b]
 	})
 
-	cs := newCoverageState(in)
+	s := newCoverageIndex(in).newState()
 	var winners []int
 	for _, k := range order {
-		if cs.done() {
+		if s.done() {
 			break
 		}
-		if cs.coverage(k) <= covered {
+		if s.cov[k] <= covered {
 			continue // contributes nothing at this point
 		}
 		winners = append(winners, k)
-		cs.apply(k)
+		s.apply(k)
 	}
-	if !cs.done() {
+	if !s.done() {
 		return nil, ErrInfeasible
 	}
 

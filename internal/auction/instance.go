@@ -69,19 +69,20 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("auction: requirement[%d] = %v invalid", j, q)
 		}
 	}
+	seen := make([]int32, m) // seen[j] == i+1: worker i already listed task j
 	for i, ts := range in.TaskSets {
 		if len(in.Accuracy[i]) != m {
 			return fmt.Errorf("auction: accuracy row %d has %d entries, want %d", i, len(in.Accuracy[i]), m)
 		}
-		seen := make(map[int]bool, len(ts))
+		stamp := int32(i + 1)
 		for _, j := range ts {
 			if j < 0 || j >= m {
 				return fmt.Errorf("auction: worker %d references task %d outside [0, %d)", i, j, m)
 			}
-			if seen[j] {
+			if seen[j] == stamp {
 				return fmt.Errorf("auction: worker %d lists task %d twice", i, j)
 			}
-			seen[j] = true
+			seen[j] = stamp
 			a := in.Accuracy[i][j]
 			if a < 0 || a > 1 || math.IsNaN(a) {
 				return fmt.Errorf("auction: accuracy[%d][%d] = %v outside [0,1]", i, j, a)

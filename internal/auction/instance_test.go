@@ -1,7 +1,9 @@
 package auction
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -107,18 +109,18 @@ func TestOutcomeHelpers(t *testing.T) {
 
 func TestCoverageStateIncremental(t *testing.T) {
 	in := handInstance()
-	cs := newCoverageState(in)
-	if got := cs.coverage(0); got != 1.2 {
+	cs := newCoverageIndex(in).newState()
+	if got := cs.cov[0]; got != 1.2 {
 		t.Fatalf("initial cov(w0) = %v, want 1.2", got)
 	}
-	if got := cs.coverage(3); got != 1.0 {
+	if got := cs.cov[3]; got != 1.0 {
 		t.Fatalf("initial cov(w3) = %v, want 1.0", got)
 	}
 	cs.apply(0) // residuals become (0.4, 0.4)
-	if got := cs.coverage(1); math.Abs(got-0.4) > 1e-12 {
+	if got := cs.cov[1]; math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("cov(w1) after w0 = %v, want 0.4", got)
 	}
-	if got := cs.coverage(3); math.Abs(got-0.8) > 1e-12 {
+	if got := cs.cov[3]; math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("cov(w3) after w0 = %v, want 0.8", got)
 	}
 	if cs.done() {
@@ -128,7 +130,37 @@ func TestCoverageStateIncremental(t *testing.T) {
 	if !cs.done() {
 		t.Fatalf("should be done, remain = %v", cs.remain)
 	}
-	if got := cs.coverage(1); got != 0 {
+	if got := cs.cov[1]; got != 0 {
 		t.Fatalf("cov(w1) when done = %v, want 0", got)
+	}
+
+	// On random instances every incrementally maintained cov_k stays
+	// equal to Σ_{j∈T_k} min(Θ'_j, A_k^j) recomputed from the residuals,
+	// through resets and copies as well as applies.
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 100; trial++ {
+		in := randomInstance(rng, 2+rng.Intn(12), 1+rng.Intn(8))
+		ix := newCoverageIndex(in)
+		cs, cp := ix.newState(), ix.newState()
+		check := func(s *coverageState, when string) {
+			t.Helper()
+			for k, ts := range in.TaskSets {
+				want := 0.0
+				for _, j := range ts {
+					want += min2(s.residual[j], in.Accuracy[k][j])
+				}
+				if math.Abs(s.cov[k]-want) > 1e-12 {
+					t.Fatalf("trial %d %s: cov[%d] = %v, from scratch %v", trial, when, k, s.cov[k], want)
+				}
+			}
+		}
+		for _, i := range rng.Perm(in.NumWorkers()) {
+			cs.apply(i)
+			check(cs, fmt.Sprintf("after apply(%d)", i))
+			cp.copyFrom(cs)
+			check(cp, "after copy")
+		}
+		cs.reset()
+		check(cs, "after reset")
 	}
 }

@@ -1,7 +1,6 @@
 package auction
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -25,21 +24,19 @@ func Optimal(in *Instance) (*Outcome, error) {
 		return nil, fmt.Errorf("auction: exact solver limited to %d workers, got %d",
 			maxExactWorkers, in.NumWorkers())
 	}
-	cost, winners, err := optimalCost(in, -1)
+	ix := newCoverageIndex(in)
+	cost, winners, err := optimalCost(ix, -1)
 	if err != nil {
 		return nil, err
 	}
 
 	payments := make([]float64, in.NumWorkers())
 	for _, i := range winners {
-		altCost, _, err := optimalCost(in, i)
+		altCost, _, err := optimalCost(ix, i)
 		if err != nil {
-			// Infeasibility without i means i is irreplaceable; any
-			// other failure keeps its own classification.
-			if errors.Is(err, ErrInfeasible) {
-				return nil, fmt.Errorf("%w (worker %d)", ErrMonopolist, i)
-			}
-			return nil, fmt.Errorf("solving without worker %d: %w", i, err)
+			// The full set covered every task, so W\{i} failing to
+			// means i is irreplaceable.
+			return nil, fmt.Errorf("%w (worker %d)", ErrMonopolist, i)
 		}
 		payments[i] = in.Bids[i] + (altCost - cost)
 	}
@@ -56,13 +53,14 @@ func OptimalCost(in *Instance) (float64, error) {
 		return 0, fmt.Errorf("auction: exact solver limited to %d workers, got %d",
 			maxExactWorkers, in.NumWorkers())
 	}
-	cost, _, err := optimalCost(in, -1)
+	cost, _, err := optimalCost(newCoverageIndex(in), -1)
 	return cost, err
 }
 
 // optimalCost branch-and-bounds over include/exclude decisions per worker,
 // excluding worker skip entirely (-1 for none).
-func optimalCost(in *Instance, skip int) (float64, []int, error) {
+func optimalCost(ix *coverageIndex, skip int) (float64, []int, error) {
+	in := ix.in
 	n := in.NumWorkers()
 
 	// Order workers by decreasing total coverage per unit bid so good
@@ -73,12 +71,11 @@ func optimalCost(in *Instance, skip int) (float64, []int, error) {
 		maxCov  float64 // coverage against the full requirements
 	}
 	cands := make([]cand, 0, n)
-	full := newCoverageState(in)
 	for i := 0; i < n; i++ {
 		if i == skip {
 			continue
 		}
-		cov := full.coverage(i)
+		cov := ix.start.cov[i]
 		density := math.Inf(1)
 		if in.Bids[i] > 0 {
 			density = cov / in.Bids[i]
@@ -99,18 +96,17 @@ func optimalCost(in *Instance, skip int) (float64, []int, error) {
 		bestRate[p] = math.Min(bestRate[p+1], rate)
 	}
 
-	best := math.Inf(1)
-	var bestSet []int
-
 	// Greedy upper bound primes the search.
-	if winners, err := selectWinners(in, skip, nil); err == nil {
-		best = 0
-		for _, w := range winners {
-			best += in.Bids[w]
-		}
-		bestSet = append([]int(nil), winners...)
-	} else {
+	var bestSet []int
+	err := selectByRatio(ix.newState(), make([]bool, n), skip, func(k int) {
+		bestSet = append(bestSet, k)
+	})
+	if err != nil {
 		return 0, nil, err
+	}
+	best := 0.0
+	for _, w := range bestSet {
+		best += in.Bids[w]
 	}
 
 	residual := make([]float64, in.NumTasks())

@@ -1,7 +1,6 @@
 package auction
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -10,104 +9,106 @@ import (
 // accuracy unit cost followed by critical-value payment determination.
 // The mechanism is individually rational, truthful, and 2εH_Ω-approximate
 // (paper Theorem 3).
-func ReverseAuction(in *Instance) (*Outcome, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	winners, err := selectWinners(in, -1, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	payments := make([]float64, in.NumWorkers())
-	for _, i := range winners {
-		p, err := criticalPayment(in, i)
-		if err != nil {
-			return nil, fmt.Errorf("payment for worker %d: %w", i, err)
-		}
-		payments[i] = p
-	}
-	return finishOutcome(in, winners, payments, "ReverseAuction"), nil
-}
-
-// selectWinners runs the winner-selection phase over W\{skip} (skip = -1
-// for the full set). When observe is non-nil it is invoked after each
-// selection with the selected worker and the pre-selection coverage state,
-// which the payment phase uses to price the excluded worker against each
-// of its replacements.
-func selectWinners(in *Instance, skip int, observe func(selected int, cs *coverageState)) ([]int, error) {
-	cs := newCoverageState(in)
-	selected := make([]bool, in.NumWorkers())
-	var winners []int
-
-	for !cs.done() {
-		best, bestRatio := -1, math.Inf(1)
-		for k := 0; k < in.NumWorkers(); k++ {
-			if k == skip || selected[k] {
-				continue
-			}
-			cov := cs.coverage(k)
-			if cov <= covered {
-				continue
-			}
-			// Effective accuracy unit cost b_k / Σ min(Θ', A) (line 3).
-			ratio := in.Bids[k] / cov
-			if ratio < bestRatio {
-				best, bestRatio = k, ratio
-			}
-		}
-		if best < 0 {
-			return nil, ErrInfeasible
-		}
-		if observe != nil {
-			observe(best, cs)
-		}
-		selected[best] = true
-		winners = append(winners, best)
-		cs.apply(best)
-	}
-	return winners, nil
-}
-
-// winnerSelector is the selection phase criticalPayment reruns; it is a
-// parameter so tests can exercise the payment phase's error handling
-// without constructing a failing instance.
-type winnerSelector func(in *Instance, skip int, observe func(selected int, cs *coverageState)) ([]int, error)
-
-// criticalPayment computes worker i's payment (Algorithm 2 lines 10–19):
-// rerun the selection over W\{i} and take the maximum price at which i
-// would still have been chosen in place of some selected worker i_k:
+//
+// Worker i's payment (lines 10–19) comes from the selection rerun over
+// W\{i}: the maximum price at which i would still have been chosen in
+// place of some selected worker i_k,
 //
 //	p_i = max_k  b_{i_k} · cov_i(Θ'') / cov_{i_k}(Θ'')
 //
 // where Θ” is the residual profile at i_k's selection. Bidding above p_i
 // would place i behind the workers that already complete the coverage, so
 // p_i is i's critical value (Lemma 3).
-func criticalPayment(in *Instance, i int) (float64, error) {
-	return criticalPaymentVia(in, i, selectWinners)
+//
+// The reruns are not run from scratch. Each step selects the argmin of
+// b_k/cov_k under a strict < in index order, a strict total order, so
+// removing a worker that is not the argmin leaves the argmin unchanged:
+// the rerun over W\{i} is the full run, step for step, until the step at
+// which the full run picked i. The payment phase therefore replays the
+// full run once on a rolling state. Before applying winner i it copies
+// that state and runs only the rerun's suffix, starting the max from
+// i's share of the prefix steps, which the replay folds in as it goes.
+// The result is the same max over the same floats as a rerun from
+// scratch, so outcomes are bit-identical to it. (In exact arithmetic no
+// prefix price exceeds b_i and the suffix's first price is at least b_i;
+// the prefix decides a payment only through rounding, but it does.)
+func ReverseAuction(in *Instance) (*Outcome, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	ix := newCoverageIndex(in)
+	n := in.NumWorkers()
+	roll, rerun := ix.newState(), ix.newState()
+	taken, rerunTaken := make([]bool, n), make([]bool, n)
+	// The full selection runs first, so an infeasible instance fails
+	// before any payment does.
+	var winners []int
+	if err := selectByRatio(rerun, rerunTaken, -1, func(k int) { winners = append(winners, k) }); err != nil {
+		return nil, err
+	}
+
+	prefix := make([]float64, n) // max over the replayed steps, per later winner
+	payments := make([]float64, n)
+	for t, i := range winners {
+		rerun.copyFrom(roll)
+		copy(rerunTaken, taken)
+		payment := prefix[i]
+		err := selectByRatio(rerun, rerunTaken, i, func(k int) {
+			payment = foldPrice(payment, in.Bids[k], rerun.cov[i], rerun.cov[k])
+		})
+		if err != nil {
+			// The full set covered every task, so W\{i} failing to
+			// means i is irreplaceable.
+			return nil, fmt.Errorf("payment for worker %d: %w (worker %d)", i, ErrMonopolist, i)
+		}
+		payments[i] = payment
+
+		for _, x := range winners[t+1:] {
+			prefix[x] = foldPrice(prefix[x], in.Bids[i], roll.cov[x], roll.cov[i])
+		}
+		taken[i] = true
+		roll.apply(i)
+	}
+	return finishOutcome(in, winners, payments, "ReverseAuction"), nil
 }
 
-func criticalPaymentVia(in *Instance, i int, sel winnerSelector) (float64, error) {
-	payment := 0.0
-	_, err := sel(in, i, func(k int, cs *coverageState) {
-		covI := cs.coverage(i)
-		covK := cs.coverage(k)
-		if covI <= covered || covK <= covered {
-			return
-		}
-		if p := in.Bids[k] * covI / covK; p > payment {
-			payment = p
-		}
-	})
-	if err != nil {
-		// Only an infeasible rerun diagnoses a monopolist: the full set
-		// covered every task, so W\{i} failing to means i is
-		// irreplaceable. Any other failure keeps its own classification
-		// (and imcerr code) on the wire.
-		if errors.Is(err, ErrInfeasible) {
-			return 0, fmt.Errorf("%w (worker %d)", ErrMonopolist, i)
-		}
-		return 0, fmt.Errorf("selection without worker %d: %w", i, err)
+// foldPrice folds into a running payment the price b_k · covI / covK at
+// which the priced worker would have replaced the selected worker k.
+func foldPrice(payment, bidK, covI, covK float64) float64 {
+	if covI <= covered || covK <= covered {
+		return payment
 	}
-	return payment, nil
+	if p := bidK * covI / covK; p > payment {
+		return p
+	}
+	return payment
+}
+
+// selectByRatio runs the winner-selection phase (lines 2–9) from s over
+// the workers neither taken nor skip (-1 for none): it repeatedly picks
+// the cheapest effective accuracy unit cost b_k / Σ min(Θ', A) (line 3),
+// the first such worker in index order on ties, calls visit with it
+// before its selection is applied, and stops once every requirement is
+// met. It returns ErrInfeasible when no remaining worker covers anything
+// while requirements are still open.
+func selectByRatio(s *coverageState, taken []bool, skip int, visit func(k int)) error {
+	bids := s.ix.in.Bids
+	for !s.done() {
+		best, bestRatio := -1, math.Inf(1)
+		for k, cov := range s.cov {
+			if k == skip || taken[k] || cov <= covered {
+				continue
+			}
+			if ratio := bids[k] / cov; ratio < bestRatio {
+				best, bestRatio = k, ratio
+			}
+		}
+		if best < 0 {
+			return ErrInfeasible
+		}
+		visit(best)
+		taken[best] = true
+		s.apply(best)
+	}
+	return nil
 }

@@ -86,41 +86,35 @@ func TestReverseAuctionMonopolist(t *testing.T) {
 	}
 }
 
-// TestCriticalPaymentPropagatesNonMonopolistErrors is the regression test
-// for the error conflation fixed in criticalPayment: only an infeasible
-// rerun (the worker is irreplaceable) may be reported as ErrMonopolist;
-// every other selection failure must keep its own identity and imcerr
-// code so the wire layer classifies it correctly.
+// TestCriticalPaymentPropagatesNonMonopolistErrors pins the error
+// classification of the payment stage: a payment rerun can fail only by
+// running out of candidates in W\{i}, and only that is ErrMonopolist (with
+// the oracle's exact message); an instance the full worker set cannot
+// cover keeps its own identity, ErrInfeasible, and is never conflated into
+// ErrMonopolist.
 func TestCriticalPaymentPropagatesNonMonopolistErrors(t *testing.T) {
-	in := handInstance()
-
-	cause := imcerr.New(imcerr.CodeInvalid, "auction: selection blew up")
-	failing := func(*Instance, int, func(int, *coverageState)) ([]int, error) {
-		return nil, cause
-	}
-	_, err := criticalPaymentVia(in, 0, failing)
-	if err == nil {
-		t.Fatal("failing selector produced no error")
-	}
-	if errors.Is(err, ErrMonopolist) {
-		t.Fatalf("non-infeasible failure conflated into ErrMonopolist: %v", err)
-	}
-	if !errors.Is(err, cause) {
-		t.Fatalf("cause lost from chain: %v", err)
-	}
-	if imcerr.CodeOf(err) != imcerr.CodeInvalid {
-		t.Fatalf("CodeOf(%v) = %v, want %v", err, imcerr.CodeOf(err), imcerr.CodeInvalid)
-	}
-
-	// The real selector's infeasible rerun still diagnoses a monopolist.
 	mono := &Instance{
 		Bids:         []float64{1},
 		TaskSets:     [][]int{{0}},
 		Accuracy:     [][]float64{{0.9}},
 		Requirements: []float64{0.5},
 	}
-	if _, err := criticalPaymentVia(mono, 0, selectWinners); !errors.Is(err, ErrMonopolist) {
+	_, err := ReverseAuction(mono)
+	if !errors.Is(err, ErrMonopolist) {
 		t.Fatalf("err = %v, want ErrMonopolist", err)
+	}
+	if _, want := oracleReverseAuction(mono); want == nil || err.Error() != want.Error() {
+		t.Fatalf("err = %q, oracle %v", err, want)
+	}
+
+	in := handInstance()
+	in.Requirements = []float64{10, 10}
+	_, err = ReverseAuction(in)
+	if errors.Is(err, ErrMonopolist) {
+		t.Fatalf("infeasible instance conflated into ErrMonopolist: %v", err)
+	}
+	if !errors.Is(err, ErrInfeasible) || imcerr.CodeOf(err) != imcerr.CodeInfeasible {
+		t.Fatalf("err = %v (code %v), want ErrInfeasible", err, imcerr.CodeOf(err))
 	}
 }
 
