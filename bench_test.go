@@ -221,6 +221,40 @@ func benchDiscoverFig5(b *testing.B, parallelism int) {
 func BenchmarkDiscoverSerial(b *testing.B)   { benchDiscoverFig5(b, 1) }
 func BenchmarkDiscoverParallel(b *testing.B) { benchDiscoverFig5(b, 0) }
 
+// BenchmarkDiscoverSparse times DATE to convergence on perfbench's
+// sparse-gb shape: 800 workers (160 copiers) × 2000 tasks, 20 answers per
+// worker, every task topped up to 4 providers. The run takes 46
+// iterations where the fig5 benches above take one, so it prices the
+// per-iteration passes; the top-ups give some tasks hundreds of
+// providers, so 275k of the 320k worker pairs still co-observe.
+func BenchmarkDiscoverSparse(b *testing.B) {
+	spec := imc2.DefaultCampaignSpec()
+	spec.Workers = 800
+	spec.Tasks = 2000
+	spec.Copiers = 160
+	spec.TasksPerWorker = 20
+	spec.MinProvidersPerTask = 4
+	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
+	c, err := imc2.NewCampaign(spec, imc2.NewRNG(5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := imc2.DefaultTruthOptions()
+	opt.CopyProb = 0.8
+	opt.PriorDependence = 0.05
+	var iters int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := imc2.DiscoverTruth(c.Dataset, imc2.MethodDATE, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters = res.Iterations
+	}
+	b.ReportMetric(float64(iters), "iters")
+}
+
 // --- Concurrent settle benchmarks (registry-wide scheduler) ---------------
 
 // benchSettleConcurrent settles `settles` copies of the fig5-scale

@@ -496,12 +496,9 @@ func (p *Platform) LastAudit() *Audit {
 // buildAudit converts a truth result's dependence posterior into the
 // platform's audit report.
 func buildAudit(ds *model.Dataset, res *truth.Result, topK int) *Audit {
-	pairs := res.RankDependentPairs()
+	pairs := res.TopDependentPairs(topK)
 	if pairs == nil {
 		return nil
-	}
-	if len(pairs) > topK {
-		pairs = pairs[:topK]
 	}
 	a := &Audit{CopierScores: make(map[string]float64, ds.NumWorkers())}
 	for _, pr := range pairs {

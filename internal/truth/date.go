@@ -42,11 +42,16 @@ type state struct {
 	dep   [][]float64 // dep[i][k] = P(i→k | D)
 	truth []int32     // et[j]
 
-	// depPartials holds computeDependence's n×n scratch matrices, lazily
-	// allocated once and reused every iteration: one per shard when the
-	// pool is parallel, or just {accumulator, partial} when serial (see
-	// parallel.go for why the shard layout fixes the result).
-	depPartials [][][]float64
+	// depIx is computeDependence's dataset layout and equiv its
+	// similarity cache, both built on first use (the dataset is
+	// immutable). depTau/depPhi hold the per-worker log terms of the
+	// current iteration, and depCounts[slot] one pool worker's pair-count
+	// row, reused every iteration.
+	depIx     *depIndex
+	equiv     *valueEquiv
+	depTau    []float64
+	depPhi    []float64
+	depCounts [][]int32
 
 	// estScratch[slot] holds one pool worker's per-task posterior
 	// buffers, lazily allocated once and reused every iteration.

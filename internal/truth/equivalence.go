@@ -1,16 +1,12 @@
 package truth
 
-import "imc2/internal/model"
-
 // valueEquiv caches, per task, which value pairs are presentations of the
-// same underlying answer (Similarity ≥ threshold) and which values are
-// presentations of the current estimated truth. It is rebuilt each
-// iteration because the truth estimate moves.
+// same underlying answer (Similarity ≥ threshold). It depends only on the
+// dataset, so it is built once per engine; "presentation of the current
+// truth" is the pair lookup against the truth index.
 type valueEquiv struct {
 	// samePair[j] is a V×V matrix flattened row-major.
 	samePair [][]bool
-	// likeTruth[j][v] reports sim(v, et_j) ≥ threshold.
-	likeTruth [][]bool
 	// width[j] is V_j, the number of distinct values of task j.
 	width []int
 }
@@ -19,28 +15,25 @@ func (e *valueEquiv) same(j int, a, b int32) bool {
 	return e.samePair[j][int(a)*e.width[j]+int(b)]
 }
 
-func (e *valueEquiv) trueLike(j int, v int32) bool {
-	return e.likeTruth[j][v]
-}
-
-// valueEquivalence builds the equivalence cache for this iteration, or
-// returns nil when the extension is disabled.
+// valueEquivalence returns the engine's equivalence cache, building it
+// on first use, or nil when the extension is disabled.
 func (s *state) valueEquivalence() *valueEquiv {
 	if !s.opt.SimilarityInDependence || s.opt.Similarity == nil {
 		return nil
 	}
+	if s.equiv != nil {
+		return s.equiv
+	}
 	tau := s.opt.similarityThreshold()
 	e := &valueEquiv{
-		samePair:  make([][]bool, s.m),
-		likeTruth: make([][]bool, s.m),
-		width:     make([]int, s.m),
+		samePair: make([][]bool, s.m),
+		width:    make([]int, s.m),
 	}
 	for j := 0; j < s.m; j++ {
 		values := s.ds.Values(j)
 		v := len(values)
 		e.width[j] = v
 		e.samePair[j] = make([]bool, v*v)
-		e.likeTruth[j] = make([]bool, v)
 		for a := 0; a < v; a++ {
 			e.samePair[j][a*v+a] = true
 			for b := a + 1; b < v; b++ {
@@ -50,13 +43,7 @@ func (s *state) valueEquivalence() *valueEquiv {
 				}
 			}
 		}
-		et := s.truth[j]
-		if et == model.NotAnswered {
-			continue
-		}
-		for a := 0; a < v; a++ {
-			e.likeTruth[j][a] = e.samePair[j][a*v+int(et)]
-		}
 	}
+	s.equiv = e
 	return e
 }

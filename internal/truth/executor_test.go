@@ -13,7 +13,7 @@ import (
 // (internal/sched) produces bit-identical results to the built-in
 // per-run pool, for every pool size.
 func TestSharedExecutorMatchesDefault(t *testing.T) {
-	ds, _ := copierScenario(t, 10, 5, 2*depShardSize+17)
+	ds, _ := copierScenario(t, 10, 5, 2*256+17)
 	opt := DefaultOptions()
 	opt.CopyProb = 0.8
 	opt.PriorDependence = 0.05
@@ -47,7 +47,7 @@ func TestSharedExecutorMatchesDefault(t *testing.T) {
 // -race: it also proves slot-keyed scratch stays exclusive when pool
 // workers migrate between runs.
 func TestSharedExecutorConcurrentDiscovers(t *testing.T) {
-	ds, _ := copierScenario(t, 10, 5, depShardSize+20)
+	ds, _ := copierScenario(t, 10, 5, 256+20)
 	opt := DefaultOptions()
 	opt.CopyProb = 0.8
 	opt.PriorDependence = 0.05

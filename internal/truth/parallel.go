@@ -7,46 +7,18 @@ import (
 
 // The parallel engine partitions work so that the floating-point
 // operations — and therefore the results — are identical for every
-// parallelism degree:
+// parallelism degree: each unit of work writes state no other unit
+// touches, and no floating-point value is ever accumulated across units.
 //
-//   - computeDependence accumulates each task shard's pairwise evidence
-//     into that shard's own partial log-ratio matrix and merges the
-//     partials in fixed shard order. The shard layout depends only on the
-//     task count, never on Options.Parallelism, so a serial run performs
-//     exactly the same additions in exactly the same association order as
-//     a fully parallel one.
+//   - computeDependence is row-owned: unit i counts, in integers, the
+//     co-observed tasks it shares with every later worker and writes the
+//     closed-form posterior of both directions of those pairs.
 //   - estimate and computeIndependence parallelize over tasks (and the
-//     accuracy fold over workers); each unit writes state no other unit
-//     touches, with no cross-unit accumulation at all.
+//     accuracy fold and the dependence totals over workers).
 //
-// Scheduling is dynamic (an atomic work counter) because task costs are
-// skewed — provider-group sizes vary — but which goroutine runs a unit
-// can never affect the output.
-
-// depShardSize is the number of tasks per dependence shard. Small
-// datasets collapse to a single shard, minimizing partial-matrix
-// scratch; fig5-scale campaigns (thousands of tasks) spread over enough
-// shards to occupy the pool. (Note the shard merge reassociated the
-// log-ratio additions versus the pre-parallel implementation, so
-// results can differ from historical output in the last bits — what is
-// guaranteed is identity across parallelism degrees.)
-const depShardSize = 256
-
-// maxDepShards bounds the number of n×n partial matrices held as scratch.
-const maxDepShards = 16
-
-// depShardCount returns the dependence shard count for m tasks — a pure
-// function of m so results never depend on the parallelism degree.
-func depShardCount(m int) int {
-	s := (m + depShardSize - 1) / depShardSize
-	if s < 1 {
-		s = 1
-	}
-	if s > maxDepShards {
-		s = maxDepShards
-	}
-	return s
-}
+// Scheduling is dynamic (an atomic work counter) because unit costs are
+// skewed — provider-group sizes vary, and dependence row i covers n−1−i
+// pairs — but which goroutine runs a unit can never affect the output.
 
 // Executor abstracts who provides the goroutines for the engine's
 // data-parallel passes. Execute runs fn(slot, k) for every k in [0, n)

@@ -8,21 +8,6 @@ import (
 	"imc2/internal/model"
 )
 
-func TestDepShardCount(t *testing.T) {
-	for _, tc := range []struct{ m, want int }{
-		{0, 1},
-		{1, 1},
-		{depShardSize, 1},
-		{depShardSize + 1, 2},
-		{4 * depShardSize, 4},
-		{1000 * depShardSize, maxDepShards},
-	} {
-		if got := depShardCount(tc.m); got != tc.want {
-			t.Errorf("depShardCount(%d) = %d, want %d", tc.m, got, tc.want)
-		}
-	}
-}
-
 func TestParallelismValidate(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Parallelism = -1
@@ -77,9 +62,8 @@ func sameResult(a, b *Result) error {
 
 // TestParallelMatchesSerial pins the engine's central promise: for a
 // fixed input, every Parallelism setting produces byte-identical results.
-// The large copier scenario spans multiple dependence shards (m >
-// depShardSize), so the shard merge path is exercised, not just the
-// single-shard fast case.
+// The large copier scenario has enough workers and tasks (2·256+17) that
+// every pass spreads over several pool slots.
 func TestParallelMatchesSerial(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -87,14 +71,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}{
 		{"table1", func() *model.Dataset { ds, _ := table1Dataset(t); return ds }()},
 		{"copiers-small", func() *model.Dataset { ds, _ := copierScenario(t, 8, 4, 60); return ds }()},
-		{"copiers-multishard", func() *model.Dataset { ds, _ := copierScenario(t, 10, 5, 2*depShardSize+17); return ds }()},
+		{"copiers-multishard", func() *model.Dataset { ds, _ := copierScenario(t, 10, 5, 2*256+17); return ds }()},
 	}
 	methods := []Method{MethodDATE, MethodNC, MethodED}
 
 	for _, fx := range fixtures {
 		for _, method := range methods {
-			if method == MethodED && fx.ds.NumTasks() > depShardSize {
-				continue // ED's enumeration is too slow at multi-shard scale
+			if method == MethodED && fx.ds.NumTasks() > 256 {
+				continue // ED's enumeration is too slow at this scale
 			}
 			t.Run(fmt.Sprintf("%s/%s", fx.name, method), func(t *testing.T) {
 				opt := DefaultOptions()
@@ -124,7 +108,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // (similarity-adjusted votes and similarity-aware dependence), whose
 // scratch reuse must not leak state between tasks.
 func TestParallelMatchesSerialWithSimilarity(t *testing.T) {
-	ds, _ := copierScenario(t, 8, 4, depShardSize+40)
+	ds, _ := copierScenario(t, 8, 4, 256+40)
 	sim := func(a, b string) float64 {
 		if a == b {
 			return 1
@@ -160,7 +144,7 @@ func TestParallelMatchesSerialWithSimilarity(t *testing.T) {
 // over the same shared dataset; under -race this proves the engine keeps
 // all mutable state run-local (the dataset itself is read-only).
 func TestConcurrentDiscoverSharedDataset(t *testing.T) {
-	ds, _ := copierScenario(t, 10, 5, depShardSize+20)
+	ds, _ := copierScenario(t, 10, 5, 256+20)
 	opt := DefaultOptions()
 	opt.CopyProb = 0.8
 	opt.PriorDependence = 0.05
