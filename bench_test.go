@@ -342,71 +342,6 @@ func BenchmarkSettleConcurrentInstrumented(b *testing.B) {
 	})
 }
 
-// BenchmarkSettleWarmVsCold prices the incremental settler's claim at
-// fig5 scale: a campaign whose estimate was folded to convergence in
-// the background settles with strictly fewer close-time truth-discovery
-// iterations than an identical cold campaign — and the exact same
-// report. Close-time iterations are reported as cold-iters and
-// warm-iters; the warm settle's total minus the iterations already done
-// when it adopted the engine. CI runs this once per PR (-benchtime=1x)
-// and fails if warm is not strictly cheaper.
-func BenchmarkSettleWarmVsCold(b *testing.B) {
-	c := benchFig5Campaign(b)
-	subs := benchFig5Submissions(c)
-	cfg := benchSettleConfig()
-	tasks := c.Dataset.Tasks()
-
-	settle := func(warm bool) (*imc2.CampaignReport, int) {
-		b.StopTimer()
-		reg := imc2.NewCampaignRegistry()
-		camp, err := reg.Create("bench", tasks, cfg, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range subs {
-			if err := camp.Submit(subs[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		preDone := 0
-		if warm {
-			// Background refinement, normally the incremental settler's
-			// cadence ticks: fold the estimate to convergence off the
-			// close path. Untimed — its whole point is to run before the
-			// close, not during it.
-			if _, err := camp.FoldEstimate(context.Background(), 0); err != nil {
-				b.Fatal(err)
-			}
-			preDone = camp.Estimate().Iterations
-		}
-		b.StartTimer()
-		rep, err := camp.Settle(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep, rep.TruthIterations - preDone
-	}
-
-	var coldIters, warmIters int
-	for i := 0; i < b.N; i++ {
-		coldRep, cold := settle(false)
-		warmRep, warmN := settle(true)
-		coldIters, warmIters = cold, warmN
-		b.StopTimer()
-		if coldRep.TruthIterations != warmRep.TruthIterations {
-			b.Fatalf("warm settle's total iterations differ: cold %d, warm %d",
-				coldRep.TruthIterations, warmRep.TruthIterations)
-		}
-		if warmIters >= coldIters {
-			b.Fatalf("warm settle not cheaper at close: %d close-time iterations vs cold %d",
-				warmIters, coldIters)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(coldIters), "cold-iters")
-	b.ReportMetric(float64(warmIters), "warm-iters")
-}
-
 // BenchmarkCampaignGeneration tracks the workload generator itself at the
 // paper's default scale.
 func BenchmarkCampaignGeneration(b *testing.B) {

@@ -18,13 +18,10 @@
 // close is rejected with 503 + Retry-After instead of queueing without
 // bound (the typed client retries automatically).
 //
-// With -live-estimate the daemon runs a background incremental settler:
-// every -estimate-every it folds each open campaign's truth estimate
-// forward by -estimate-budget iterations (through the same settle
-// scheduler, so -max-settles bounds background refinement too), serves
-// the live view on GET /v2/campaigns/{id}/estimate, and hands the
-// refined engine to the close-time settle — same bytes in the report,
-// strictly fewer iterations at close.
+// GET /v2/campaigns/{id}/estimate previews an open campaign's truth: one
+// cold truth-discovery pass over the submissions so far, computed per
+// request and admitted through the same settle scheduler, so
+// -max-settles bounds estimate reads and settles together.
 //
 // With -data-dir the daemon is durable: every campaign mutation is
 // logged to an event-sourced WAL (snapshotted and compacted every
@@ -112,10 +109,6 @@ func run(args []string) error {
 		snapshotEvery = fs.Int("snapshot-every", 256, "fold a store snapshot and compact the WAL every N events (-1 = only on shutdown)")
 		fsyncPolicy   = fs.String("fsync", "settle", "WAL fsync policy: settle (fsync on created/settled/cancelled), always, never")
 
-		liveEstimate   = fs.Bool("live-estimate", false, "run the background incremental settler: fold open campaigns' truth estimates on a cadence so closes settle warm (GET /v2/campaigns/{id}/estimate)")
-		estimateEvery  = fs.Duration("estimate-every", 2*time.Second, "incremental settler cadence (with -live-estimate)")
-		estimateBudget = fs.Int("estimate-budget", 2, "truth-discovery iterations per campaign per tick (with -live-estimate; 0 = run each fold to convergence)")
-
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus text on GET /metrics at this address (empty = metrics disabled)")
 		pprofOn     = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the -metrics-addr listener")
 		logFormat   = fs.String("log-format", "text", "structured log format: text or json")
@@ -138,12 +131,6 @@ func run(args []string) error {
 	}
 	if *schedWorkers < 0 {
 		return fmt.Errorf("-sched-workers must be >= 0, got %d", *schedWorkers)
-	}
-	if *estimateEvery <= 0 {
-		return fmt.Errorf("-estimate-every must be positive, got %v", *estimateEvery)
-	}
-	if *estimateBudget < 0 {
-		return fmt.Errorf("-estimate-budget must be >= 0, got %d", *estimateBudget)
 	}
 	fsync, ok := store.ParseFsyncPolicy(*fsyncPolicy)
 	if !ok {
@@ -278,22 +265,6 @@ func run(args []string) error {
 	// but never settled re-enter the normal admission path.
 	srv.ResumeSettles(pending)
 
-	// The background incremental settler folds every open campaign's
-	// truth estimate forward between submissions, so closes settle warm
-	// (byte-identical reports, fewer close-time iterations). Its folds
-	// borrow slots from the settle scheduler, so -max-settles bounds
-	// background refinement and real settles together.
-	var settler *registry.IncrementalSettler
-	if *liveEstimate {
-		settlerCtx, settlerCancel := context.WithCancel(context.Background())
-		defer settlerCancel()
-		settler = reg.StartIncrementalSettler(settlerCtx,
-			registry.SettlerConfig{Cadence: *estimateEvery, Budget: *estimateBudget})
-		defer settler.Stop()
-		logf("incremental settler on: folding open campaigns every %v (budget %d iterations/tick)",
-			*estimateEvery, *estimateBudget)
-	}
-
 	httpServer := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
@@ -335,12 +306,6 @@ func run(args []string) error {
 		logf("received %v, draining", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		// Stop background estimate folds first: a fold holds a scheduler
-		// slot, and the settle drain below should not compete with
-		// refinement work that no longer matters.
-		if settler != nil {
-			settler.Stop()
-		}
 		// Even if the listener cannot drain its connections in time,
 		// carry on to the settle drain and the store close: returning
 		// early would run the deferred store close while settles are

@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 		close_    = fs.Bool("close", false, "close the auction and print the report")
 		campaign  = fs.String("campaign", "", "target this /v2 campaign ID (empty: the /v1 default campaign)")
 		list      = fs.Bool("list", false, "list the platform's campaigns and exit")
-		estimate  = fs.Bool("estimate", false, "print the campaign's live truth estimate (requires -campaign) and exit")
+		estimate  = fs.Bool("estimate", false, "print the campaign's provisional truth estimate, computed on request (requires -campaign), and exit")
 		showStats = fs.Bool("stats", false, "print the platform's unified stats snapshot (GET /v2/stats) and exit")
 		traceID   = fs.String("trace", "", "pretty-print this trace's span tree (GET /v2/traces/{id}; requires platformd -trace) and exit")
 		timeout   = fs.Duration("timeout", time.Minute, "request deadline")
@@ -199,9 +199,10 @@ func printStats(ctx context.Context, client *wire.Client, out io.Writer) error {
 	return nil
 }
 
-// printEstimate fetches and renders a campaign's live provisional truth
-// estimate. A fresh converged estimate (staleness 0) previews exactly
-// what the settled report's truth will say if the campaign closes now.
+// printEstimate fetches and renders a campaign's provisional truth
+// estimate, which the platform computes on request. A fresh estimate
+// (staleness 0) previews exactly what the settled report's truth will
+// say if the campaign closes now.
 func printEstimate(ctx context.Context, client *wire.Client, campaign string, out io.Writer) error {
 	est, err := client.CampaignEstimate(ctx, campaign)
 	if err != nil {
@@ -209,10 +210,9 @@ func printEstimate(ctx context.Context, client *wire.Client, campaign string, ou
 	}
 	fmt.Fprintf(out, "campaign %s estimate (%s): %d iterations, converged=%v\n",
 		est.CampaignID, est.Method, est.Iterations, est.Converged)
-	fmt.Fprintf(out, "covers %d submissions (%d stale), %d folds / %d rebuilds\n",
-		est.CoveredSubmissions, est.Staleness, est.Folds, est.Rebuilds)
+	fmt.Fprintf(out, "covers %d submissions (%d stale)\n", est.CoveredSubmissions, est.Staleness)
 	if len(est.Truth) == 0 {
-		fmt.Fprintln(out, "no estimate yet (run platformd with -live-estimate, or wait for the first fold)")
+		fmt.Fprintln(out, "no estimate (the campaign has no submissions or is no longer open)")
 		return nil
 	}
 	tasks := make([]string, 0, len(est.Truth))

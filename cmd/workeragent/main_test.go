@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -236,27 +237,24 @@ func TestAgentEstimate(t *testing.T) {
 		"-workers", "20", "-tasks", "24", "-copiers", "5",
 		"-campaign", hosted.ID(),
 	}
-	buf.Reset()
-	if err := run(append(args, "-all"), &buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Before any background fold the estimate is empty and fully stale.
+	// Before any submission the estimate is empty.
 	buf.Reset()
 	if err := run(append(args, "-estimate"), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"covers 0 submissions (20 stale)", "no estimate yet"} {
+	for _, want := range []string{"covers 0 submissions (0 stale)", "no estimate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("empty estimate output missing %q:\n%s", want, out)
 		}
 	}
 
-	// After a fold the agent prints the live truth view.
-	if _, err := hosted.FoldEstimate(context.Background(), 0); err != nil {
+	buf.Reset()
+	if err := run(append(args, "-all"), &buf); err != nil {
 		t.Fatal(err)
 	}
+
+	// The first read after the submissions is converged and fresh.
 	buf.Reset()
 	if err := run(append(args, "-estimate"), &buf); err != nil {
 		t.Fatal(err)
@@ -264,7 +262,37 @@ func TestAgentEstimate(t *testing.T) {
 	out = buf.String()
 	for _, want := range []string{"converged=true", "covers 20 submissions (0 stale)", " = "} {
 		if !strings.Contains(out, want) {
-			t.Errorf("folded estimate output missing %q:\n%s", want, out)
+			t.Errorf("estimate output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Its truth lines are the settled report's truth.
+	rep, err := hosted.Settle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	ids := make([]string, 0, len(rep.Truth))
+	for id := range rep.Truth {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Fprintf(&want, "  %s = %s\n", id, rep.Truth[id])
+	}
+	if !strings.HasSuffix(out, want.String()) {
+		t.Errorf("estimate truth differs from the settled report's:\n%s\nwant lines:\n%s", out, want.String())
+	}
+
+	// A settled campaign reads empty, with every submission stale.
+	buf.Reset()
+	if err := run(append(args, "-estimate"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	out = buf.String()
+	for _, want := range []string{"covers 0 submissions (20 stale)", "no estimate"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("closed estimate output missing %q:\n%s", want, out)
 		}
 	}
 }

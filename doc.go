@@ -85,21 +85,16 @@
 // imc2.ErrUnavailable — 503 + Retry-After on the wire — instead of
 // queueing without bound.
 //
-// Truth discovery is also resumable: imc2.NewTruthEngine runs the same
-// computation as DiscoverTruth in pausable installments (Step/Run), and
-// the registry builds on that seam to settle campaigns incrementally. A
-// background incremental settler (reg.StartIncrementalSettler, or
-// platformd's -live-estimate with -estimate-every/-estimate-budget)
-// folds newly accepted submissions into a live per-campaign estimate —
-// served on GET /v2/campaigns/{id}/estimate and via
-// c.Estimate()/c.FoldEstimate — and when the campaign closes, the
-// settle adopts the background engine and finishes it. Because the
-// engine is the literal cold computation paused, the settled report is
-// byte-identical to a cold settle; only the close-time iteration count
-// drops (the committed BenchmarkSettleWarmVsCold pins both claims).
-// Folds borrow slots from the settle scheduler below, so one admission
-// bound governs background refinement and real settles together; see
-// API.md's "Live estimates".
+// An open campaign also answers a provisional truth estimate — served
+// on GET /v2/campaigns/{id}/estimate and via c.Estimate(ctx) — computed
+// when it is read: one cold truth-discovery pass over the submissions
+// accepted so far, under the campaign's settle configuration. The
+// paper's mechanism settles once, after all bids are in, so nothing
+// keeps a running estimate between reads; an estimate taken with no
+// later submission equals the settled report's truth. The read borrows
+// a slot from the settle scheduler, so one admission bound governs
+// reads and settles together, and a full queue rejects it as
+// imc2.ErrUnavailable.
 //
 // A production registry should also be durable: attach a campaign store
 // (internal/store) and every mutation — creation, submissions,

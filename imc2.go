@@ -136,8 +136,9 @@ func DiscoverTruth(ds *Dataset, method TruthMethod, opt TruthOptions) (*TruthRes
 
 // TruthEngine is the resumable form of truth discovery: the same
 // computation as DiscoverTruth, pausable between iterations via
-// Step/Run and resumable later with identical results — the primitive
-// behind live campaign estimates and warm-started settles.
+// Step/Run and resumable later with identical results — the engine
+// behind every settle, and what a platform Config.WarmStart hook hands
+// to a settle to resume.
 type TruthEngine = truth.Engine
 
 // TruthEstimate is a deep-copied snapshot of a TruthEngine's current
@@ -364,27 +365,14 @@ type RegistryOption = registry.Option
 // WithSettleScheduler stays the caller's to Close.
 func NewCampaignRegistry(opts ...RegistryOption) *CampaignRegistry { return registry.New(opts...) }
 
-// ---- Live estimates (background incremental settling) ------------------------
+// ---- Provisional estimates (computed on read) ---------------------------------
 
-// CampaignEstimate is a hosted campaign's live provisional truth
-// estimate (HostedCampaign.Estimate): the truth and worker weights the
-// settle would elect right now, plus how fresh that view is. An
-// estimate with Staleness 0 and Converged true previews the final
-// report's truth exactly — warm-started settles are byte-identical to
-// cold ones.
+// CampaignEstimate is a hosted campaign's provisional truth estimate
+// (HostedCampaign.Estimate): the truth and worker weights the settle
+// would elect right now, computed by one cold truth pass when it is
+// read, plus how fresh that view is. An estimate with Staleness 0
+// previews the final report's truth exactly.
 type CampaignEstimate = platform.EstimateSnapshot
-
-// FoldProgress reports what one HostedCampaign.FoldEstimate call did.
-type FoldProgress = platform.FoldProgress
-
-// IncrementalSettler folds every open campaign's estimate forward on a
-// cadence so close-time settles start warm; construct with
-// CampaignRegistry.StartIncrementalSettler, stop with Stop.
-type IncrementalSettler = registry.IncrementalSettler
-
-// IncrementalSettlerConfig sets the settler's cadence and per-tick
-// iteration budget.
-type IncrementalSettlerConfig = registry.SettlerConfig
 
 // ---- Settle scheduling (registry-wide admission + shared pool) ---------------
 

@@ -51,8 +51,7 @@
 // The per-iteration settle telemetry this package carries (the
 // imc2_truth_* histograms, observed from each recorded settle's audit
 // convergence history) is the operational face of the paper's
-// iterate-to-convergence truth discovery (Algorithm 1). The live
-// estimator's background folds are counted separately
-// (imc2_truth_incremental_*), and the iterations a warm close skips
-// show up as imc2_truth_incremental_warm_iterations_total.
+// iterate-to-convergence truth discovery (Algorithm 1). Provisional
+// estimate reads run the same computation but record no settle, so they
+// add no observations.
 package obs

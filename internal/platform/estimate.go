@@ -2,194 +2,25 @@ package platform
 
 import (
 	"context"
-	"sync"
 
 	"imc2/internal/imcerr"
-	"imc2/internal/model"
 	"imc2/internal/truth"
 )
 
-// Estimator maintains a live provisional truth estimate for one open
-// campaign: a resumable truth.Engine folded forward in the background as
-// submissions arrive, so the close-time settle starts warm instead of
-// cold. Each Fold snapshots the accepted submissions; if new ones
-// arrived since the engine's dataset was assembled, the engine is
-// rebuilt cold over the longer prefix (worker indexing is fixed by
-// acceptance order, so a grown prefix is a different dataset), then
-// advanced a bounded number of iterations. Because the engine runs the
-// literal cold computation — majority-vote seed, identical pass order —
-// in installments, handing it to the settle via WarmStart yields a
-// report byte-identical to a cold settle of the same dataset; the
-// background installments only move iterations off the close path.
-//
-// All methods are safe for concurrent use; folds are serialized by an
-// internal lock.
-type Estimator struct {
-	p      *Platform
-	method truth.Method
-	opt    truth.Options
-	// admission, when non-nil, gates each fold through the shared settle
-	// scheduler under key, so background refinement and close-time
-	// settles compete for the same bounded slots (-max-settles) instead
-	// of stacking on top of them. A backpressure rejection skips the
-	// fold; the next cadence tick retries.
-	admission Admission
-	key       string
-
-	mu       sync.Mutex
-	eng      *truth.Engine
-	ds       *model.Dataset
-	covered  int // submissions folded into eng's dataset
-	folds    uint64
-	rebuilds uint64
-}
-
-// NewEstimator prepares an estimator for p using cfg's truth method and
-// options — the same configuration the close-time settle will run, which
-// is what makes the warm hand-off exact. Background iterations run
-// untraced (cfg.TruthOptions.Trace is dropped): the close-time settle
-// installs its own trace for the iterations it performs. With
-// cfg.Admission set, folds acquire a slot under cfg.SettleKey +
-// "#estimate" so queue-position reporting for the real settle is never
-// confused with background refinement.
-func NewEstimator(p *Platform, cfg Config) *Estimator {
-	opt := cfg.TruthOptions
-	opt.Trace = nil
-	est := &Estimator{
-		p:         p,
-		method:    cfg.TruthMethod,
-		opt:       opt,
-		admission: cfg.Admission,
-	}
-	if cfg.Admission != nil {
-		est.key = cfg.SettleKey + "#estimate"
-	}
-	return est
-}
-
-// FoldProgress reports what one Fold call did.
-type FoldProgress struct {
-	// Folded is true when the engine advanced or was rebuilt; false when
-	// there was nothing to do (no submissions, campaign not open, or
-	// estimate already converged with no new submissions).
-	Folded bool
-	// Skipped is true when the shared scheduler rejected the fold under
-	// backpressure; the fold should be retried at the next cadence tick.
-	Skipped bool
-	// Rebuilt is true when new submissions forced a cold rebuild of the
-	// engine over the grown prefix.
-	Rebuilt bool
-	// Advanced counts the iterations this fold executed.
-	Advanced int
-	// Iterations is the engine's cumulative iteration count.
-	Iterations int
-	// Covered is how many submissions the estimate now reflects.
-	Covered int
-	// Converged reports whether the estimate is stable over Covered
-	// submissions.
-	Converged bool
-}
-
-// Fold advances the live estimate by at most budget iterations
-// (budget <= 0: to convergence), rebuilding the engine first when
-// submissions arrived since the last fold. It no-ops unless the
-// campaign is Open — once Closing, the settle owns the estimate via
-// WarmStart. ctx bounds the wait for a scheduler slot.
-func (est *Estimator) Fold(ctx context.Context, budget int) (FoldProgress, error) {
-	if est.p.State() != StateOpen {
-		return FoldProgress{}, nil
-	}
-	subs := est.p.SubmissionList()
-	if len(subs) == 0 {
-		return FoldProgress{}, nil
-	}
-	// Nothing to do: the engine already covers every submission and has
-	// no iterations left. Answer without consuming a scheduler slot, so
-	// idle cadence ticks are free.
-	est.mu.Lock()
-	if est.eng != nil && est.covered == len(subs) && est.eng.Done() {
-		prog := FoldProgress{
-			Iterations: est.eng.Iterations(),
-			Covered:    est.covered,
-			Converged:  est.eng.Converged(),
-		}
-		est.mu.Unlock()
-		return prog, nil
-	}
-	est.mu.Unlock()
-	if est.admission != nil {
-		release, err := est.admission.Acquire(ctx, est.key)
-		if err != nil {
-			if imcerr.CodeOf(err) == imcerr.CodeUnavailable {
-				return FoldProgress{Skipped: true}, nil
-			}
-			return FoldProgress{}, imcerr.Wrapf(imcerr.CodeCancelled, err, "platform: estimate fold abandoned")
-		}
-		defer release()
-	}
-
-	est.mu.Lock()
-	defer est.mu.Unlock()
-	var prog FoldProgress
-	if est.eng == nil || est.covered != len(subs) {
-		ds, err := assembleSubs(est.p.tasks, subs)
-		if err != nil {
-			return FoldProgress{}, err
-		}
-		eng, err := truth.NewEngine(ds, est.method, est.opt)
-		if err != nil {
-			return FoldProgress{}, imcerr.Wrapf(imcerr.CodeInvalid, err, "platform: building estimate engine")
-		}
-		est.eng, est.ds, est.covered = eng, ds, len(subs)
-		est.rebuilds++
-		prog.Rebuilt = true
-	}
-	before := est.eng.Iterations()
-	est.eng.Run(budget)
-	prog.Advanced = est.eng.Iterations() - before
-	prog.Iterations = est.eng.Iterations()
-	prog.Covered = est.covered
-	prog.Converged = est.eng.Converged()
-	prog.Folded = prog.Rebuilt || prog.Advanced > 0
-	if prog.Folded {
-		est.folds++
-	}
-	return prog, nil
-}
-
-// WarmStart implements Config.WarmStart: it hands the engine to a
-// close-time settle iff the engine's dataset covers exactly the frozen
-// submissions. Submissions are append-only and assembly is
-// deterministic, so a matching count means the engine's dataset is
-// bit-identical to the one the settle just assembled — resuming it is
-// the cold computation, completed. The engine is detached: the settle
-// owns it from here, and a later fold (only possible if the settle
-// fails and the campaign reopens) rebuilds from scratch.
-func (est *Estimator) WarmStart(frozenSubs int) *truth.Engine {
-	est.mu.Lock()
-	defer est.mu.Unlock()
-	if est.eng == nil || frozenSubs == 0 || est.covered != frozenSubs {
-		return nil
-	}
-	eng := est.eng
-	est.eng, est.ds, est.covered = nil, nil, 0
-	return eng
-}
-
 // EstimateSnapshot is the provisional view of a live campaign: the
-// truth and worker weights the settle would currently elect, plus how
-// fresh that view is. Staleness counts submissions accepted after the
-// estimate's dataset was assembled; a snapshot with Staleness 0 and
-// Converged true is exactly what the final report's Truth will say if
-// the campaign closes now.
+// truth and worker weights the settle would elect if the campaign closed
+// now, plus how fresh that view is. Staleness counts submissions
+// accepted after the estimate's dataset was assembled; a snapshot with
+// Staleness 0 is exactly what the final report's Truth will say if the
+// campaign closes now.
 type EstimateSnapshot struct {
 	// Truth maps task ID → provisionally estimated value (absent tasks
 	// have no answers yet, or no estimate exists).
 	Truth map[string]string
-	// WorkerAccuracy maps worker ID → current estimated mean accuracy
-	// (the vote weights of the next iteration).
+	// WorkerAccuracy maps worker ID → estimated mean accuracy.
 	WorkerAccuracy map[string]float64
-	// Iterations is how many refinement iterations produced this view.
+	// Iterations is how many truth-discovery iterations produced this
+	// view.
 	Iterations int
 	// Converged reports whether the estimate is stable over Covered
 	// submissions.
@@ -197,48 +28,60 @@ type EstimateSnapshot struct {
 	// Covered is how many submissions the estimate reflects.
 	Covered int
 	// Staleness is how many accepted submissions the estimate does not
-	// reflect yet (total accepted − Covered).
+	// reflect (total accepted − Covered).
 	Staleness int
-	// Folds and Rebuilds count background refinement activity.
-	Folds    uint64
-	Rebuilds uint64
-	// Method is the truth-discovery algorithm refining the estimate.
+	// Method is the truth-discovery algorithm behind the estimate.
 	Method truth.Method
 }
 
-// Snapshot returns the current provisional estimate. Before any fold
-// (or after the engine was handed to a settle) the snapshot carries no
-// truth map and Covered 0, with Staleness counting every accepted
-// submission.
-func (est *Estimator) Snapshot() EstimateSnapshot {
-	total := est.p.Submissions()
-	est.mu.Lock()
-	defer est.mu.Unlock()
-	snap := EstimateSnapshot{
-		Covered:  est.covered,
-		Folds:    est.folds,
-		Rebuilds: est.rebuilds,
-		Method:   est.method,
+// Estimate computes the provisional truth of an open campaign: one cold
+// truth.Discover over the submissions accepted so far, with cfg's method
+// and options (untraced). The paper's mechanism settles once, after all
+// bids are in; the estimate is a preview of that settle, computed when
+// it is read, and equals the settled report's truth when no submission
+// arrives in between.
+//
+// A campaign that is not open, or has no submissions, yields an empty
+// snapshot whose Staleness counts every accepted submission. With
+// cfg.Admission set, the read acquires a slot under cfg.SettleKey +
+// "#estimate", so reads and settles share one concurrency bound
+// (-max-settles) without confusing the settle's queue position; a
+// backpressure rejection is returned as unavailable.
+func (p *Platform) Estimate(ctx context.Context, cfg Config) (EstimateSnapshot, error) {
+	snap := EstimateSnapshot{Method: cfg.TruthMethod}
+	p.mu.Lock()
+	open := p.state == StateOpen
+	subs := append([]Submission(nil), p.subs...)
+	p.mu.Unlock()
+	if !open || len(subs) == 0 {
+		snap.Staleness = len(subs)
+		return snap, nil
 	}
-	if total > est.covered {
-		snap.Staleness = total - est.covered
+	release, err := p.admit(ctx, cfg.Admission, cfg.SettleKey+"#estimate")
+	if err != nil {
+		return snap, err
 	}
-	if est.eng == nil {
-		return snap
+	if release != nil {
+		defer release()
 	}
-	e := est.eng.Estimate()
-	snap.Iterations = e.Iterations
-	snap.Converged = e.Converged
-	snap.Truth = make(map[string]string, len(e.Truth))
-	for j, v := range e.Truth {
-		if v == model.NotAnswered {
-			continue
-		}
-		snap.Truth[est.ds.Task(j).ID] = est.ds.ValueString(j, v)
+	ds, err := assembleSubs(p.tasks, subs)
+	if err != nil {
+		return snap, err
 	}
-	snap.WorkerAccuracy = make(map[string]float64, len(e.WorkerAccuracy))
-	for i, a := range e.WorkerAccuracy {
-		snap.WorkerAccuracy[est.ds.WorkerID(i)] = a
+	opt := cfg.TruthOptions
+	opt.Trace = nil
+	res, err := truth.Discover(ds, cfg.TruthMethod, opt)
+	if err != nil {
+		return snap, imcerr.Wrapf(imcerr.CodeInvalid, err, "platform: estimating truth")
 	}
-	return snap
+	snap.Truth = res.TruthMap(ds)
+	snap.WorkerAccuracy = make(map[string]float64, ds.NumWorkers())
+	for i, a := range res.WorkerAccuracy(ds) {
+		snap.WorkerAccuracy[ds.WorkerID(i)] = a
+	}
+	snap.Iterations = res.Iterations
+	snap.Converged = res.Converged
+	snap.Covered = len(subs)
+	snap.Staleness = p.Submissions() - len(subs)
+	return snap, nil
 }

@@ -177,7 +177,7 @@ func (p *Platform) Settle(ctx context.Context, cfg Config) (*Report, error) {
 		// wait (ctx expiry) is a failed settle: the campaign reverts to
 		// Open below, exactly like a stage failure.
 		var release func()
-		release, err = p.admit(ctx, cfg)
+		release, err = p.admit(ctx, cfg.Admission, cfg.SettleKey)
 		if err == nil {
 			// No lock held: submissions are frozen, tasks are immutable
 			// after New.
@@ -216,21 +216,21 @@ func (p *Platform) runAdmitted(ctx context.Context, cfg Config, release func()) 
 	return p.runStages(ctx, cfg)
 }
 
-// admit acquires a settle slot from the configured admission scheduler,
-// or returns immediately when none is configured. A backpressure
-// rejection (the scheduler's queue depth bound) keeps its unavailable
-// classification so the wire layer can answer 503 + Retry-After; every
-// other failure is an abandoned wait.
-func (p *Platform) admit(ctx context.Context, cfg Config) (release func(), err error) {
-	if cfg.Admission == nil {
+// admit acquires a slot under key from the admission scheduler adm, or
+// returns immediately when adm is nil. A backpressure rejection (the
+// scheduler's queue depth bound) keeps its unavailable classification so
+// the wire layer can answer 503 + Retry-After; every other failure is an
+// abandoned wait.
+func (p *Platform) admit(ctx context.Context, adm Admission, key string) (release func(), err error) {
+	if adm == nil {
 		return nil, nil
 	}
-	release, err = cfg.Admission.Acquire(ctx, cfg.SettleKey)
+	release, err = adm.Acquire(ctx, key)
 	if err != nil {
 		if imcerr.CodeOf(err) == imcerr.CodeUnavailable {
-			return nil, imcerr.Wrapf(imcerr.CodeUnavailable, err, "platform: settle admission rejected")
+			return nil, imcerr.Wrapf(imcerr.CodeUnavailable, err, "platform: admission for %q rejected", key)
 		}
-		return nil, imcerr.Wrapf(imcerr.CodeCancelled, err, "platform: settle admission abandoned")
+		return nil, imcerr.Wrapf(imcerr.CodeCancelled, err, "platform: admission for %q abandoned", key)
 	}
 	return release, nil
 }

@@ -97,14 +97,15 @@ type Config struct {
 	RecordSettled func(ctx context.Context, rep *Report, audit *Audit, conv []truth.IterationStats) error
 
 	// WarmStart, when non-nil, is consulted by the settle stages after
-	// the campaign enters Closing: given the frozen submission count, it
-	// may return a resumable truth engine (typically an Estimator's,
-	// refined in the background) whose dataset was assembled — with the
-	// settle's own method and options — from exactly those submissions
-	// in acceptance order. The settle resumes it to convergence instead
-	// of starting cold; because the engine is the cold computation
-	// paused, the settled report is byte-identical either way. Returning
-	// nil (stale or absent estimate) falls back to a cold run.
+	// the campaign enters Closing, once the dataset is assembled: given
+	// the frozen submission count, it may return a resumable truth
+	// engine whose dataset was assembled — with the settle's own method
+	// and options — from exactly those submissions in acceptance order.
+	// The settle resumes it to convergence instead of starting cold;
+	// because the engine is the cold computation paused, the settled
+	// report is byte-identical either way. Returning nil falls back to a
+	// cold run, which also makes the hook a probe for the end of
+	// assembly.
 	WarmStart func(frozenSubs int) *truth.Engine
 }
 
@@ -456,9 +457,9 @@ func (p *Platform) assemble() (*model.Dataset, []float64, error) {
 // assembleSubs compiles a submission prefix into a dataset. The
 // assembly is deterministic — submissions in acceptance order, task IDs
 // sorted within each submission — so equal prefixes always yield
-// bit-identical datasets and worker indexings; both the settle path and
-// the background estimator build through here, which is what makes a
-// count match sufficient for the warm hand-off.
+// bit-identical datasets and worker indexings; the settle path and
+// Estimate both build through here, which is what makes an estimate of
+// the full submission list preview the settled truth exactly.
 func assembleSubs(tasks []model.Task, subs []Submission) (*model.Dataset, error) {
 	if len(subs) == 0 {
 		return nil, imcerr.New(imcerr.CodeInfeasible, "platform: no submissions")

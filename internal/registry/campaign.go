@@ -50,10 +50,6 @@ type Campaign struct {
 
 	mu        sync.Mutex
 	settleErr error
-	// est is the campaign's live truth estimator, created on first use
-	// (guarded by mu). Its engine is folded forward in the background and
-	// handed to the close-time settle via the WarmStart seam.
-	est *platform.Estimator
 }
 
 // ID returns the registry-assigned campaign ID.
@@ -231,41 +227,18 @@ func (c *Campaign) Settle(ctx context.Context) (*platform.Report, error) {
 // settleConfig is the campaign's configuration with the registry-wide
 // scheduler injected: the settle must acquire an admission slot under
 // the campaign's ID and run its truth-discovery passes on the shared
-// pool. Without a scheduler it is the configuration as created. On a
-// durable registry the settle's durability hooks are injected too: the
-// close request is logged before any stage runs, and the settled report
-// is logged before the campaign's in-memory state admits it settled.
-// On an instrumented registry each settle's totals and convergence
-// history are observed via the RecordSettled hook — which the platform
-// invokes exactly once per executed settle, so racing callers that
-// share a cached report never double-count.
+// pool. Without a scheduler it is the configuration as created (a
+// caller's WarmStart hook passes through untouched). On a durable
+// registry the settle's durability hooks are injected too: the close
+// request is logged before any stage runs, and the settled report is
+// logged before the campaign's in-memory state admits it settled. On an
+// instrumented registry each settle's totals and convergence history
+// are observed via the RecordSettled hook — which the platform invokes
+// exactly once per executed settle, so racing callers that share a
+// cached report never double-count. Estimate reads through the same
+// configuration, so its method, options, pool and admission are the
+// settle's.
 func (c *Campaign) settleConfig() platform.Config {
-	cfg := c.baseSettleConfig()
-	// Warm-start seam: a settle adopts the background estimator's engine
-	// when it covers every frozen submission, resuming it to convergence
-	// instead of starting cold. Only campaigns whose estimate was ever
-	// queried or folded have an estimator; the settle path of the rest is
-	// unchanged.
-	c.mu.Lock()
-	est := c.est
-	c.mu.Unlock()
-	if est != nil {
-		cfg.WarmStart = func(frozenSubs int) *truth.Engine {
-			eng := est.WarmStart(frozenSubs)
-			if eng != nil {
-				c.m.noteWarmStart(eng.Iterations())
-			}
-			return eng
-		}
-	}
-	return cfg
-}
-
-// baseSettleConfig assembles the campaign's configuration without the
-// warm-start seam — the shape shared by the settle path and the
-// estimator (which must run exactly the settle's method, options, pool,
-// and admission for its engine to be adoptable).
-func (c *Campaign) baseSettleConfig() platform.Config {
 	cfg := c.cfg
 	if c.sched != nil {
 		cfg.Admission = c.sched
@@ -306,36 +279,15 @@ func (c *Campaign) baseSettleConfig() platform.Config {
 	return cfg
 }
 
-// estimator returns the campaign's live estimator, creating it on first
-// use with the campaign's settle configuration — the same method,
-// options, scheduler pool, and admission the close-time settle runs
-// with, which is what makes the warm hand-off exact.
-func (c *Campaign) estimator() *platform.Estimator {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.est == nil {
-		c.est = platform.NewEstimator(c.p, c.baseSettleConfig())
-	}
-	return c.est
-}
-
-// Estimate returns the campaign's provisional truth estimate: the
-// truths and worker weights the background folds have refined so far,
-// with staleness accounting. A campaign never folded reports an empty
-// estimate whose Staleness counts every accepted submission.
-func (c *Campaign) Estimate() platform.EstimateSnapshot {
-	return c.estimator().Snapshot()
-}
-
-// FoldEstimate advances the campaign's live estimate by at most budget
-// iterations (<= 0: to convergence over the submissions seen so far),
-// rebuilding it first when submissions arrived since the last fold.
-// Folds gate through the registry's settle scheduler so background
-// refinement and real settles share the same concurrency bound.
-func (c *Campaign) FoldEstimate(ctx context.Context, budget int) (platform.FoldProgress, error) {
-	prog, err := c.estimator().Fold(ctx, budget)
-	c.m.noteFold(prog, err)
-	return prog, err
+// Estimate computes the campaign's provisional truth estimate: one cold
+// truth-discovery pass over the submissions accepted so far, under the
+// campaign's settle configuration (see platform.Platform.Estimate). On a
+// scheduled registry the read takes a settle slot, so it can be
+// rejected as unavailable under backpressure. A campaign that is not
+// open reports an empty estimate whose Staleness counts every accepted
+// submission.
+func (c *Campaign) Estimate(ctx context.Context) (platform.EstimateSnapshot, error) {
+	return c.p.Estimate(ctx, c.settleConfig())
 }
 
 // SettleAdmission reports the campaign's position in the registry-wide

@@ -39,16 +39,6 @@ type regMetrics struct {
 	// noteSettled does not pay a Vec lookup per iteration.
 	passDep, passInd, passEst     *obs.Histogram
 	convergedTrue, convergedFalse *obs.Counter
-
-	// Incremental (live-estimate) instruments: background fold activity
-	// and the warm hand-offs it earns at close time.
-	incFolds      *obs.Counter // fold passes that advanced or rebuilt
-	incIterations *obs.Counter // background iterations completed
-	incRebuilds   *obs.Counter // engines rebuilt over a grown prefix
-	incSkips      *obs.Counter // folds skipped under scheduler backpressure
-	incErrors     *obs.Counter // folds that failed outright
-	incWarm       *obs.Counter // settles that started from a warm engine
-	incWarmIters  *obs.Counter // iterations those settles skipped (pre-done)
 }
 
 func newRegMetrics(o *obs.Registry, r *Registry) *regMetrics {
@@ -70,20 +60,6 @@ func newRegMetrics(o *obs.Registry, r *Registry) *regMetrics {
 		iterChanged: o.Histogram("imc2_truth_iteration_changed_count",
 			"Task truths that moved per iteration of recorded settles (the convergence delta).",
 			changedBuckets),
-		incFolds: o.Counter("imc2_truth_incremental_folds_total",
-			"Background estimate folds that advanced or rebuilt an engine."),
-		incIterations: o.Counter("imc2_truth_incremental_iterations_total",
-			"Truth-discovery iterations completed by background folds."),
-		incRebuilds: o.Counter("imc2_truth_incremental_rebuilds_total",
-			"Estimate engines rebuilt cold over a grown submission prefix."),
-		incSkips: o.Counter("imc2_truth_incremental_fold_skips_total",
-			"Estimate folds skipped under settle-scheduler backpressure."),
-		incErrors: o.Counter("imc2_truth_incremental_fold_errors_total",
-			"Estimate folds that failed outright."),
-		incWarm: o.Counter("imc2_truth_incremental_warm_starts_total",
-			"Settles that resumed a background-refined engine instead of starting cold."),
-		incWarmIters: o.Counter("imc2_truth_incremental_warm_iterations_total",
-			"Iterations already completed when a settle adopted a warm engine."),
 	}
 	m.passDep = m.passSeconds.With("dependence")
 	m.passInd = m.passSeconds.With("independence")
@@ -157,33 +133,4 @@ func (m *regMetrics) noteSettled(rep *platform.Report, conv []truth.IterationSta
 		}
 		m.iterChanged.Observe(float64(it.Changed))
 	}
-}
-
-// noteFold observes one FoldEstimate outcome.
-func (m *regMetrics) noteFold(prog platform.FoldProgress, err error) {
-	if m == nil {
-		return
-	}
-	switch {
-	case err != nil:
-		m.incErrors.Inc()
-	case prog.Skipped:
-		m.incSkips.Inc()
-	case prog.Folded:
-		m.incFolds.Inc()
-		m.incIterations.Add(uint64(prog.Advanced))
-		if prog.Rebuilt {
-			m.incRebuilds.Inc()
-		}
-	}
-}
-
-// noteWarmStart observes one settle adopting a warm engine that had
-// already completed preDone iterations in the background.
-func (m *regMetrics) noteWarmStart(preDone int) {
-	if m == nil {
-		return
-	}
-	m.incWarm.Inc()
-	m.incWarmIters.Add(uint64(preDone))
 }

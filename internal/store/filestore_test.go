@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -337,6 +338,66 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("fallback loaded snapshot at %d, want 4", st2.Stats().LastSnapshotSeq)
 	}
 	st2.Close()
+}
+
+// TestInconsistentNewestSnapshotFallsBack: a newest snapshot that
+// parses but lists a null campaign record, or one campaign ID twice, is
+// corrupt like one that does not parse — recovery skips it for the
+// previous generation instead of crashing or loading a state whose
+// index and listing disagree.
+func TestInconsistentNewestSnapshotFallsBack(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, snap []byte) []byte
+	}{
+		{"null-record", func(*testing.T, []byte) []byte {
+			return []byte(`{"version":1,"last_seq":8,"campaigns":[null]}`)
+		}},
+		{"duplicate-id", func(t *testing.T, snap []byte) []byte {
+			var f snapshotFile
+			if err := json.Unmarshal(snap, &f); err != nil {
+				t.Fatal(err)
+			}
+			f.Campaigns = append(f.Campaigns, f.Campaigns[0])
+			out, err := json.Marshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openTestStore(t, dir, 4)
+			id := "cmp-0000000000000001"
+			mustAppend(t, st,
+				createdEvent(id, "fallback", false),
+				submissionsEvent(id, "w1"),
+				submissionsEvent(id, "w2"),
+				submissionsEvent(id, "w3"), // snap-4
+				submissionsEvent(id, "w4"),
+				submissionsEvent(id, "w5"),
+				submissionsEvent(id, "w6"),
+				submissionsEvent(id, "w7"), // snap-8
+				submissionsEvent(id, "w8"), // seq 9, live tail
+			)
+			live := st.State().Campaigns()
+			path := filepath.Join(dir, snapName(8))
+			snap, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(t, snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st2 := reopenAndCompare(t, dir, live)
+			if st2.Stats().LastSnapshotSeq != 4 || st2.LastSeq() != 9 {
+				t.Fatalf("recovered from snapshot %d to seq %d, want 4 and 9",
+					st2.Stats().LastSnapshotSeq, st2.LastSeq())
+			}
+			st2.Close()
+		})
+	}
 }
 
 // TestStraddlingSegmentSurvivesCompaction stages the crash window

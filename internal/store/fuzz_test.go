@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
+
+	"imc2/internal/platform"
 )
 
 // FuzzWALDecode feeds arbitrary bytes through the WAL record decoder:
@@ -67,6 +70,53 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if _, err := ReadRecord(fr); err != io.EOF {
 			t.Fatalf("round trip trailing read: %v, want io.EOF", err)
+		}
+	})
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes through the snapshot decoder
+// recovery runs on every snapshot file: whatever the input, it must
+// never panic, and it must either skip the file or hand back a
+// consistent state — every listed record non-nil with a distinct,
+// non-empty ID, and the index holding exactly the listed records.
+func FuzzSnapshotDecode(f *testing.F) {
+	valid, err := json.Marshal(snapshotFile{
+		Version: snapshotVersion,
+		LastSeq: 3,
+		Campaigns: []*CampaignRecord{
+			{ID: "cmp-0000000000000001", Name: "a", State: platform.StateOpen},
+			{ID: "cmp-0000000000000002", State: platform.StateSettled},
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"version":1,"last_seq":3,"campaigns":[null]}`))
+	f.Add([]byte(`{"version":1,"last_seq":3,"campaigns":[{"id":"cmp-1"},{"id":"cmp-1"}]}`))
+	f.Add(valid[:len(valid)-7]) // torn tail
+	f.Add([]byte(`{"version":2,"last_seq":3,"campaigns":[]}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, _, ok := decodeSnapshot(data)
+		if !ok {
+			if st != nil {
+				t.Fatal("skipped snapshot returned a state")
+			}
+			return
+		}
+		recs := st.Campaigns()
+		if st.Len() != len(recs) || len(st.byID) != len(recs) {
+			t.Fatalf("index holds %d records, listing %d", len(st.byID), len(recs))
+		}
+		for _, rec := range recs {
+			if rec == nil || rec.ID == "" {
+				t.Fatalf("decoded state lists record %+v", rec)
+			}
+			if st.Get(rec.ID) != rec {
+				t.Fatalf("index and listing disagree on %q", rec.ID)
+			}
 		}
 	})
 }

@@ -66,11 +66,11 @@ func writeSnapshot(dir string, lastSeq uint64, st *State) error {
 	return syncDir(dir)
 }
 
-// loadLatestSnapshot finds the newest readable snapshot in dir and
-// returns its fold. Corrupt or future-format snapshots are skipped in
-// favor of older ones (the WAL still carries the events they covered,
-// so skipping costs replay time, never data). With no usable snapshot
-// it returns an empty state and lastSeq 0.
+// loadLatestSnapshot finds the newest usable snapshot in dir and
+// returns its fold. Unreadable, corrupt or future-format snapshots are
+// skipped in favor of older ones (the WAL still carries the events they
+// covered, so skipping costs replay time, never data). With no usable
+// snapshot it returns an empty state and lastSeq 0.
 func loadLatestSnapshot(dir string) (st *State, lastSeq uint64, err error) {
 	names, err := snapshotNames(dir)
 	if err != nil {
@@ -83,26 +83,31 @@ func loadLatestSnapshot(dir string) (st *State, lastSeq uint64, err error) {
 		if err != nil {
 			continue
 		}
-		var f snapshotFile
-		if err := json.Unmarshal(buf, &f); err != nil || f.Version != snapshotVersion {
-			continue
+		if st, lastSeq, ok := decodeSnapshot(buf); ok {
+			return st, lastSeq, nil
 		}
-		st := &State{}
-		for _, rec := range f.Campaigns {
-			st.byID = ensureMap(st.byID)
-			st.byID[rec.ID] = rec
-			st.ordered = append(st.ordered, rec)
-		}
-		return st, f.LastSeq, nil
 	}
 	return &State{}, 0, nil
 }
 
-func ensureMap(m map[string]*CampaignRecord) map[string]*CampaignRecord {
-	if m == nil {
-		return make(map[string]*CampaignRecord)
+// decodeSnapshot decodes and validates one snapshot file. ok is false
+// for a snapshot recovery must skip: one that does not parse, has a
+// future format, or lists campaigns no event log could have folded to
+// (a null record, an empty campaign ID, or one ID twice).
+func decodeSnapshot(buf []byte) (st *State, lastSeq uint64, ok bool) {
+	var f snapshotFile
+	if err := json.Unmarshal(buf, &f); err != nil || f.Version != snapshotVersion {
+		return nil, 0, false
 	}
-	return m
+	st = &State{byID: make(map[string]*CampaignRecord, len(f.Campaigns))}
+	for _, rec := range f.Campaigns {
+		if rec == nil || rec.ID == "" || st.byID[rec.ID] != nil {
+			return nil, 0, false
+		}
+		st.byID[rec.ID] = rec
+		st.ordered = append(st.ordered, rec)
+	}
+	return st, f.LastSeq, true
 }
 
 // snapshotNames lists snapshot files in dir, unordered.

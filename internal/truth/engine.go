@@ -15,9 +15,9 @@ import (
 // across any number of Step or Run calls is bit-identical to the same
 // run executed in one Discover call: pausing never re-derives the
 // majority-vote seed and never perturbs the accuracy trajectory. That
-// identity is what lets a platform fold submissions into a live estimate
-// in the background and still settle, at close time, to exactly the
-// report a cold settle would have produced.
+// identity is what lets a settle resume a part-run engine (the
+// platform's WarmStart hook) and still produce exactly the report a cold
+// settle would have produced.
 //
 // An Engine is not safe for concurrent use; callers serialize Step/Run
 // against Estimate and Result themselves.
@@ -126,9 +126,8 @@ func (e *Engine) Dataset() *model.Dataset {
 
 // SetTrace swaps the per-iteration trace sink for subsequent Steps.
 // Tracing never affects results (see Options.Trace), so a paused run
-// may be resumed under a different observer — e.g. a background
-// estimator's untraced iterations completed by a settle whose audit
-// records the remaining ones.
+// may be resumed under a different observer — e.g. untraced iterations
+// completed by a settle whose audit records the remaining ones.
 func (e *Engine) SetTrace(t Trace) {
 	if e.s != nil {
 		e.s.opt.Trace = t

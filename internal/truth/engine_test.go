@@ -11,7 +11,7 @@ import (
 
 // runResumed drives an engine to completion in installments whose sizes
 // are chosen by rng — including zero-budget Run(0) tails — exercising
-// every pause point a background estimator could hit.
+// every pause point a resumed run could hit.
 func runResumed(e *Engine, rng *rand.Rand) {
 	for !e.Done() {
 		switch rng.Intn(3) {

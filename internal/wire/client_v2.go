@@ -176,9 +176,11 @@ func (c *Client) Stats(ctx context.Context) (*PlatformStats, error) {
 	return &out, nil
 }
 
-// CampaignEstimate fetches the live provisional truth estimate of one
-// campaign. An estimate with Staleness 0 and Converged true previews
-// the final report's truth exactly.
+// CampaignEstimate fetches the provisional truth estimate of one
+// campaign, computed by the server on request. An estimate with
+// Staleness 0 previews the final report's truth exactly. Under settle
+// backpressure the read fails with a 503 *APIError carrying the
+// server's RetryAfter hint; unlike CloseCampaign it does not retry.
 func (c *Client) CampaignEstimate(ctx context.Context, id string) (*EstimateInfo, error) {
 	var out EstimateInfo
 	if err := c.do(ctx, "GET", "/v2/campaigns/"+url.PathEscape(id)+"/estimate", nil, &out); err != nil {

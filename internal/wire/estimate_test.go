@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"imc2/internal/imcerr"
+	"imc2/internal/platform"
+	"imc2/internal/registry"
+	"imc2/internal/sched"
 )
 
 func TestParseRetryAfter(t *testing.T) {
@@ -55,13 +58,13 @@ func TestRetryAfterHTTPDate(t *testing.T) {
 	}
 }
 
-// TestV2EstimateEndpoint drives the live-estimate surface end to end:
-// an open campaign starts with an empty, fully stale estimate; after a
-// background fold the estimate is converged and fresh, and its truth
-// previews the settled report exactly; after the close the engine has
-// been handed to the settle, so the estimate is empty again.
+// TestV2EstimateEndpoint drives the estimate surface end to end: an
+// open campaign without submissions reads empty; the first read after
+// the submissions is converged and fresh, and its truth is the settled
+// report's truth exactly; after the close the campaign reads empty with
+// every submission stale.
 func TestV2EstimateEndpoint(t *testing.T) {
-	client, srv := startRegistry(t)
+	client, _ := startRegistry(t)
 	ctx := context.Background()
 	w := testWorkload(t, 23)
 
@@ -69,6 +72,14 @@ func TestV2EstimateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	est, err := client.CampaignEstimate(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.CampaignID != info.ID || est.CoveredSubmissions != 0 || est.Staleness != 0 || len(est.Truth) != 0 {
+		t.Fatalf("estimate without submissions = %+v", est)
+	}
+
 	subs := make([]Submission, 0, w.Dataset.NumWorkers())
 	for i := 0; i < w.Dataset.NumWorkers(); i++ {
 		subs = append(subs, submissionFor(w, i))
@@ -77,35 +88,15 @@ func TestV2EstimateEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	est, err := client.CampaignEstimate(ctx, info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.CampaignID != info.ID || est.CoveredSubmissions != 0 || est.Staleness != len(subs) {
-		t.Fatalf("never-folded estimate = %+v", est)
-	}
-	if len(est.Truth) != 0 || est.Converged {
-		t.Fatalf("never-folded estimate carries truth: %+v", est)
-	}
-
-	// Fold to convergence the way the incremental settler would.
-	c, err := srv.reg.Get(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.FoldEstimate(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-
 	est, err = client.CampaignEstimate(ctx, info.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !est.Converged || est.Staleness != 0 || est.CoveredSubmissions != len(subs) {
-		t.Fatalf("folded estimate not fresh: %+v", est)
+		t.Fatalf("first estimate not converged and fresh: %+v", est)
 	}
-	if len(est.Truth) == 0 || est.Folds == 0 || est.Method != "DATE" {
-		t.Fatalf("folded estimate = %+v", est)
+	if len(est.Truth) == 0 || len(est.WorkerAccuracy) != len(subs) || est.Iterations == 0 || est.Method != "DATE" {
+		t.Fatalf("first estimate = %+v", est)
 	}
 
 	if _, err := client.CloseCampaign(ctx, info.ID); err != nil {
@@ -118,7 +109,6 @@ func TestV2EstimateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fresh converged estimate previewed the settled truth exactly.
 	if !reflect.DeepEqual(est.Truth, report.Truth) {
 		t.Fatalf("estimate truth != report truth\nest: %v\nrep: %v", est.Truth, report.Truth)
 	}
@@ -127,11 +117,86 @@ func TestV2EstimateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.CoveredSubmissions != 0 || len(est.Truth) != 0 {
-		t.Fatalf("estimate survived the warm hand-off: %+v", est)
+	if est.CoveredSubmissions != 0 || est.Staleness != len(subs) || len(est.Truth) != 0 || est.Converged {
+		t.Fatalf("settled campaign estimate = %+v, want empty with staleness %d", est, len(subs))
 	}
 
 	if _, err := client.CampaignEstimate(ctx, "cmp-missing"); !errors.Is(err, imcerr.ErrNotFound) {
 		t.Fatalf("missing campaign estimate: err = %v, want not found", err)
+	}
+}
+
+// TestV2EstimateBackpressure503: an estimate read takes a settle slot,
+// so with the slot busy and the admission queue full it is rejected
+// with 503 + Retry-After + code "unavailable", and succeeds once the
+// queue drains.
+func TestV2EstimateBackpressure503(t *testing.T) {
+	scheduler := sched.New(sched.Config{MaxConcurrentSettles: 1, MaxQueuedSettles: 1})
+	reg := registry.New(registry.WithOwnedScheduler(scheduler))
+	t.Cleanup(reg.Close)
+	srv := NewRegistryServer(reg, "", platform.DefaultConfig(), nil)
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	client := NewClient(hs.URL)
+	ctx := context.Background()
+
+	w := testWorkload(t, 23)
+	info, err := client.CreateCampaign(ctx, CreateCampaignRequest{Name: "pressured", Tasks: w.Dataset.Tasks()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]Submission, 0, w.Dataset.NumWorkers())
+	for i := 0; i < w.Dataset.NumWorkers(); i++ {
+		subs = append(subs, submissionFor(w, i))
+	}
+	if _, err := client.SubmitBatch(ctx, info.ID, subs); err != nil {
+		t.Fatal(err)
+	}
+
+	releaseSlot, err := scheduler.Acquire(ctx, "blocker-slot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan func(), 1)
+	go func() {
+		r, err := scheduler.Acquire(ctx, "blocker-queue")
+		if err != nil {
+			t.Error(err)
+		}
+		queued <- r
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for !scheduler.QueueFull() {
+		if time.Now().After(deadline) {
+			t.Fatal("queue never filled")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	resp, err := http.Get(hs.URL + "/v2/campaigns/" + info.ID + "/estimate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("estimate under backpressure: status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without a Retry-After header")
+	}
+	_, err = client.CampaignEstimate(ctx, info.ID)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || !errors.Is(err, imcerr.ErrUnavailable) || apiErr.RetryAfter <= 0 {
+		t.Fatalf("typed estimate under backpressure: %v, want unavailable with a Retry-After hint", err)
+	}
+
+	releaseSlot()
+	(<-queued)()
+	est, err := client.CampaignEstimate(ctx, info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !est.Converged || est.CoveredSubmissions != len(subs) {
+		t.Fatalf("estimate after the queue drained = %+v", est)
 	}
 }

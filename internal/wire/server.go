@@ -17,7 +17,7 @@
 //	POST /v2/campaigns/{id}/close        begin async settle (poll the snapshot)
 //	GET  /v2/campaigns/{id}/report       settled report
 //	GET  /v2/campaigns/{id}/audit        copier audit of a settled campaign
-//	GET  /v2/campaigns/{id}/estimate     live provisional truth estimate
+//	GET  /v2/campaigns/{id}/estimate     provisional truth estimate, computed per request
 //	GET  /v2/stats                       unified platform stats (scheduler, store, registry)
 //	GET  /v2/traces                      retained traces (?campaign=&min_duration_ms=&errors=)
 //	GET  /v2/traces/{id}                 one trace's full span tree

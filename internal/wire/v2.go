@@ -121,30 +121,27 @@ type StoreStats struct {
 
 // EstimateInfo is the wire view of a live campaign's provisional truth
 // estimate (GET /v2/campaigns/{id}/estimate): what the settle would
-// elect if the campaign closed now, refined in the background by the
-// incremental settler. A snapshot with staleness 0 and converged true
-// is exactly what the final report's truth will say — warm-started
-// settles are byte-identical to cold ones.
+// elect if the campaign closed now, computed by one cold truth pass
+// when it is requested. A snapshot with staleness 0 is exactly what the
+// final report's truth will say if no submission arrives before the
+// close.
 type EstimateInfo struct {
 	CampaignID string `json:"campaign_id"`
-	// Truth maps task ID → provisionally estimated value. Empty before
-	// the first background fold (or after a settle adopted the engine).
+	// Truth maps task ID → provisionally estimated value. Empty while
+	// the campaign has no submissions or is no longer open.
 	Truth map[string]string `json:"truth,omitempty"`
 	// WorkerAccuracy maps worker ID → current estimated mean accuracy.
 	WorkerAccuracy map[string]float64 `json:"worker_accuracy,omitempty"`
-	// Iterations counts refinement iterations behind this view;
-	// Converged reports whether it is stable over the covered prefix.
+	// Iterations counts the truth-discovery iterations behind this
+	// view; Converged reports whether it is stable over the covered
+	// prefix.
 	Iterations int  `json:"iterations"`
 	Converged  bool `json:"converged"`
 	// CoveredSubmissions is how many accepted submissions the estimate
 	// reflects; Staleness how many arrived after it was assembled.
 	CoveredSubmissions int `json:"covered_submissions"`
 	Staleness          int `json:"staleness"`
-	// Folds and Rebuilds count background refinement activity since the
-	// campaign opened.
-	Folds    uint64 `json:"folds"`
-	Rebuilds uint64 `json:"rebuilds"`
-	// Method is the truth-discovery algorithm refining the estimate.
+	// Method is the truth-discovery algorithm behind the estimate.
 	Method string `json:"method"`
 }
 
@@ -559,17 +556,22 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toWireReport(rep))
 }
 
-// handleCampaignEstimate serves the campaign's live provisional
-// estimate. Always 200 on an existing campaign: before any background
-// fold the body simply carries no truth map and a staleness equal to
-// the submission count, so pollers can watch an estimate materialize.
+// handleCampaignEstimate serves the campaign's provisional estimate,
+// computed on request. An open campaign with submissions costs one cold
+// truth pass and takes a settle slot, so a full admission queue answers
+// 503 + Retry-After; any other existing campaign answers an empty
+// estimate whose staleness is the submission count.
 func (s *Server) handleCampaignEstimate(w http.ResponseWriter, r *http.Request) {
 	c, err := s.campaign(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	snap := c.Estimate()
+	snap, err := c.Estimate(r.Context())
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, EstimateInfo{
 		CampaignID:         c.ID(),
 		Truth:              snap.Truth,
@@ -578,8 +580,6 @@ func (s *Server) handleCampaignEstimate(w http.ResponseWriter, r *http.Request) 
 		Converged:          snap.Converged,
 		CoveredSubmissions: snap.Covered,
 		Staleness:          snap.Staleness,
-		Folds:              snap.Folds,
-		Rebuilds:           snap.Rebuilds,
 		Method:             snap.Method.String(),
 	})
 }
