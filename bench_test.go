@@ -9,6 +9,7 @@ package imc2_test
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -253,6 +254,69 @@ func BenchmarkDiscoverSparse(b *testing.B) {
 		iters = res.Iterations
 	}
 	b.ReportMetric(float64(iters), "iters")
+}
+
+// BenchmarkAssembleFig5 times the settle's assembly phase alone on the
+// fig5-scale campaign: compiling the 400 accepted submissions (200k
+// answers) into the dataset truth discovery runs on. "columnar" is the
+// platform's path — its submission log, interned at Submit, compiled by
+// model.FromRows. "builder-oracle" is the assembly that log replaced and
+// the platform tests keep as its oracle: every answer through a
+// model.Builder, task IDs sorted within each submission, and the bid
+// vector aligned by worker lookup.
+func BenchmarkAssembleFig5(b *testing.B) {
+	c := benchFig5Campaign(b)
+	tasks := c.Dataset.Tasks()
+	subs := benchFig5Submissions(c)
+	b.Run("columnar", func(b *testing.B) {
+		p, err := imc2.NewPlatform(tasks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sub := range subs {
+			if err := p.Submit(sub); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Dataset(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("builder-oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			db := imc2.NewDatasetBuilder()
+			for _, t := range tasks {
+				db.AddTask(t)
+			}
+			for _, sub := range subs {
+				ids := make([]string, 0, len(sub.Answers))
+				for id := range sub.Answers {
+					ids = append(ids, id)
+				}
+				sort.Strings(ids)
+				for _, id := range ids {
+					db.AddObservation(sub.Worker, id, sub.Answers[id])
+				}
+			}
+			ds, err := db.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			bids := make([]float64, ds.NumWorkers())
+			for _, sub := range subs {
+				w, ok := ds.WorkerIndex(sub.Worker)
+				if !ok {
+					b.Fatalf("worker %q lost during assembly", sub.Worker)
+				}
+				bids[w] = sub.Price
+			}
+		}
+	})
 }
 
 // --- Concurrent settle benchmarks (registry-wide scheduler) ---------------

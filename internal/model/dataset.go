@@ -18,9 +18,8 @@ type Dataset struct {
 	workerIdx map[string]int
 
 	// values[j] lists the distinct values observed for task j in first-
-	// appearance order; valueIdx[j] inverts it.
-	values   [][]string
-	valueIdx []map[string]int
+	// appearance order.
+	values [][]string
 
 	// obs[i][j] is the value index worker i submitted for task j, or
 	// NotAnswered.
@@ -123,15 +122,15 @@ func (b *Builder) Build() (*Dataset, error) {
 		taskIdx:   b.taskIdx,
 		workerIdx: workerIdx,
 		values:    make([][]string, len(b.tasks)),
-		valueIdx:  make([]map[string]int, len(b.tasks)),
 		obs:       make([][]int32, len(workers)),
 
 		perWorkerTasks: make([][]int, len(workers)),
 		perTaskWorkers: make([][]int, len(b.tasks)),
 		observations:   len(b.obs),
 	}
-	for j := range d.valueIdx {
-		d.valueIdx[j] = make(map[string]int)
+	valueIdx := make([]map[string]int, len(b.tasks))
+	for j := range valueIdx {
+		valueIdx[j] = make(map[string]int)
 	}
 	for i := range d.obs {
 		row := make([]int32, len(b.tasks))
@@ -143,10 +142,10 @@ func (b *Builder) Build() (*Dataset, error) {
 	for _, o := range b.obs {
 		i := workerIdx[o.Worker]
 		j := b.taskIdx[o.Task]
-		vi, ok := d.valueIdx[j][o.Value]
+		vi, ok := valueIdx[j][o.Value]
 		if !ok {
 			vi = len(d.values[j])
-			d.valueIdx[j][o.Value] = vi
+			valueIdx[j][o.Value] = vi
 			d.values[j] = append(d.values[j], o.Value)
 		}
 		d.obs[i][j] = int32(vi)

@@ -50,11 +50,11 @@ type EstimateSnapshot struct {
 func (p *Platform) Estimate(ctx context.Context, cfg Config) (EstimateSnapshot, error) {
 	snap := EstimateSnapshot{Method: cfg.TruthMethod}
 	p.mu.Lock()
-	open := p.state == StateOpen
-	subs := append([]Submission(nil), p.subs...)
+	open, l := p.state == StateOpen, p.log.snapshot()
 	p.mu.Unlock()
-	if !open || len(subs) == 0 {
-		snap.Staleness = len(subs)
+	covered := len(l.Workers)
+	if !open || covered == 0 {
+		snap.Staleness = covered
 		return snap, nil
 	}
 	release, err := p.admit(ctx, cfg.Admission, cfg.SettleKey+"#estimate")
@@ -64,7 +64,7 @@ func (p *Platform) Estimate(ctx context.Context, cfg Config) (EstimateSnapshot, 
 	if release != nil {
 		defer release()
 	}
-	ds, err := assembleSubs(p.tasks, subs)
+	ds, err := p.dataset(l)
 	if err != nil {
 		return snap, err
 	}
@@ -81,7 +81,7 @@ func (p *Platform) Estimate(ctx context.Context, cfg Config) (EstimateSnapshot, 
 	}
 	snap.Iterations = res.Iterations
 	snap.Converged = res.Converged
-	snap.Covered = len(subs)
-	snap.Staleness = p.Submissions() - len(subs)
+	snap.Covered = covered
+	snap.Staleness = p.Submissions() - covered
 	return snap, nil
 }

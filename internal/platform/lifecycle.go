@@ -150,7 +150,7 @@ func (p *Platform) Settle(ctx context.Context, cfg Config) (*Report, error) {
 		// wait loop above only exits once the state has left Closing,
 		// while p.mu has been held continuously since.
 	}
-	if len(p.subs) == 0 {
+	if len(p.log.Workers) == 0 {
 		p.mu.Unlock()
 		return nil, imcerr.New(imcerr.CodeInfeasible, "platform: no submissions")
 	}

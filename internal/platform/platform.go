@@ -8,7 +8,6 @@ package platform
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -124,7 +123,9 @@ type Submission struct {
 	Worker string
 	// Price is the claimed cost b_i.
 	Price float64
-	// Answers maps task ID → value.
+	// Answers maps task ID → value. Submit copies the answers into the
+	// campaign's log, so the caller keeps the map and may reuse or
+	// modify it once Submit returns.
 	Answers map[string]string
 }
 
@@ -138,15 +139,97 @@ var ErrDuplicateSubmission error = imcerr.New(imcerr.CodeConflict, "platform: wo
 // holding the campaign lock.
 type Platform struct {
 	tasks   []model.Task
-	taskIDs map[string]bool
+	taskIdx map[string]int
 
 	mu       sync.Mutex
 	state    State
 	settling chan struct{} // non-nil while StateClosing; closed on exit
-	subs     []Submission
+	log      subLog
 	byID     map[string]bool
 	report   *Report
 	audit    *Audit
+}
+
+// subLog holds the accepted submissions in index form, in acceptance
+// order: row i is dataset worker i, and prices[i] is its bid. It only
+// grows — a rejected submission's cells are taken back before p.mu is
+// released — so a snapshot stays valid while later submissions append.
+type subLog struct {
+	model.Rows
+	prices []float64
+}
+
+// stage appends sub's answers as uncommitted cells, interning each
+// value into its task's dictionary. An answer naming an unpublished task
+// or carrying an empty value fails the submission and takes the staged
+// cells back. The caller holds p.mu and either commits the row or
+// truncates it before releasing the lock.
+func (l *subLog) stage(sub Submission, taskIdx map[string]int) error {
+	start := len(l.Cells)
+	for taskID, v := range sub.Answers {
+		j, ok := taskIdx[taskID]
+		if !ok {
+			l.truncate(start)
+			return imcerr.New(imcerr.CodeInvalid, "platform: %q answered unpublished task %q", sub.Worker, taskID)
+		}
+		if v == "" {
+			l.truncate(start)
+			return imcerr.New(imcerr.CodeInvalid, "platform: %q submitted an empty value for %q", sub.Worker, taskID)
+		}
+		l.Cells = append(l.Cells, model.Cell{Task: int32(j), Val: l.intern(j, v)})
+	}
+	return nil
+}
+
+// commit makes the cells staged from start on sub's row: it clears their
+// new-value marks and records the worker and bid. The row keeps the
+// answers' map order; model.FromRows needs no sorted rows.
+func (l *subLog) commit(sub Submission, start int) {
+	for k := start; k < len(l.Cells); k++ {
+		if l.Cells[k].Val < 0 {
+			l.Cells[k].Val = ^l.Cells[k].Val
+		}
+	}
+	l.Workers = append(l.Workers, sub.Worker)
+	l.prices = append(l.prices, sub.Price)
+	l.Offsets = append(l.Offsets, len(l.Cells))
+}
+
+// intern returns v's index in task j's value dictionary. A value the
+// dictionary lacks is appended and its index returned complemented
+// (negative), which marks it for truncate until the row is committed.
+// The scan is linear: a dictionary holds one entry per distinct value
+// the task has received, a handful (num_j+1) for honest answers.
+func (l *subLog) intern(j int, v string) int32 {
+	dict := l.Values[j]
+	for k, s := range dict {
+		if s == v {
+			return int32(k)
+		}
+	}
+	l.Values[j] = append(dict, v)
+	return ^int32(len(dict))
+}
+
+// truncate drops the uncommitted cells from start on, together with the
+// dictionary entries they added.
+func (l *subLog) truncate(start int) {
+	for _, c := range l.Cells[start:] {
+		if c.Val < 0 {
+			l.Values[c.Task] = l.Values[c.Task][:len(l.Values[c.Task])-1]
+		}
+	}
+	l.Cells = l.Cells[:start]
+}
+
+// snapshot returns the log as it stands. The copy shares every backing
+// array but owns its slice headers, dictionary headers included, so
+// appends after it — which only write past its lengths — leave it
+// intact. The caller holds p.mu.
+func (l *subLog) snapshot() subLog {
+	s := *l
+	s.Values = append([][]string(nil), l.Values...)
+	return s
 }
 
 // New opens a campaign over the given tasks (state Open).
@@ -166,7 +249,7 @@ func NewDraft(tasks []model.Task) (*Platform, error) {
 		return nil, imcerr.New(imcerr.CodeInvalid, "platform: campaign needs at least one task")
 	}
 	p := &Platform{
-		taskIDs: make(map[string]bool, len(tasks)),
+		taskIdx: make(map[string]int, len(tasks)),
 		byID:    make(map[string]bool),
 		state:   StateDraft,
 	}
@@ -174,12 +257,14 @@ func NewDraft(tasks []model.Task) (*Platform, error) {
 		if err := t.Validate(); err != nil {
 			return nil, imcerr.Wrap(imcerr.CodeInvalid, err)
 		}
-		if p.taskIDs[t.ID] {
+		if _, dup := p.taskIdx[t.ID]; dup {
 			return nil, imcerr.New(imcerr.CodeInvalid, "platform: duplicate task %q", t.ID)
 		}
-		p.taskIDs[t.ID] = true
+		p.taskIdx[t.ID] = len(p.tasks)
 		p.tasks = append(p.tasks, t)
 	}
+	p.log.Offsets = []int{0}
+	p.log.Values = make([][]string, len(p.tasks))
 	return p, nil
 }
 
@@ -194,7 +279,8 @@ func (p *Platform) NumTasks() int { return len(p.tasks) }
 // Submit registers a sealed submission. Each worker may submit once; the
 // submission must bid a non-negative price and answer at least one
 // published task. Submissions are only accepted while the campaign is
-// Open.
+// Open. An invalid submission is reported as such even when the
+// campaign would also refuse it for its state or as a duplicate.
 func (p *Platform) Submit(sub Submission) error {
 	if err := (model.Bid{Worker: sub.Worker, Price: sub.Price}).Validate(); err != nil {
 		return imcerr.Wrap(imcerr.CodeInvalid, err)
@@ -202,16 +288,24 @@ func (p *Platform) Submit(sub Submission) error {
 	if len(sub.Answers) == 0 {
 		return imcerr.New(imcerr.CodeInvalid, "platform: submission from %q has no answers", sub.Worker)
 	}
-	for taskID, v := range sub.Answers {
-		if !p.taskIDs[taskID] {
-			return imcerr.New(imcerr.CodeInvalid, "platform: %q answered unpublished task %q", sub.Worker, taskID)
-		}
-		if v == "" {
-			return imcerr.New(imcerr.CodeInvalid, "platform: %q submitted an empty value for %q", sub.Worker, taskID)
-		}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	start := len(p.log.Cells)
+	if err := p.log.stage(sub, p.taskIdx); err != nil {
+		return err
+	}
+	if err := p.acceptsFrom(sub.Worker); err != nil {
+		p.log.truncate(start)
+		return err
+	}
+	p.log.commit(sub, start)
+	p.byID[sub.Worker] = true
+	return nil
+}
+
+// acceptsFrom reports why the campaign refuses a submission from worker
+// in its current state, or nil. The caller holds p.mu.
+func (p *Platform) acceptsFrom(worker string) error {
 	switch p.state {
 	case StateOpen:
 	case StateDraft:
@@ -221,11 +315,9 @@ func (p *Platform) Submit(sub Submission) error {
 	default: // Closing, Settled
 		return imcerr.New(imcerr.CodeConflict, "platform: auction already closed")
 	}
-	if p.byID[sub.Worker] {
-		return fmt.Errorf("%w: %q", ErrDuplicateSubmission, sub.Worker)
+	if p.byID[worker] {
+		return fmt.Errorf("%w: %q", ErrDuplicateSubmission, worker)
 	}
-	p.byID[sub.Worker] = true
-	p.subs = append(p.subs, sub)
 	return nil
 }
 
@@ -233,7 +325,7 @@ func (p *Platform) Submit(sub Submission) error {
 func (p *Platform) Submissions() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.subs)
+	return len(p.log.Workers)
 }
 
 // Report is the settled campaign outcome.
@@ -286,10 +378,11 @@ func (p *Platform) Run(cfg Config) (*Report, error) {
 	return p.Settle(context.Background(), cfg) //lint:allow ctxscope documented uncancellable convenience wrapper over Settle
 }
 
-// runStages executes truth discovery and the auction. It must only be
-// called by Settle while the campaign is Closing (submissions frozen),
-// and deliberately holds no lock: ctx is checked at stage boundaries so
-// an abandoned settle stops between the expensive phases.
+// runStages assembles the frozen submissions and executes truth
+// discovery and the auction on them. It must only be called by Settle
+// while the campaign is Closing (submissions frozen), and deliberately
+// holds no lock: ctx is checked at stage boundaries so an abandoned
+// settle stops between the expensive phases.
 func (p *Platform) runStages(ctx context.Context, cfg Config) (*Report, *Audit, []truth.IterationStats, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, nil, nil, err
@@ -298,6 +391,11 @@ func (p *Platform) runStages(ctx context.Context, cfg Config) (*Report, *Audit, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	return p.settleDataset(ctx, cfg, ds, bids)
+}
+
+// settleDataset runs both stages on an assembled dataset and its bids.
+func (p *Platform) settleDataset(ctx context.Context, cfg Config, ds *model.Dataset, bids []float64) (*Report, *Audit, []truth.IterationStats, error) {
 	span := tracing.SpanFromContext(ctx)
 	// Stage 1 runs as the "truth.discover" phase; the settle observer
 	// is the engine's only Trace.
@@ -427,7 +525,7 @@ func runAuction(in *auction.Instance, mech Mechanism) (*auction.Outcome, error) 
 // trace records exactly the iterations the settle itself performs.
 func (p *Platform) discoverTruth(ds *model.Dataset, cfg Config, topt truth.Options) (*truth.Result, error) {
 	if cfg.WarmStart != nil {
-		if eng := cfg.WarmStart(len(p.subs)); eng != nil {
+		if eng := cfg.WarmStart(ds.NumWorkers()); eng != nil {
 			eng.SetTrace(topt.Trace)
 			eng.Run(0)
 			return eng.Result(), nil
@@ -436,50 +534,38 @@ func (p *Platform) discoverTruth(ds *model.Dataset, cfg Config, topt truth.Optio
 	return truth.Discover(ds, cfg.TruthMethod, topt)
 }
 
-// assemble compiles the submissions into the dataset plus a bid vector
-// aligned with the dataset's worker indexing.
+// Dataset assembles the submissions accepted so far into the dataset a
+// settle of them works on: tasks in publication order, worker i the i-th
+// accepted submission, and each task's values indexed in the order they
+// were first submitted.
+func (p *Platform) Dataset() (*model.Dataset, error) {
+	ds, _, err := p.assemble()
+	return ds, err
+}
+
+// assemble snapshots the submission log and compiles it into the
+// dataset plus the bid vector aligned with its worker indexing — the
+// log's prices, since worker i is the i-th accepted submission.
 func (p *Platform) assemble() (*model.Dataset, []float64, error) {
-	ds, err := assembleSubs(p.tasks, p.subs)
+	p.mu.Lock()
+	l := p.log.snapshot()
+	p.mu.Unlock()
+	ds, err := p.dataset(l)
 	if err != nil {
 		return nil, nil, err
 	}
-	bids := make([]float64, ds.NumWorkers())
-	for _, sub := range p.subs {
-		i, ok := ds.WorkerIndex(sub.Worker)
-		if !ok {
-			return nil, nil, fmt.Errorf("platform: worker %q lost during assembly", sub.Worker)
-		}
-		bids[i] = sub.Price
-	}
-	return ds, bids, nil
+	return ds, l.prices, nil
 }
 
-// assembleSubs compiles a submission prefix into a dataset. The
-// assembly is deterministic — submissions in acceptance order, task IDs
-// sorted within each submission — so equal prefixes always yield
-// bit-identical datasets and worker indexings; the settle path and
-// Estimate both build through here, which is what makes an estimate of
-// the full submission list preview the settled truth exactly.
-func assembleSubs(tasks []model.Task, subs []Submission) (*model.Dataset, error) {
-	if len(subs) == 0 {
+// dataset compiles a log snapshot. Settles and estimates both build
+// through here, so equal prefixes yield identical datasets and worker
+// indexings, and an estimate of every accepted submission previews the
+// settled truth exactly.
+func (p *Platform) dataset(l subLog) (*model.Dataset, error) {
+	if len(l.Workers) == 0 {
 		return nil, imcerr.New(imcerr.CodeInfeasible, "platform: no submissions")
 	}
-	b := model.NewBuilder()
-	for _, t := range tasks {
-		b.AddTask(t)
-	}
-	for _, sub := range subs {
-		// Deterministic task order within a submission.
-		ids := make([]string, 0, len(sub.Answers))
-		for taskID := range sub.Answers {
-			ids = append(ids, taskID)
-		}
-		sort.Strings(ids)
-		for _, taskID := range ids {
-			b.AddObservation(sub.Worker, taskID, sub.Answers[taskID])
-		}
-	}
-	ds, err := b.Build()
+	ds, err := model.FromRows(p.tasks, p.taskIdx, l.Rows)
 	if err != nil {
 		return nil, fmt.Errorf("platform: assembling dataset: %w", err)
 	}

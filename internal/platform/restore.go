@@ -64,12 +64,21 @@ func Restore(rs RestoreState) (*Platform, error) {
 	return p, nil
 }
 
-// SubmissionList returns a copy of the accepted submissions in
-// acceptance order — the order that fixes worker indexing during
-// settle. The Answers maps are shared with the platform's internal
-// records; callers must not mutate them.
+// SubmissionList rebuilds the accepted submissions from the campaign's
+// log, in acceptance order — the order that fixes worker indexing during
+// settle. Every call returns fresh Answers maps the caller owns.
 func (p *Platform) SubmissionList() []Submission {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Submission(nil), p.subs...)
+	l := &p.log
+	subs := make([]Submission, len(l.Workers))
+	for i, w := range l.Workers {
+		row := l.Cells[l.Offsets[i]:l.Offsets[i+1]]
+		answers := make(map[string]string, len(row))
+		for _, c := range row {
+			answers[p.tasks[c.Task].ID] = l.Values[c.Task][c.Val]
+		}
+		subs[i] = Submission{Worker: w, Price: l.prices[i], Answers: answers}
+	}
+	return subs
 }
