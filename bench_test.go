@@ -222,12 +222,16 @@ func benchDiscoverFig5(b *testing.B, parallelism int) {
 func BenchmarkDiscoverSerial(b *testing.B)   { benchDiscoverFig5(b, 1) }
 func BenchmarkDiscoverParallel(b *testing.B) { benchDiscoverFig5(b, 0) }
 
-// BenchmarkDiscoverSparse times DATE to convergence on perfbench's
-// sparse-gb shape: 800 workers (160 copiers) × 2000 tasks, 20 answers per
-// worker, every task topped up to 4 providers. The run takes 46
-// iterations where the fig5 benches above take one, so it prices the
-// per-iteration passes; the top-ups give some tasks hundreds of
-// providers, so 275k of the 320k worker pairs still co-observe.
+// BenchmarkDiscoverSparse times DATE on perfbench's sparse-gb shape:
+// 800 workers (160 copiers) × 2000 tasks, 20 answers per worker, every
+// task topped up to 4 providers. The top-ups give some tasks hundreds of
+// providers, so 275k of the 320k worker pairs co-observe a task and 173k
+// share a value. seed=5 (perfbench's pinned campaign) converges after 46
+// iterations, where the fig5 benches above take one, so it prices the
+// per-iteration passes; seed=1 never converges and runs to the
+// 100-iteration cap. Beside the time, each reports the value-sharing
+// pairs ("pairs") and the dependence pass's sigmoid evaluations per
+// iteration ("sigmoids/iter"), read from one traced run outside the timer.
 func BenchmarkDiscoverSparse(b *testing.B) {
 	spec := imc2.DefaultCampaignSpec()
 	spec.Workers = 800
@@ -236,24 +240,45 @@ func BenchmarkDiscoverSparse(b *testing.B) {
 	spec.TasksPerWorker = 20
 	spec.MinProvidersPerTask = 4
 	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
-	c, err := imc2.NewCampaign(spec, imc2.NewRNG(5))
-	if err != nil {
-		b.Fatal(err)
+	for _, seed := range []int64{5, 1} {
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			c, err := imc2.NewCampaign(spec, imc2.NewRNG(seed))
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := imc2.DefaultTruthOptions()
+			opt.CopyProb = 0.8
+			opt.PriorDependence = 0.05
+			var iters int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := imc2.DiscoverTruth(c.Dataset, imc2.MethodDATE, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters = res.Iterations
+			}
+			b.StopTimer()
+			var work sparseWork
+			opt.Trace = &work
+			if _, err := imc2.DiscoverTruth(c.Dataset, imc2.MethodDATE, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(iters), "iters")
+			b.ReportMetric(float64(work.pairs), "pairs")
+			b.ReportMetric(float64(work.sigmoids)/float64(work.iters), "sigmoids/iter")
+		})
 	}
-	opt := imc2.DefaultTruthOptions()
-	opt.CopyProb = 0.8
-	opt.PriorDependence = 0.05
-	var iters int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := imc2.DiscoverTruth(c.Dataset, imc2.MethodDATE, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = res.Iterations
-	}
-	b.ReportMetric(float64(iters), "iters")
+}
+
+// sparseWork sums the dependence pass's work over a traced run.
+type sparseWork struct{ pairs, sigmoids, iters int }
+
+func (w *sparseWork) ObserveIteration(it imc2.SettleIterationStats) {
+	w.pairs = it.SharingPairs
+	w.sigmoids += it.Sigmoids
+	w.iters++
 }
 
 // BenchmarkAssembleFig5 times the settle's assembly phase alone on the

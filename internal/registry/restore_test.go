@@ -150,6 +150,85 @@ func TestDurableRegistryRecoversBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDurableSubmitDoesNotAliasAnswers submits to a durable registry and
+// then rewrites every submitted answer map, as an embedder that reuses
+// its maps would. A snapshot taken afterwards, and the recovery that
+// reads it, must still hold the answers as submitted: the recovered
+// submissions equal the originals, and the recovered campaign settles to
+// the report of a campaign that was never touched.
+func TestDurableSubmitDoesNotAliasAnswers(t *testing.T) {
+	wl := testWorkload(t, 13)
+	cfg := platform.DefaultConfig()
+	cfg.TruthOptions.Parallelism = 1
+
+	untouched, err := New().Create("baseline", wl.Dataset.Tasks(), cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < wl.Dataset.NumWorkers(); i++ {
+		if err := untouched.Submit(submissionFor(wl, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseline, err := untouched.Settle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	c, err := New(WithStore(st)).Create("durable", wl.Dataset.Tasks(), cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reused []map[string]string
+	for i := 0; i < wl.Dataset.NumWorkers(); i++ {
+		sub := submissionFor(wl, i)
+		if i%2 == 0 {
+			err = c.Submit(sub)
+		} else {
+			_, err = c.SubmitBatch([]platform.Submission{sub})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused = append(reused, sub.Answers)
+	}
+	for _, answers := range reused {
+		for task := range answers {
+			answers[task] = "mutated"
+		}
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := New(WithStore(openStore(t, dir)))
+	recs := r2.Store().(*store.FileStore).State().Campaigns()
+	if len(recs) != 1 || len(recs[0].Submissions) != wl.Dataset.NumWorkers() {
+		t.Fatalf("recovered %d campaign records", len(recs))
+	}
+	for i, rec := range recs[0].Submissions {
+		if want := submissionFor(wl, i); !reflect.DeepEqual(rec.ToPlatform(), want) {
+			t.Fatalf("recovered submission %d = %+v, want %+v", i, rec.ToPlatform(), want)
+		}
+	}
+	if _, err := r2.Restore(recs, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r2.Get(c.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := got.Settle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, baseline) {
+		t.Fatalf("recovered campaign settled differently:\n got %+v\nwant %+v", rep, baseline)
+	}
+}
+
 // TestRecoverMidSettleRequeuesAndMatchesBaseline records a campaign
 // whose settle never finished (close-requested, no settled event),
 // recovers, and re-runs the settle: the pending list must surface the

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"maps"
+
 	"imc2/internal/imcerr"
 	"imc2/internal/model"
 	"imc2/internal/platform"
@@ -72,8 +74,12 @@ type SubmissionRecord struct {
 }
 
 // SubmissionFromPlatform converts a live submission to its durable form.
+// The record owns a copy of the answers: the store keeps records in its
+// in-memory state and later snapshots encode them, so sharing the
+// caller's map would let a caller that reuses or mutates it change what
+// recovery replays.
 func SubmissionFromPlatform(sub platform.Submission) SubmissionRecord {
-	return SubmissionRecord{Worker: sub.Worker, Price: sub.Price, Answers: sub.Answers}
+	return SubmissionRecord{Worker: sub.Worker, Price: sub.Price, Answers: maps.Clone(sub.Answers)}
 }
 
 // ToPlatform converts the durable submission back to the live form.

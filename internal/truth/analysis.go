@@ -115,18 +115,20 @@ func (r *Result) CopierScores() []float64 {
 // over the tasks it answered (1 for workers that answered nothing, since
 // no copied value exists).
 func (r *Result) MeanIndependence(ds *model.Dataset) []float64 {
+	// Walking tasks in order adds each worker's cells in the order of
+	// its (ascending) WorkerTasks list.
+	sums := make([]numeric.KahanSum, ds.NumWorkers())
+	for j, row := range r.TaskIndependence {
+		for b, i := range ds.TaskWorkers(j) {
+			sums[i].Add(row[b])
+		}
+	}
 	out := make([]float64, ds.NumWorkers())
 	for i := range out {
-		tasks := ds.WorkerTasks(i)
-		if len(tasks) == 0 {
-			out[i] = 1
-			continue
+		out[i] = 1
+		if nt := len(ds.WorkerTasks(i)); nt > 0 {
+			out[i] = sums[i].Sum() / float64(nt)
 		}
-		var sum numeric.KahanSum
-		for _, j := range tasks {
-			sum.Add(r.Independence[i][j])
-		}
-		out[i] = sum.Sum() / float64(len(tasks))
 	}
 	return out
 }
@@ -142,8 +144,8 @@ func (r *Result) Confidence(ds *model.Dataset) []float64 {
 			continue
 		}
 		var total, elected numeric.KahanSum
-		for _, i := range ds.TaskWorkers(j) {
-			w := r.Accuracy[i][j] * r.Independence[i][j]
+		for b, i := range ds.TaskWorkers(j) {
+			w := r.Accuracy[i][j] * r.TaskIndependence[j][b]
 			total.Add(w)
 			if ds.ValueOf(i, j) == et {
 				elected.Add(w)

@@ -38,20 +38,26 @@ type state struct {
 
 	acc   [][]float64 // per-task accuracy A[i][j] = P_j(v_i^j)
 	accW  []float64   // per-worker accuracy A_i (eq. 17's average)
-	indep [][]float64 // I[i][j]
+	indep [][]float64 // I: indep[j][b] for worker TaskWorkers(j)[b]
 	dep   [][]float64 // dep[i][k] = P(i→k | D)
 	truth []int32     // et[j]
 
 	// depIx is computeDependence's dataset layout and equiv its
 	// similarity cache, both built on first use (the dataset is
 	// immutable). depTau/depPhi hold the per-worker log terms of the
-	// current iteration, and depCounts[slot] one pool worker's pair-count
-	// row, reused every iteration.
+	// current iteration. pairs is the value-sharing pair table, built by
+	// the first pass and kept in step with the truth after it;
+	// depCounts[slot] is one pool worker's pair-count row for counting
+	// it, and depMemos[slot] its posterior memo. depEvals is how many
+	// sigmoids the last pass evaluated.
 	depIx     *depIndex
 	equiv     *valueEquiv
 	depTau    []float64
 	depPhi    []float64
+	pairs     *pairTable
 	depCounts [][]int32
+	depMemos  []*depMemo
+	depEvals  int
 
 	// estScratch[slot] holds one pool worker's per-task posterior
 	// buffers, lazily allocated once and reused every iteration.
@@ -88,7 +94,7 @@ func newState(ds *model.Dataset, opt Options, fm FalseValueModel) *state {
 
 		acc:   newZeroMatrix(n, m),
 		accW:  make([]float64, n),
-		indep: newFilledMatrix(n, m, 1),
+		indep: newTaskMatrix(ds, 1),
 		truth: make([]int32, m),
 
 		logPriorRatio: math.Log(1-opt.PriorDependence) - math.Log(opt.PriorDependence),

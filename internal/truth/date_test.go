@@ -130,15 +130,8 @@ func TestDATECopiersGetDiscounted(t *testing.T) {
 
 	c0, _ := ds.WorkerIndex("c00")
 	h3, _ := ds.WorkerIndex("h03")
-	avgIndep := func(i int) float64 {
-		var sum float64
-		tasks := ds.WorkerTasks(i)
-		for _, j := range tasks {
-			sum += res.Independence[i][j]
-		}
-		return sum / float64(len(tasks))
-	}
-	if ic, ih := avgIndep(c0), avgIndep(h3); ic >= ih {
+	mean := res.MeanIndependence(ds)
+	if ic, ih := mean[c0], mean[h3]; ic >= ih {
 		t.Errorf("copier mean independence %v not below honest %v", ic, ih)
 	}
 }
@@ -173,15 +166,24 @@ func TestResultInvariants(t *testing.T) {
 					t.Fatalf("truth[%d] = %d out of range", j, v)
 				}
 			}
+			if len(res.TaskIndependence) != ds.NumTasks() {
+				t.Fatalf("independence has %d task rows, want %d", len(res.TaskIndependence), ds.NumTasks())
+			}
+			for j, row := range res.TaskIndependence {
+				if len(row) != len(ds.TaskWorkers(j)) {
+					t.Fatalf("independence row %d has %d cells for %d providers", j, len(row), len(ds.TaskWorkers(j)))
+				}
+				for b, in := range row {
+					if in < 0 || in > 1 || math.IsNaN(in) {
+						t.Fatalf("independence[%d][%d] = %v out of [0,1]", j, b, in)
+					}
+				}
+			}
 			for i := 0; i < ds.NumWorkers(); i++ {
 				for j := 0; j < ds.NumTasks(); j++ {
 					a := res.Accuracy[i][j]
 					if a < 0 || a > 1 || math.IsNaN(a) {
 						t.Fatalf("accuracy[%d][%d] = %v out of [0,1]", i, j, a)
-					}
-					in := res.Independence[i][j]
-					if in < 0 || in > 1 || math.IsNaN(in) {
-						t.Fatalf("independence[%d][%d] = %v out of [0,1]", i, j, in)
 					}
 					if ds.ValueOf(i, j) == model.NotAnswered && a != 0 {
 						t.Fatalf("accuracy[%d][%d] = %v for unanswered cell", i, j, a)

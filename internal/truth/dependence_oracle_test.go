@@ -174,6 +174,6 @@ func oracleDiscover(ds *model.Dataset, opt Options) *Result {
 		s.estimate()
 		res.Converged = countChanged(prev, s.truth) == 0
 	}
-	res.Truth, res.Accuracy, res.Independence, res.Dependence = s.truth, s.acc, s.indep, s.dep
+	res.Truth, res.Accuracy, res.TaskIndependence, res.Dependence = s.truth, s.acc, s.indep, s.dep
 	return res
 }

@@ -197,14 +197,16 @@ func TestIndependenceGreedySingletonAndPair(t *testing.T) {
 	jA, _ := ds.TaskIndex("A")
 	jB, _ := ds.TaskIndex("B")
 	// Task A: both provided "x" — seed gets I=1, the other 1−r·dep = 0.8.
-	got := []float64{s.indep[0][jA], s.indep[1][jA]}
+	// Independence is per observation, indexed by position in
+	// TaskWorkers, which is worker order here.
+	got := []float64{s.indep[jA][0], s.indep[jA][1]}
 	if !(got[0] == 1 && numeric.AlmostEqual(got[1], 0.8, 1e-12)) &&
 		!(got[1] == 1 && numeric.AlmostEqual(got[0], 0.8, 1e-12)) {
 		t.Errorf("pair independence = %v, want {1, 0.8}", got)
 	}
 	// Task B: singleton groups → both fully independent.
-	if s.indep[0][jB] != 1 || s.indep[1][jB] != 1 {
-		t.Errorf("singleton independence = %v, %v, want 1, 1", s.indep[0][jB], s.indep[1][jB])
+	if s.indep[jB][0] != 1 || s.indep[jB][1] != 1 {
+		t.Errorf("singleton independence = %v, %v, want 1, 1", s.indep[jB][0], s.indep[jB][1])
 	}
 }
 
@@ -225,8 +227,8 @@ func TestIndependenceEnumerationAveragesOrders(t *testing.T) {
 	jA, _ := ds.TaskIndex("A")
 	want := (1 + (1 - 0.5*0.4)) / 2
 	for _, i := range []int{0, 1} {
-		if !numeric.AlmostEqual(s.indep[i][jA], want, 1e-12) {
-			t.Errorf("enumerated independence[%d] = %v, want %v", i, s.indep[i][jA], want)
+		if !numeric.AlmostEqual(s.indep[jA][i], want, 1e-12) {
+			t.Errorf("enumerated independence[%d] = %v, want %v", i, s.indep[jA][i], want)
 		}
 	}
 }

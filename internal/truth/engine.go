@@ -163,6 +163,9 @@ func (e *Engine) Step() (changed int, done bool) {
 			it.IndependenceSeconds = timePass(func() { e.s.computeIndependence(e.method == MethodED) })
 		}
 		it.EstimateSeconds = timePass(e.s.estimate)
+		if needDep {
+			it.SharingPairs, it.Sigmoids = e.s.pairs.sharing, e.s.depEvals
+		}
 	}
 	changed = countChanged(e.prev, e.s.truth)
 	e.converged = changed == 0
@@ -196,13 +199,13 @@ func (e *Engine) Result() *Result {
 		return e.mv
 	}
 	return &Result{
-		Truth:        e.s.truth,
-		Accuracy:     e.s.acc,
-		Independence: e.s.indep,
-		Dependence:   e.s.dep, // nil for NC, which allocates none
-		Iterations:   e.iterations,
-		Converged:    e.converged,
-		Method:       e.method,
+		Truth:            e.s.truth,
+		Accuracy:         e.s.acc,
+		TaskIndependence: e.s.indep,
+		Dependence:       e.s.dep, // nil for NC, which allocates none
+		Iterations:       e.iterations,
+		Converged:        e.converged,
+		Method:           e.method,
 	}
 }
 

@@ -94,11 +94,12 @@ func (s *state) estimateTask(j int, sc *estScratch) {
 	for v := range logScore {
 		logScore[v] = 0
 	}
-	for _, i := range providers {
+	ind := s.indep[j]
+	for b, i := range providers {
 		a := clampAcc(s.accW[i])
 		v := s.ds.ValueOf(i, j)
 		w := math.Log(a) - math.Log1p(-a) - s.logMeanProb[j]
-		logScore[v] += s.indep[i][j] * w
+		logScore[v] += ind[b] * w
 	}
 	// Eq. 21 (§IV-A): values inherit ρ-weighted vote counts from
 	// similar values. The adjustment applies to the vote counts that
@@ -122,9 +123,9 @@ func (s *state) estimateTask(j int, sc *estScratch) {
 	for v := range support {
 		support[v] = 0
 	}
-	for _, i := range providers {
+	for b, i := range providers {
 		v := s.ds.ValueOf(i, j)
-		support[v] += s.acc[i][j] * s.indep[i][j]
+		support[v] += s.acc[i][j] * ind[b]
 	}
 	s.truth[j] = argmaxValue(support)
 }
@@ -196,7 +197,6 @@ func majorityVote(ds *model.Dataset) *Result {
 	n, m := ds.NumWorkers(), ds.NumTasks()
 	truth := majorityTruth(ds)
 	acc := newZeroMatrix(n, m)
-	indep := newFilledMatrix(n, m, 1)
 	for i := 0; i < n; i++ {
 		for _, j := range ds.WorkerTasks(i) {
 			if ds.ValueOf(i, j) == truth[j] {
@@ -205,11 +205,11 @@ func majorityVote(ds *model.Dataset) *Result {
 		}
 	}
 	return &Result{
-		Truth:        truth,
-		Accuracy:     acc,
-		Independence: indep,
-		Iterations:   1,
-		Converged:    true,
-		Method:       MethodMV,
+		Truth:            truth,
+		Accuracy:         acc,
+		TaskIndependence: newTaskMatrix(ds, 1),
+		Iterations:       1,
+		Converged:        true,
+		Method:           MethodMV,
 	}
 }

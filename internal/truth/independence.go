@@ -26,21 +26,28 @@ import (
 // averaging I over all |W|! orderings for groups up to EDExactLimit and
 // over EDSamples deterministic random orderings for larger groups.
 func (s *state) computeIndependence(exact bool) {
-	// Task-parallel: task j only writes its own independence column, and
+	// Task-parallel: task j only writes its own independence row, and
 	// per-group results never mix across tasks, so the schedule cannot
 	// affect the output. Each pool slot owns the greedy pass's scratch.
+	// A group lists its providers by position in TaskWorkers(j), which
+	// is ascending by worker, so position order is worker order.
+	vals := s.depIndex().vals
 	scratch := s.indScratchSlots()
 	s.doSlots(s.m, func(slot, j int) {
 		sc := scratch[slot]
-		values := s.ds.Values(j)
-		for v := range values {
-			sc.providers = s.ds.ProvidersOfInto(j, int32(v), sc.providers)
-			group := sc.providers
+		for v := range s.ds.Values(j) {
+			group := sc.providers[:0]
+			for b, vb := range vals[j] {
+				if vb == int32(v) {
+					group = append(group, b)
+				}
+			}
+			sc.providers = group
 			switch {
 			case len(group) == 0:
 				continue
 			case len(group) == 1:
-				s.indep[group[0]][j] = 1
+				s.indep[j][group[0]] = 1
 			case exact:
 				s.independenceByEnumeration(j, group)
 			default:
@@ -51,8 +58,9 @@ func (s *state) computeIndependence(exact bool) {
 }
 
 // indScratch is one pool slot's reusable buffers for the greedy ordering:
-// the ordered prefix, the remaining providers, and — aligned with the
-// latter — each remaining provider's maximal dependence on the prefix.
+// the provider group, the ordered prefix (as workers), the remaining
+// providers (as positions), and — aligned with the latter — each
+// remaining provider's maximal dependence on the prefix.
 type indScratch struct {
 	providers []int
 	ordered   []int
@@ -81,16 +89,17 @@ func (sc *indScratch) ensure(g int) {
 }
 
 // independenceGreedy implements lines 16–22 of Algorithm 1 for one
-// provider group.
+// provider group, given as positions in TaskWorkers(j).
 func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 	r := s.opt.CopyProb
+	ws, ind := s.ds.TaskWorkers(j), s.indep[j]
 	sc.ensure(len(group))
 
 	// Seed: the provider with minimal total dependence (most plausibly
 	// independent), ties to the lower worker index for determinism.
 	seedPos := 0
 	for p := 1; p < len(group); p++ {
-		if s.totalDep[group[p]] < s.totalDep[group[seedPos]] {
+		if s.totalDep[ws[group[p]]] < s.totalDep[ws[group[seedPos]]] {
 			seedPos = p
 		}
 	}
@@ -102,14 +111,14 @@ func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 	seed := remaining[len(remaining)-1]
 	remaining = remaining[:len(remaining)-1]
 	sort.Ints(remaining) // deterministic scan order
-	ordered = append(ordered, seed)
-	s.indep[seed][j] = 1
+	ordered = append(ordered, ws[seed])
+	ind[seed] = 1
 
 	// bestDep[p] tracks max_{k∈ordered} dep[remaining[p]][k], spliced in
 	// lockstep with remaining so the pair stays aligned.
 	bestDep := sc.bestDep[:len(remaining)]
-	for p, i := range remaining {
-		bestDep[p] = s.dep[i][seed]
+	for p, b := range remaining {
+		bestDep[p] = s.dep[ws[b]][ws[seed]]
 	}
 
 	for len(remaining) > 0 {
@@ -126,15 +135,16 @@ func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 		bestDep = append(bestDep[:bestPos], bestDep[bestPos+1:]...)
 
 		// I(next) = Π over already-ordered providers (eq. 16).
+		depNext := s.dep[ws[next]]
 		prod := 1.0
 		for _, k := range ordered {
-			prod *= 1 - r*s.dep[next][k]
+			prod *= 1 - r*depNext[k]
 		}
-		s.indep[next][j] = prod
-		ordered = append(ordered, next)
+		ind[next] = prod
+		ordered = append(ordered, ws[next])
 
-		for p, i := range remaining {
-			if d := s.dep[i][next]; d > bestDep[p] {
+		for p, b := range remaining {
+			if d := s.dep[ws[b]][ws[next]]; d > bestDep[p] {
 				bestDep[p] = d
 			}
 		}
@@ -147,6 +157,7 @@ func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 // baseline of §VII-A; its cost grows factorially with the group size.
 func (s *state) independenceByEnumeration(j int, group []int) {
 	r := s.opt.CopyProb
+	ws := s.ds.TaskWorkers(j)
 	g := len(group)
 	sums := make([]float64, g)
 	count := 0
@@ -155,10 +166,10 @@ func (s *state) independenceByEnumeration(j int, group []int) {
 		// perm is an ordering of positions into group; position 0 is fully
 		// independent, later positions discount against predecessors.
 		for pos := 1; pos < g; pos++ {
-			i := group[perm[pos]]
+			i := ws[group[perm[pos]]]
 			prod := 1.0
 			for q := 0; q < pos; q++ {
-				prod *= 1 - r*s.dep[i][group[perm[q]]]
+				prod *= 1 - r*s.dep[i][ws[group[perm[q]]]]
 			}
 			sums[perm[pos]] += prod
 		}
@@ -177,7 +188,7 @@ func (s *state) independenceByEnumeration(j int, group []int) {
 		// identity, keeping ED reproducible run to run. randx.New wraps
 		// the same generator the previous direct math/rand use did, so
 		// sampled-ED results are bit-identical across the migration.
-		seed := int64(j)*1_000_003 + int64(group[0])*31 + int64(g)
+		seed := int64(j)*1_000_003 + int64(ws[group[0]])*31 + int64(g)
 		rng := randx.New(seed)
 		perm := make([]int, g)
 		for i := range perm {
@@ -189,8 +200,8 @@ func (s *state) independenceByEnumeration(j int, group []int) {
 		}
 	}
 
-	for pos, i := range group {
-		s.indep[i][j] = sums[pos] / float64(count)
+	for pos, b := range group {
+		s.indep[j][b] = sums[pos] / float64(count)
 	}
 }
 

@@ -10,15 +10,20 @@ import (
 // parallelism degree: each unit of work writes state no other unit
 // touches, and no floating-point value is ever accumulated across units.
 //
-//   - computeDependence is row-owned: unit i counts, in integers, the
-//     co-observed tasks it shares with every later worker and writes the
-//     closed-form posterior of both directions of those pairs.
+//   - computeDependence is row-owned. When it counts every pair, unit i
+//     counts, in integers, the co-observed tasks it shares with every
+//     later worker and writes the closed-form posterior of both
+//     directions of those pairs. Interning tuples and moving them between
+//     passes are integer and serial. A fill pass has unit i write row i
+//     alone, from its partner lists and its slot's memo; unit b sums the
+//     dependence totals of rows 4b…4b+3.
 //   - estimate and computeIndependence parallelize over tasks (and the
-//     accuracy fold and the dependence totals over workers).
+//     accuracy fold over workers).
 //
 // Scheduling is dynamic (an atomic work counter) because unit costs are
-// skewed — provider-group sizes vary, and dependence row i covers n−1−i
-// pairs — but which goroutine runs a unit can never affect the output.
+// skewed — provider-group sizes vary, dependence row i counts n−1−i
+// pairs, and partner lists vary in length — but which goroutine runs a
+// unit can never affect the output.
 
 // Executor abstracts who provides the goroutines for the engine's
 // data-parallel passes. Execute runs fn(slot, k) for every k in [0, n)

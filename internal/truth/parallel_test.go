@@ -49,7 +49,7 @@ func sameResult(a, b *Result) error {
 	if err := cmpMatrix("accuracy", a.Accuracy, b.Accuracy); err != nil {
 		return err
 	}
-	if err := cmpMatrix("independence", a.Independence, b.Independence); err != nil {
+	if err := cmpMatrix("independence", a.TaskIndependence, b.TaskIndependence); err != nil {
 		return err
 	}
 	if a.Dependence != nil || b.Dependence != nil {

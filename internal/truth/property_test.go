@@ -81,8 +81,12 @@ func TestDiscoverPropertyRandomDatasets(t *testing.T) {
 					if a := res.Accuracy[i][j]; a < 0 || a > 1 {
 						t.Fatalf("trial %d %v: accuracy[%d][%d] = %v", trial, m, i, j, a)
 					}
-					if in := res.Independence[i][j]; in < 0 || in > 1 {
-						t.Fatalf("trial %d %v: independence[%d][%d] = %v", trial, m, i, j, in)
+				}
+			}
+			for j, row := range res.TaskIndependence {
+				for b, in := range row {
+					if in < 0 || in > 1 {
+						t.Fatalf("trial %d %v: independence[%d][%d] = %v", trial, m, j, b, in)
 					}
 				}
 			}

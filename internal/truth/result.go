@@ -13,10 +13,13 @@ type Result struct {
 	// Accuracy is the matrix A: Accuracy[i][j] is worker i's estimated
 	// accuracy on task j, 0 where the worker did not answer.
 	Accuracy [][]float64
-	// Independence[i][j] is I, the probability that worker i provided its
-	// value for task j independently (1 for MV/NC, which assume
-	// independence).
-	Independence [][]float64
+	// TaskIndependence is I per observation, task-major:
+	// TaskIndependence[j][b] is the probability that worker
+	// TaskWorkers(j)[b] provided its value for task j independently (1
+	// for MV/NC, which assume independence). A row holds one cell per
+	// provider of the task, so the layout costs one float per answer,
+	// not per worker-task cell.
+	TaskIndependence [][]float64
 	// Dependence[i][k] is P(i→k | D), the posterior probability that
 	// worker i copies from worker k; nil for methods that do not model
 	// dependence.
@@ -70,6 +73,21 @@ func newZeroMatrix(n, m int) [][]float64 {
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i], backing = backing[:m:m], backing[m:]
+	}
+	return rows
+}
+
+// newTaskMatrix returns one row per task with a cell per provider, in
+// TaskWorkers order, every cell set to fill.
+func newTaskMatrix(ds *model.Dataset, fill float64) [][]float64 {
+	backing := make([]float64, ds.NumObservations())
+	for x := range backing {
+		backing[x] = fill
+	}
+	rows := make([][]float64, ds.NumTasks())
+	for j := range rows {
+		p := len(ds.TaskWorkers(j))
+		rows[j], backing = backing[:p:p], backing[p:]
 	}
 	return rows
 }

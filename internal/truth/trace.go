@@ -13,6 +13,13 @@ type IterationStats struct {
 	IndependenceSeconds float64
 	// EstimateSeconds is step 3's wall time (eq. 17–21).
 	EstimateSeconds float64
+	// SharingPairs is how many worker pairs share a value on some
+	// co-observed task: the pairs whose posterior step 1 re-evaluates.
+	SharingPairs int
+	// Sigmoids counts the posterior evaluations step 1 made: both
+	// directions of every sharing pair on a pass that counts every pair,
+	// one per distinct (worker, tuple) on a pass that moves tuples.
+	Sigmoids int
 	// Changed counts tasks whose estimated truth moved this iteration —
 	// the convergence delta. Zero means the estimate is stable.
 	Changed int
