@@ -59,9 +59,7 @@ import (
 //   - O(n·G) logarithms for the per-worker terms;
 //   - integer tuple moves for the pairs of the tasks whose truth changed
 //     since the table last counted: a move swaps the pair's tuple ID in
-//     both workers' lists. When the changed tasks hold more than an
-//     eighth of the pair-task incidences, the pass recounts every row
-//     and evaluates it like the first pass instead;
+//     both workers' lists, and is exact for any number of changed tasks;
 //   - one sigmoid per distinct (worker, tuple): a posterior depends only
 //     on the worker's τ/φ and the tuple, so a row fill memoizes it by
 //     tuple ID (depMemo), and unit i writes row i alone;
@@ -85,11 +83,9 @@ func (s *state) computeDependence() {
 	}
 
 	if s.pairs == nil {
-		s.pairs = newPairTable(s, ix)
-		s.countPairs(ix, true)
-	} else if !s.pairs.sync(s, ix) {
-		s.countPairs(ix, false)
+		s.buildPairs(ix)
 	} else {
+		s.pairs.sync(s, ix)
 		pt, memos := s.pairs, s.depMemoSlots()
 		s.doSlots(s.n, func(slot, i int) {
 			pt.fillRow(s, ix, i, memos[slot])
@@ -175,74 +171,51 @@ type pairTable struct {
 	// hi[i] lists, ascending, the workers k > i that share a value with
 	// i. The set never changes.
 	hi [][]int32
-	// indexed reports whether the tuple IDs below hold the tuples as of
-	// counted. The pair (i, hi[i][x]) has interned tuple
-	// upTup[upOff[i]+x]. Worker k's lower-index partners, ascending, are
-	// loK[loOff[k]:loOff[k+1]], with the same pairs' tuple IDs alongside
-	// in loTup.
-	indexed bool
-	upOff   []int32
-	upTup   []int32
-	loOff   []int32
-	loK     []int32
-	loTup   []int32
+	// Once indexed (upOff non-nil), the pair (i, hi[i][x]) has interned
+	// tuple upTup[upOff[i]+x]. Worker k's lower-index partners,
+	// ascending, are loK[loOff[k]:loOff[k+1]], with the same pairs' tuple
+	// IDs alongside in loTup.
+	upOff []int32
+	upTup []int32
+	loOff []int32
+	loK   []int32
+	loTup []int32
 	// tuples[u*w:(u+1)*w] is interned tuple u, and ids an open-addressing
 	// table of tuple IDs (−1 when empty) kept at most half full. moved
 	// is move scratch.
 	tuples []int32
 	ids    []int32
 	moved  []int32
-	// counted is the truth vector the tuples reflect, and flipped the
-	// scratch list of tasks whose truth has moved since.
+	// counted is the truth vector the tuples reflect, and sharing the
+	// number of value-sharing pairs.
 	counted []int32
-	flipped []int
-	// incidences is Σ_j C(|TaskWorkers(j)|, 2), the work of a recount,
-	// and sharing the number of value-sharing pairs.
-	incidences int
-	sharing    int
+	sharing int
 }
 
-func newPairTable(s *state, ix *depIndex) *pairTable {
-	pt := &pairTable{
-		w:       2 + len(ix.agree),
-		hi:      make([][]int32, s.n),
-		counted: make([]int32, s.m),
-	}
-	for j := 0; j < s.m; j++ {
-		p := len(s.ds.TaskWorkers(j))
-		pt.incidences += p * (p - 1) / 2
-	}
-	return pt
-}
-
-// countPairs counts every row under the current truth and writes both
+// buildPairs is the first pass: it counts every row under the current
+// truth, finds each row's value-sharing partners, writes the final
+// posterior of every other pair and the zero diagonal, and writes both
 // directions of every value-sharing pair's posterior straight from the
-// counts. The first count also finds each row's value-sharing partners
-// and writes the final posterior of every other pair and the zero
-// diagonal. The counts are not kept: a table that is only evaluated once
-// needs no index, and index recounts when a later pass needs one.
-func (s *state) countPairs(ix *depIndex, first bool) {
-	pt, w := s.pairs, s.pairs.w
+// counts. The counts are not kept: a run that stops after one pass needs
+// no index, and index counts again when a second pass needs one.
+func (s *state) buildPairs(ix *depIndex) {
+	w := 2 + len(ix.agree)
+	pt := &pairTable{w: w, hi: make([][]int32, s.n), counted: slices.Clone(s.truth)}
 	rows, equiv := s.depCountSlots(w), s.valueEquivalence()
 	s.doSlots(s.n, func(slot, i int) {
 		cnt := rows[slot]
 		s.countRow(ix, equiv, i, cnt)
-		if first {
-			pt.hi[i] = s.splitRow(ix, i, cnt, w)
-		}
+		pt.hi[i] = s.splitRow(ix, i, cnt, w)
 		dep := s.dep
 		for _, k := range pt.hi[i] {
 			c := cnt[int(k)*w : int(k+1)*w]
 			dep[i][k], dep[k][i] = s.pairPosterior(ix, i, c), s.pairPosterior(ix, int(k), c)
 		}
 	})
-	copy(pt.counted, s.truth)
-	pt.indexed = false
-	if first {
-		for _, hi := range pt.hi {
-			pt.sharing += len(hi)
-		}
+	for _, hi := range pt.hi {
+		pt.sharing += len(hi)
 	}
+	s.pairs = pt
 	s.depEvals = 2 * pt.sharing
 }
 
@@ -289,21 +262,9 @@ func (s *state) countRow(ix *depIndex, equiv *valueEquiv, i int, cnt []int32) {
 		// (which matters only under a non-transitive similarity).
 		sameCol := s.sameColumn(ix, equiv, j, vi, s.truth[j])
 		later, laterVals := ws[p+1:], vals[p+1:len(ws)]
-		if equiv == nil {
-			// The common case, kept free of the similarity lookup so the
-			// column choice compiles to a conditional move.
-			for b, k := range later {
-				col := 0
-				if laterVals[b] == vi {
-					col = sameCol
-				}
-				cnt[k*w+col]++
-			}
-			continue
-		}
 		for b, k := range later {
 			col := 0
-			if vk := laterVals[b]; vk == vi || equiv.same(j, vi, vk) {
+			if vk := laterVals[b]; vk == vi || (equiv != nil && equiv.same(j, vi, vk)) {
 				col = sameCol
 			}
 			cnt[k*w+col]++
@@ -321,58 +282,41 @@ func (s *state) sameColumn(ix *depIndex, equiv *valueEquiv, j int, v, et int32) 
 	return 2 + int(ix.class[j])
 }
 
-// sync brings the partner lists up to the current truth and reports
-// whether they now reflect it. It reports false, leaving the recount to
-// the caller, when the tasks whose truth moved since the last count hold
-// more than an eighth of the pair-task incidences: locating each pair
-// would then cost more than counting every row. Otherwise an unindexed
-// table is indexed under the current truth, and on an indexed one, for
-// each moved task, every value-sharing pair whose lower worker's value
-// changes class moves one count between columns.
-func (pt *pairTable) sync(s *state, ix *depIndex) bool {
-	flipped, work := pt.flipped[:0], 0
-	for j, et := range s.truth {
-		if et != pt.counted[j] {
-			flipped = append(flipped, j)
-			p := len(s.ds.TaskWorkers(j))
-			work += p * (p - 1) / 2
-		}
-	}
-	pt.flipped = flipped
-	switch {
-	case 8*work > pt.incidences:
-		return false
-	case !pt.indexed:
+// sync brings the partner lists up to the current truth. The first call
+// indexes the table under it; each later call, for every task whose
+// truth moved since the last, moves one count between columns of every
+// value-sharing pair whose lower worker's value changes class.
+func (pt *pairTable) sync(s *state, ix *depIndex) {
+	if pt.upOff == nil {
 		pt.index(s, ix)
-	default:
-		for _, j := range flipped {
-			pt.move(s, ix, j, pt.counted[j], s.truth[j])
-			pt.counted[j] = s.truth[j]
+		return
+	}
+	for j, et := range s.truth {
+		if old := pt.counted[j]; et != old {
+			pt.move(s, ix, j, old, et)
+			pt.counted[j] = et
 		}
 	}
-	return true
 }
 
 // index counts every row under the current truth, interns each pair's
 // tuple and lays out both workers' partner lists, each ascending by
-// partner. It runs serially, once per table unless a recount intervenes,
-// so one count row serves every row and no counts are stored.
+// partner. It runs serially, once per table, so one count row serves
+// every row and no counts are stored.
 func (pt *pairTable) index(s *state, ix *depIndex) {
 	n, w := len(pt.hi), pt.w
-	if pt.upOff == nil {
-		pt.upOff, pt.loOff = make([]int32, n+1), make([]int32, n+1)
-		for i, hi := range pt.hi {
-			pt.upOff[i+1] = pt.upOff[i] + int32(len(hi))
-			for _, k := range hi {
-				pt.loOff[k+1]++
-			}
+	pt.upOff, pt.loOff = make([]int32, n+1), make([]int32, n+1)
+	for i, hi := range pt.hi {
+		pt.upOff[i+1] = pt.upOff[i] + int32(len(hi))
+		for _, k := range hi {
+			pt.loOff[k+1]++
 		}
-		for k := 0; k < n; k++ {
-			pt.loOff[k+1] += pt.loOff[k]
-		}
-		pt.upTup = make([]int32, pt.sharing)
-		pt.loK, pt.loTup = make([]int32, pt.sharing), make([]int32, pt.sharing)
 	}
+	for k := 0; k < n; k++ {
+		pt.loOff[k+1] += pt.loOff[k]
+	}
+	pt.upTup = make([]int32, pt.sharing)
+	pt.loK, pt.loTup = make([]int32, pt.sharing), make([]int32, pt.sharing)
 	cnt, equiv := s.depCountSlots(w)[0], s.valueEquivalence()
 	// Rows are visited in ascending order, so every lower-partner list
 	// fills ascending.
@@ -387,7 +331,6 @@ func (pt *pairTable) index(s *state, ix *depIndex) {
 		}
 	}
 	copy(pt.counted, s.truth)
-	pt.indexed = true
 }
 
 // intern returns tuple c's ID, adding it if new.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"imc2/internal/gen"
@@ -17,28 +18,16 @@ import (
 // on arbitrary states and along real runs.
 
 // syncPath names what the next computeDependence does to the table:
-// "build", "recount", "index" (count and intern every pair), "none" (no
-// truth moved) or "move" (per-pair tuple moves), mirroring
-// pairTable.sync's rule.
+// "build", "index" (count and intern every pair), "none" (no truth
+// moved) or "move" (per-pair tuple moves), mirroring pairTable.sync.
 func syncPath(s *state) string {
 	pt := s.pairs
-	if pt == nil {
-		return "build"
-	}
-	work, moved := 0, false
-	for j, et := range s.truth {
-		if et != pt.counted[j] {
-			moved = true
-			p := len(s.ds.TaskWorkers(j))
-			work += p * (p - 1) / 2
-		}
-	}
 	switch {
-	case 8*work > pt.incidences:
-		return "recount"
-	case !pt.indexed:
+	case pt == nil:
+		return "build"
+	case pt.upOff == nil:
 		return "index"
-	case !moved:
+	case slices.Equal(s.truth, pt.counted):
 		return "none"
 	}
 	return "move"
@@ -220,7 +209,7 @@ func TestDependencePairTableOracleSimilarity(t *testing.T) {
 			paths[p] += n
 		}
 	}
-	if paths["build"] == 0 || paths["move"]+paths["recount"] == 0 {
+	if paths["build"] == 0 || paths["move"] == 0 {
 		t.Fatalf("trials missed a table path: %v", paths)
 	}
 }
@@ -240,8 +229,8 @@ func passAgainstRowPass(t *testing.T, label string, s, o *state) {
 // TestDependencePairTableRandomStatesOracle moves the pass's inputs to
 // arbitrary points between passes — random accuracies, and the truth of
 // none, one, a few or every task moved to any provided value — so the
-// table's tuple moves and its recounts both run against the row pass,
-// with and without the non-transitive similarity.
+// table's tuple moves, for any number of moved tasks, run against the
+// row pass, with and without the non-transitive similarity.
 func TestDependencePairTableRandomStatesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	paths := map[string]int{}
@@ -275,7 +264,7 @@ func TestDependencePairTableRandomStatesOracle(t *testing.T) {
 			passAgainstRowPass(t, fmt.Sprintf("trial %d round %d", trial, round), s, o)
 		}
 	}
-	for _, p := range []string{"build", "recount", "index", "none", "move"} {
+	for _, p := range []string{"build", "index", "none", "move"} {
 		if paths[p] == 0 {
 			t.Fatalf("trials missed table path %q: %v", p, paths)
 		}
@@ -284,8 +273,7 @@ func TestDependencePairTableRandomStatesOracle(t *testing.T) {
 
 // TestDependencePairTableFlipABAOracle flips one task's truth A→B→A→B→A
 // (with and without a similarity under which a third value is a
-// presentation of both) on a campaign where the task holds few of the
-// pair-task incidences, so the table is indexed at the first flip and
+// presentation of both), so the table is indexed at the first flip and
 // every later flip is applied as tuple moves, and checks every pass
 // against the row pass.
 func TestDependencePairTableFlipABAOracle(t *testing.T) {
