@@ -4,10 +4,9 @@
 // from worker agents (cmd/workeragent) over the /v2 protocol, and settles
 // each campaign with DATE + the reverse auction when asked to close.
 // Campaign k derives deterministically from seed+k, so worker agents
-// started with the same seed produce coherent campaigns. The first
-// campaign doubles as the default campaign behind the /v1 shim, and
-// operators can create further campaigns at runtime via POST
-// /v2/campaigns.
+// started with the same seed produce coherent campaigns (a worker agent
+// run without -campaign targets the first one), and operators can
+// create further campaigns at runtime via POST /v2/campaigns.
 //
 // Campaign settles are admission-controlled: a registry-wide scheduler
 // lets at most -max-settles campaigns run their two stages at once
@@ -95,7 +94,7 @@ func run(args []string) error {
 		workers   = fs.Int("workers", 40, "worker population per campaign")
 		tasks     = fs.Int("tasks", 60, "number of tasks to publicize per campaign")
 		copiers   = fs.Int("copiers", 10, "copiers in the population")
-		campaigns = fs.Int("campaigns", 1, "seeded campaigns to pre-open (first is the /v1 default)")
+		campaigns = fs.Int("campaigns", 1, "seeded campaigns to pre-open")
 		mechanism = fs.String("mechanism", "ra", "auction mechanism: ra, ga, or gb")
 		copyProb  = fs.Float64("r", 0.8, "DATE copy probability r")
 		alpha     = fs.Float64("alpha", 0.05, "DATE dependence prior α")
@@ -225,7 +224,6 @@ func run(args []string) error {
 	// it (same IDs, same submissions, bit-identical reports) instead of
 	// opening duplicate seeded campaigns.
 	var pending []*registry.Campaign
-	defaultID := ""
 	recovered := 0
 	if st != nil {
 		var err error
@@ -235,8 +233,6 @@ func run(args []string) error {
 		}
 		recovered = reg.Len()
 		if recovered > 0 {
-			page, _ := reg.List(0, 1)
-			defaultID = page[0].ID()
 			logf("recovered %d campaigns from %s (%d events; %d settles to re-queue)",
 				recovered, *dataDir, st.Stats().RecoveredEvents, len(pending))
 		}
@@ -251,15 +247,12 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			if k == 0 {
-				defaultID = hosted.ID()
-			}
 			logf("campaign %s open: %d tasks published, expecting %d workers (seed %d)",
 				hosted.ID(), *tasks, *workers, *seed+int64(k))
 		}
 	}
 
-	srv := wire.NewRegistryServer(reg, defaultID, cfg, logf,
+	srv := wire.NewRegistryServer(reg, "", cfg, logf,
 		wire.WithObs(obsReg), wire.WithSlog(slogger), wire.WithTracing(tracer))
 	// Finish what the crash interrupted: settles recorded as requested
 	// but never settled re-enter the normal admission path.
@@ -270,8 +263,7 @@ func run(args []string) error {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	logf("listening on http://%s — %d campaigns under /v2/campaigns, /v1 bound to %s",
-		*addr, *campaigns, defaultID)
+	logf("listening on http://%s — %d campaigns under /v2/campaigns", *addr, reg.Len())
 	logf("settle scheduler: max %d concurrent settles (0 = unlimited), %d shared pool workers",
 		*maxSettles, scheduler.Pool().Workers())
 

@@ -6,19 +6,20 @@
 //
 //	workeragent -platform http://127.0.0.1:8080 -seed 42 -workers 40 -all
 //	workeragent -platform http://127.0.0.1:8080 -seed 42 -workers 40 -index 3
-//	workeragent -platform http://127.0.0.1:8080 -close
+//	workeragent -platform http://127.0.0.1:8080 -seed 42 -workers 40 -close
 //	workeragent -platform http://127.0.0.1:8080 -list
 //	workeragent -platform http://127.0.0.1:8080 -stats
 //	workeragent -platform http://127.0.0.1:8080 -campaign cmp-… -estimate
 //	workeragent -platform http://127.0.0.1:8080 -campaign cmp-… -seed 43 -all -close
 //	workeragent -platform http://127.0.0.1:8080 -trace 4bf92f3577b34da6a3ce929d0e0e4736
 //
-// With -close the agent settles the auction and prints the report,
-// scoring the estimated truth against the ground truth it can reconstruct
-// from the seed. Without -campaign the agent drives the /v1
-// single-campaign shim; with -campaign (see -list for IDs) it targets one
-// campaign of a multi-campaign platformd over /v2, submitting -all as one
-// batch and closing asynchronously (it polls until the campaign settles).
+// The agent speaks /v2. It targets the campaign named by -campaign (see
+// -list for IDs) or, without -campaign, the platform's first campaign:
+// platformd's first seeded or first recovered one. -all submits every
+// worker as one batch. With -close the agent settles the auction
+// asynchronously (it polls until the campaign settles) and prints the
+// report, scoring the estimated truth against the ground truth it can
+// reconstruct from the seed.
 package main
 
 import (
@@ -55,7 +56,7 @@ func run(args []string, out io.Writer) error {
 		index     = fs.Int("index", -1, "submit only this worker index")
 		all       = fs.Bool("all", false, "submit every worker in the population")
 		close_    = fs.Bool("close", false, "close the auction and print the report")
-		campaign  = fs.String("campaign", "", "target this /v2 campaign ID (empty: the /v1 default campaign)")
+		campaign  = fs.String("campaign", "", "target this campaign ID (empty: the platform's first campaign)")
 		list      = fs.Bool("list", false, "list the platform's campaigns and exit")
 		estimate  = fs.Bool("estimate", false, "print the campaign's provisional truth estimate, computed on request (requires -campaign), and exit")
 		showStats = fs.Bool("stats", false, "print the platform's unified stats snapshot (GET /v2/stats) and exit")
@@ -89,53 +90,64 @@ func run(args []string, out io.Writer) error {
 		return printEstimate(ctx, client, *campaign, out)
 	}
 
+	if !*all && *index < 0 && !*close_ {
+		return fmt.Errorf("nothing to do: pass -all, -index, -close, -list, -estimate, -stats, or -trace")
+	}
 	c, err := regenerate(*seed, *workers, *tasks, *copiers)
+	if err != nil {
+		return err
+	}
+	id, err := resolveCampaign(ctx, client, *campaign)
 	if err != nil {
 		return err
 	}
 
 	switch {
 	case *all:
-		if *campaign != "" {
-			subs := make([]wire.Submission, 0, c.Dataset.NumWorkers())
-			for i := 0; i < c.Dataset.NumWorkers(); i++ {
-				subs = append(subs, submissionFor(c, i))
-			}
-			n, err := client.SubmitBatch(ctx, *campaign, subs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "submitted %d workers\n", n)
-			break
-		}
+		subs := make([]wire.Submission, 0, c.Dataset.NumWorkers())
 		for i := 0; i < c.Dataset.NumWorkers(); i++ {
-			if err := submit(ctx, client, *campaign, c, i); err != nil {
-				return err
-			}
+			subs = append(subs, submissionFor(c, i))
 		}
-		fmt.Fprintf(out, "submitted %d workers\n", c.Dataset.NumWorkers())
+		n, err := client.SubmitBatch(ctx, id, subs)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "submitted %d workers\n", n)
 	case *index >= 0:
 		if *index >= c.Dataset.NumWorkers() {
 			return fmt.Errorf("index %d out of range [0, %d)", *index, c.Dataset.NumWorkers())
 		}
-		if err := submit(ctx, client, *campaign, c, *index); err != nil {
-			return err
+		sub := submissionFor(c, *index)
+		if err := client.SubmitTo(ctx, id, sub); err != nil {
+			return fmt.Errorf("worker %s: %w", sub.Worker, err)
 		}
-		fmt.Fprintf(out, "submitted worker %s\n", c.Dataset.WorkerID(*index))
-	case *close_:
-		// handled below
-	default:
-		return fmt.Errorf("nothing to do: pass -all, -index, -close, -list, -estimate, -stats, or -trace")
+		fmt.Fprintf(out, "submitted worker %s\n", sub.Worker)
 	}
 
 	if *close_ {
-		report, err := closeCampaign(ctx, client, *campaign)
+		report, err := closeCampaign(ctx, client, id)
 		if err != nil {
 			return err
 		}
 		printReport(out, c, report)
 	}
 	return nil
+}
+
+// resolveCampaign returns the campaign to act on: id itself, or, when id
+// is empty, the first campaign the platform lists.
+func resolveCampaign(ctx context.Context, client *wire.Client, id string) (string, error) {
+	if id != "" {
+		return id, nil
+	}
+	page, err := client.Campaigns(ctx, 0, 1)
+	if err != nil {
+		return "", err
+	}
+	if len(page.Campaigns) == 0 {
+		return "", fmt.Errorf("the platform hosts no campaigns")
+	}
+	return page.Campaigns[0].ID, nil
 }
 
 // listCampaigns prints every campaign the platform hosts, following the
@@ -315,12 +327,9 @@ func attrList(attrs map[string]string) string {
 	return "  [" + strings.Join(pairs, ", ") + "]"
 }
 
-// closeCampaign settles either the /v1 default campaign (synchronous) or
-// a /v2 campaign (asynchronous: close, poll until settled, fetch report).
+// closeCampaign settles a campaign: close, poll until settled, fetch the
+// report.
 func closeCampaign(ctx context.Context, client *wire.Client, campaign string) (*wire.Report, error) {
-	if campaign == "" {
-		return client.Close(ctx)
-	}
 	if _, err := client.CloseCampaign(ctx, campaign); err != nil {
 		return nil, err
 	}
@@ -360,20 +369,6 @@ func submissionFor(c *gen.Campaign, i int) wire.Submission {
 		Price:   c.Costs[i],
 		Answers: answers,
 	}
-}
-
-func submit(ctx context.Context, client *wire.Client, campaign string, c *gen.Campaign, i int) error {
-	sub := submissionFor(c, i)
-	var err error
-	if campaign == "" {
-		err = client.Submit(ctx, sub)
-	} else {
-		err = client.SubmitTo(ctx, campaign, sub)
-	}
-	if err != nil {
-		return fmt.Errorf("worker %s: %w", sub.Worker, err)
-	}
-	return nil
 }
 
 func printReport(out io.Writer, c *gen.Campaign, report *wire.Report) {

@@ -13,21 +13,22 @@ import (
 	"imc2/internal/wire"
 )
 
-// startTestPlatform serves the same campaign shape the agent regenerates.
+// startTestPlatform serves one campaign of the shape the agent
+// regenerates.
 func startTestPlatform(t *testing.T, seed int64, workers, tasks, copiers int) *httptest.Server {
 	t.Helper()
 	c, err := regenerate(seed, workers, tasks, copiers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := platform.New(c.Dataset.Tasks())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := platform.DefaultConfig()
 	cfg.TruthOptions.CopyProb = 0.8
 	cfg.TruthOptions.PriorDependence = 0.05
-	srv := httptest.NewServer(wire.NewServer(p, cfg, nil).Handler())
+	reg := registry.New()
+	if _, err := reg.Create("test", c.Dataset.Tasks(), cfg, false); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(wire.NewRegistryServer(reg, "", cfg, nil).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -155,7 +156,7 @@ func startMultiPlatform(t *testing.T, seed int64, workers, tasks, copiers, campa
 		}
 		ids = append(ids, hosted.ID())
 	}
-	srv := wire.NewRegistryServer(reg, ids[0], platform.DefaultConfig(), nil)
+	srv := wire.NewRegistryServer(reg, "", platform.DefaultConfig(), nil)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return hs, ids
@@ -213,6 +214,41 @@ func TestAgentDrivesV2Campaign(t *testing.T) {
 	}
 }
 
+// TestAgentDefaultsToFirstCampaign: without -campaign, -all and -close
+// act on the platform's first campaign and leave the others alone.
+func TestAgentDefaultsToFirstCampaign(t *testing.T) {
+	srv, ids := startMultiPlatform(t, 3, 20, 24, 5, 2)
+	args := []string{
+		"-platform", srv.URL, "-seed", "3",
+		"-workers", "20", "-tasks", "24", "-copiers", "5",
+	}
+	var buf strings.Builder
+	if err := run(append(args, "-all"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-close"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "campaign settled") {
+		t.Errorf("output = %q", buf.String())
+	}
+
+	client := wire.NewClient(srv.URL)
+	for k, want := range []struct {
+		state       string
+		submissions int
+	}{{"settled", 20}, {"open", 0}} {
+		info, err := client.Campaign(context.Background(), ids[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != want.state || info.Submissions != want.submissions {
+			t.Errorf("campaign %d: state=%s submissions=%d, want %s/%d",
+				k, info.State, info.Submissions, want.state, want.submissions)
+		}
+	}
+}
+
 func TestAgentEstimate(t *testing.T) {
 	reg := registry.New()
 	c, err := regenerate(3, 20, 24, 5)
@@ -223,7 +259,7 @@ func TestAgentEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(wire.NewRegistryServer(reg, hosted.ID(), platform.DefaultConfig(), nil).Handler())
+	hs := httptest.NewServer(wire.NewRegistryServer(reg, "", platform.DefaultConfig(), nil).Handler())
 	defer hs.Close()
 
 	var buf strings.Builder

@@ -1,7 +1,7 @@
-// Distributed campaign: the full Fig. 1 loop over real HTTP on loopback —
-// the platform publicizes tasks, worker agents fetch them and submit
-// sealed bids with their data, and closing the auction runs DATE plus the
-// reverse auction.
+// Distributed campaign: the full Fig. 1 loop over the /v2 protocol on
+// loopback HTTP — the platform publicizes tasks as a campaign, worker
+// agents fetch them and submit sealed bids with their data, and closing
+// the auction runs DATE plus the reverse auction.
 //
 // Run with:
 //
@@ -47,15 +47,12 @@ func run(w io.Writer) error {
 	}
 	ds := campaign.Dataset
 
-	// Platform side: publish the tasks over HTTP.
-	p, err := imc2.NewPlatform(ds.Tasks())
-	if err != nil {
-		return err
-	}
+	// Platform side: serve an empty campaign registry over HTTP.
+	// Campaigns created over /v2 settle with cfg.
 	cfg := imc2.DefaultPlatformConfig()
 	cfg.TruthOptions.CopyProb = 0.8
 	cfg.TruthOptions.PriorDependence = 0.05
-	srv := wire.NewServer(p, cfg, log.Printf)
+	srv := wire.NewRegistryServer(imc2.NewCampaignRegistry(), "", cfg, log.Printf)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -74,19 +71,26 @@ func run(w io.Writer) error {
 	defer cancel()
 	client := wire.NewClient(base)
 
-	// Worker side: fetch tasks, then submit every worker's envelope.
-	tasks, err := client.Tasks(ctx)
+	// The platform publicizes the tasks as a new campaign.
+	info, err := client.CreateCampaign(ctx, wire.CreateCampaignRequest{Name: "distributed", Tasks: ds.Tasks()})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "fetched %d published tasks\n", len(tasks))
+	id := info.ID
+
+	// Worker side: fetch the tasks, then submit every worker's envelope.
+	tasks, err := client.CampaignTasks(ctx, id)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "campaign %s: fetched %d published tasks\n", id, len(tasks))
 
 	for i := 0; i < ds.NumWorkers(); i++ {
 		answers := make(map[string]string)
 		for _, j := range ds.WorkerTasks(i) {
 			answers[ds.Task(j).ID] = ds.ValueString(j, ds.ValueOf(i, j))
 		}
-		err := client.Submit(ctx, wire.Submission{
+		err := client.SubmitTo(ctx, id, wire.Submission{
 			Worker:  ds.WorkerID(i),
 			Price:   campaign.Costs[i],
 			Answers: answers,
@@ -97,8 +101,15 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%d sealed submissions accepted\n\n", ds.NumWorkers())
 
-	// Close the auction: both stages run on the platform.
-	report, err := client.Close(ctx)
+	// Close the auction: both stages run on the platform, off the request
+	// path; poll until the campaign settles, then fetch the report.
+	if _, err := client.CloseCampaign(ctx, id); err != nil {
+		return err
+	}
+	if _, err := client.AwaitSettled(ctx, id, 0); err != nil {
+		return err
+	}
+	report, err := client.CampaignReport(ctx, id)
 	if err != nil {
 		return err
 	}
@@ -121,5 +132,5 @@ func run(w io.Writer) error {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	return nil
+	return srv.Shutdown(shutdownCtx)
 }

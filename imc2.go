@@ -141,10 +141,6 @@ func DiscoverTruth(ds *Dataset, method TruthMethod, opt TruthOptions) (*TruthRes
 // to a settle to resume.
 type TruthEngine = truth.Engine
 
-// TruthEstimate is a deep-copied snapshot of a TruthEngine's current
-// state, safe to hold while the engine keeps iterating.
-type TruthEstimate = truth.Estimate
-
 // NewTruthEngine prepares a resumable truth-discovery run. Driving the
 // engine to completion (Run(0)) and reading Result() is exactly
 // DiscoverTruth; stopping early yields the current provisional view.

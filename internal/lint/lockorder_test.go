@@ -26,14 +26,14 @@ func TestLockGraphReconstructsHierarchy(t *testing.T) {
 	// The orderings the code documents in prose and the analyzer must
 	// recover from the AST.
 	wantEdges := [][2]string{
-		// registry.go adopt: shard inserted while the registry lock is held.
+		// registry.go Create: shard inserted while the registry lock is held.
 		{"imc2/internal/registry.Registry.mu", "imc2/internal/registry.shard.mu"},
 		// campaign.go Open/Cancel/submitDurable: the platform's internal
 		// lock nests under the campaign's storeMu.
 		{"imc2/internal/registry.Campaign.storeMu", "imc2/internal/platform.Platform.mu"},
 		// appendLocked → Store.Append: the WAL lock nests under storeMu.
 		{"imc2/internal/registry.Campaign.storeMu", "imc2/internal/store.FileStore.mu"},
-		// adopt appends the adoption record while holding the registry lock.
+		// Create appends the created event while holding the registry lock.
 		{"imc2/internal/registry.Registry.mu", "imc2/internal/store.FileStore.mu"},
 	}
 	for _, w := range wantEdges {

@@ -47,7 +47,7 @@ func newRegMetrics(o *obs.Registry, r *Registry) *regMetrics {
 	}
 	m := &regMetrics{
 		created: o.Counter("imc2_registry_campaigns_created_total",
-			"Campaigns registered (created, adopted, or restored)."),
+			"Campaigns registered (created or restored)."),
 		submissions: o.Counter("imc2_registry_submissions_total",
 			"Sealed submissions accepted across all campaigns."),
 		settles: o.CounterVec("imc2_truth_settles_total",

@@ -218,34 +218,11 @@ func (r *Registry) Create(name string, tasks []model.Task, cfg platform.Config, 
 	if err != nil {
 		return nil, err
 	}
-	return r.adopt(name, p, cfg)
-}
-
-// Adopt registers an existing platform as a campaign — the bridge that
-// lets a pre-built single-campaign platform (the /v1 world) live inside
-// the registry. On a durable registry the platform must be a fresh
-// draft or open campaign: submissions accepted before adoption were
-// never logged, so replaying them is impossible and adopting such a
-// platform is refused rather than persisted lossily.
-func (r *Registry) Adopt(name string, p *platform.Platform, cfg platform.Config) (*Campaign, error) {
-	if r.st != nil {
-		if st := p.State(); st != platform.StateDraft && st != platform.StateOpen {
-			return nil, imcerr.New(imcerr.CodeInvalid, "registry: cannot adopt a %s campaign into a durable registry", st)
-		}
-		if p.Submissions() > 0 {
-			return nil, imcerr.New(imcerr.CodeInvalid,
-				"registry: cannot adopt a campaign with pre-existing submissions into a durable registry")
-		}
-	}
-	return r.adopt(name, p, cfg)
-}
-
-func (r *Registry) adopt(name string, p *platform.Platform, cfg platform.Config) (*Campaign, error) {
 	if r.storeErr != nil {
 		return nil, imcerr.Wrapf(imcerr.CodeInternal, r.storeErr, "registry: campaign store unavailable")
 	}
 	// Mint the ID, insert, and append under r.mu so ordered stays in
-	// strict ID order even when adoptions race. The shard insert happens
+	// strict ID order even when creations race. The shard insert happens
 	// before the ordered append: a campaign must be Get-able from the
 	// moment List can return it, or a client could 404 on an ID the
 	// server just listed. (Lock order r.mu → shard.mu is safe: no path
@@ -264,7 +241,7 @@ func (r *Registry) adopt(name string, p *platform.Platform, cfg platform.Config)
 			Created: &store.CreatedPayload{
 				Name:   name,
 				Tasks:  p.Tasks(),
-				Draft:  p.State() == platform.StateDraft,
+				Draft:  draft,
 				Config: store.ConfigFromPlatform(cfg),
 			},
 		}

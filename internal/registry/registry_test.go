@@ -113,25 +113,6 @@ func TestListPagination(t *testing.T) {
 	}
 }
 
-func TestAdoptExistingPlatform(t *testing.T) {
-	r := New()
-	p, err := platform.New(testTasks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := r.Adopt("legacy", p, platform.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Get(c.ID())
-	if err != nil || got.Name() != "legacy" {
-		t.Fatalf("adopted campaign lookup: %v, %v", got, err)
-	}
-	if len(c.Tasks()) != 2 {
-		t.Fatalf("tasks = %d", len(c.Tasks()))
-	}
-}
-
 func TestCampaignEndToEnd(t *testing.T) {
 	r := New()
 	w := testWorkload(t, 42)

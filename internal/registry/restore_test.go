@@ -329,33 +329,6 @@ func TestRestoreRefusesNonEmptyRegistry(t *testing.T) {
 	}
 }
 
-func TestDurableAdoptGuards(t *testing.T) {
-	dir := t.TempDir()
-	r := New(WithOwnedStore(openStore(t, dir)))
-	defer r.Close()
-
-	// A fresh open platform adopts fine.
-	p, err := platform.New(testTasks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Adopt("fresh", p, platform.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-
-	// A platform with pre-store submissions would be lossy: refused.
-	p2, err := platform.New(testTasks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Submit(platform.Submission{Worker: "w", Price: 1, Answers: map[string]string{"t1": "a"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Adopt("lossy", p2, platform.DefaultConfig()); !errors.Is(err, imcerr.ErrInvalid) {
-		t.Fatalf("adopting a platform with submissions: %v, want invalid", err)
-	}
-}
-
 func TestStoreErrorPoisonsCreation(t *testing.T) {
 	r := New(WithStoreError(errors.New("disk on fire")))
 	_, err := r.Create("x", testTasks(), platform.DefaultConfig(), false)

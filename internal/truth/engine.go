@@ -8,19 +8,18 @@ import (
 
 // Engine is a resumable truth-discovery run: the same dependence /
 // independence / estimation passes Discover executes, but driven one
-// iteration at a time so a caller can pause between iterations, observe
-// the provisional estimate, and resume later. The cross-iteration state
-// — the current truth vector and the per-worker accuracies that seed the
-// next round's vote weights — lives inside the engine, so a run split
-// across any number of Step or Run calls is bit-identical to the same
-// run executed in one Discover call: pausing never re-derives the
-// majority-vote seed and never perturbs the accuracy trajectory. That
-// identity is what lets a settle resume a part-run engine (the
-// platform's WarmStart hook) and still produce exactly the report a cold
-// settle would have produced.
+// iteration at a time so a caller can pause between iterations and
+// resume later. The cross-iteration state — the current truth vector and
+// the per-worker accuracies that seed the next round's vote weights —
+// lives inside the engine, so a run split across any number of Step or
+// Run calls is bit-identical to the same run executed in one Discover
+// call: pausing never re-derives the majority-vote seed and never
+// perturbs the accuracy trajectory. That identity is what lets a settle
+// resume a part-run engine (the platform's WarmStart hook) and still
+// produce exactly the report a cold settle would have produced.
 //
 // An Engine is not safe for concurrent use; callers serialize Step/Run
-// against Estimate and Result themselves.
+// against Result themselves.
 type Engine struct {
 	s      *state
 	method Method
@@ -30,10 +29,8 @@ type Engine struct {
 	prev       []int32
 
 	// mv is the one-shot majority-vote result for MethodMV, which has no
-	// iterative refinement to resume; a MV engine is born done. mvDS
-	// stands in for the state's dataset pointer on that path.
-	mv   *Result
-	mvDS *model.Dataset
+	// iterative refinement to resume; a MV engine is born done.
+	mv *Result
 }
 
 // NewEngine validates the dataset and options and returns an engine
@@ -48,7 +45,6 @@ func NewEngine(ds *model.Dataset, method Method, opt Options) (*Engine, error) {
 	e := &Engine{method: method}
 	if method == MethodMV {
 		e.mv = majorityVote(ds)
-		e.mvDS = ds
 		e.iterations = e.mv.Iterations
 		e.converged = true
 		return e, nil
@@ -91,9 +87,6 @@ func validateRun(ds *model.Dataset, method Method, opt Options) (FalseValueModel
 	return fm, nil
 }
 
-// Method reports which algorithm the engine runs.
-func (e *Engine) Method() Method { return e.method }
-
 // Iterations reports how many refinement iterations have executed so
 // far across all Step/Run calls.
 func (e *Engine) Iterations() int { return e.iterations }
@@ -105,23 +98,6 @@ func (e *Engine) Converged() bool { return e.converged }
 // iterations (Options.MaxIterations). Step is a no-op once Done.
 func (e *Engine) Done() bool {
 	return e.converged || e.iterations >= e.s.opt.MaxIterations
-}
-
-// Remaining reports how many iterations the engine may still execute
-// before hitting MaxIterations (zero once done).
-func (e *Engine) Remaining() int {
-	if e.Done() {
-		return 0
-	}
-	return e.s.opt.MaxIterations - e.iterations
-}
-
-// Dataset returns the dataset the engine runs over.
-func (e *Engine) Dataset() *model.Dataset {
-	if e.mv != nil {
-		return e.mvDS
-	}
-	return e.s.ds
 }
 
 // SetTrace swaps the per-iteration trace sink for subsequent Steps.
@@ -192,8 +168,7 @@ func (e *Engine) Run(budget int) bool {
 
 // Result returns the run's outcome in Discover's shape. The matrices
 // and truth vector alias the engine's live buffers: callers must not
-// Step the engine after using the Result, and must not mutate it. For a
-// copied provisional view of a still-running engine, use Estimate.
+// Step the engine after using the Result, and must not mutate it.
 func (e *Engine) Result() *Result {
 	if e.mv != nil {
 		return e.mv
@@ -206,43 +181,5 @@ func (e *Engine) Result() *Result {
 		Iterations:       e.iterations,
 		Converged:        e.converged,
 		Method:           e.method,
-	}
-}
-
-// Estimate is a provisional, deep-copied view of a possibly unfinished
-// run: the current truth vector and per-worker accuracies (eq. 17's
-// A_i, the weights the next iteration would vote with), plus progress.
-// It stays valid after further Steps.
-type Estimate struct {
-	// Truth is the current estimated value index per task
-	// (model.NotAnswered for tasks nobody answered).
-	Truth []int32
-	// WorkerAccuracy is the current per-worker mean accuracy A_i.
-	WorkerAccuracy []float64
-	// Iterations is how many refinement iterations produced this view.
-	Iterations int
-	// Converged reports whether the estimate is already stable.
-	Converged bool
-	// Method records the algorithm refining the estimate.
-	Method Method
-}
-
-// Estimate snapshots the engine's current provisional estimate.
-func (e *Engine) Estimate() Estimate {
-	if e.mv != nil {
-		return Estimate{
-			Truth:          append([]int32(nil), e.mv.Truth...),
-			WorkerAccuracy: e.mv.WorkerAccuracy(e.mvDS),
-			Iterations:     e.mv.Iterations,
-			Converged:      true,
-			Method:         MethodMV,
-		}
-	}
-	return Estimate{
-		Truth:          append([]int32(nil), e.s.truth...),
-		WorkerAccuracy: append([]float64(nil), e.s.accW...),
-		Iterations:     e.iterations,
-		Converged:      e.converged,
-		Method:         e.method,
 	}
 }

@@ -142,37 +142,6 @@ func TestEngineSetTraceMidRun(t *testing.T) {
 	}
 }
 
-// TestEngineEstimateSnapshotIsolated checks Estimate deep-copies: the
-// provisional view must stay valid (and unchanged) while the engine
-// keeps iterating, and mutating it must not perturb the run.
-func TestEngineEstimateSnapshotIsolated(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	ds := randomDataset(rng)
-	want, err := Discover(ds, MethodDATE, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ds, MethodDATE, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Step()
-	snap := e.Estimate()
-	if snap.Iterations != 1 || snap.Method != MethodDATE {
-		t.Fatalf("snapshot progress = %+v", snap)
-	}
-	frozen := append([]int32(nil), snap.Truth...)
-	for i := range snap.Truth {
-		snap.Truth[i] = -7 // vandalize the copy
-	}
-	for i := range snap.WorkerAccuracy {
-		snap.WorkerAccuracy[i] = -1
-	}
-	e.Run(0)
-	requireIdenticalResults(t, "run after snapshot mutation", want, e.Result())
-	_ = frozen
-}
-
 // TestEngineStepAfterDoneIsNoOp: a finished engine must refuse further
 // work without perturbing its result.
 func TestEngineStepAfterDoneIsNoOp(t *testing.T) {
@@ -196,8 +165,8 @@ func TestEngineStepAfterDoneIsNoOp(t *testing.T) {
 }
 
 // TestEngineMaxIterationsBudget: an engine capped below convergence
-// stops at the cap, reports Converged=false, and Remaining reaches 0 —
-// matching Discover under the same cap.
+// stops at the cap and reports done — matching Discover under the same
+// cap.
 func TestEngineMaxIterationsBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 10; trial++ {
@@ -212,12 +181,12 @@ func TestEngineMaxIterationsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Remaining() != 1 {
-			t.Fatalf("fresh Remaining = %d, want 1", e.Remaining())
+		if e.Done() {
+			t.Fatal("fresh engine reports done")
 		}
 		e.Step()
-		if !e.Done() || e.Remaining() != 0 {
-			t.Fatalf("after cap: done=%v remaining=%d", e.Done(), e.Remaining())
+		if !e.Done() || e.Iterations() != 1 {
+			t.Fatalf("after cap: done=%v iterations=%d", e.Done(), e.Iterations())
 		}
 		requireIdenticalResults(t, "capped run", want, e.Result())
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"imc2/internal/imcerr"
-	"imc2/internal/model"
 	"imc2/internal/tracing"
 )
 
@@ -29,50 +28,9 @@ func NewClient(base string) *Client {
 	}
 }
 
-// Tasks fetches the published task list.
-func (c *Client) Tasks(ctx context.Context) ([]model.Task, error) {
-	var out []model.Task
-	if err := c.do(ctx, http.MethodGet, "/v1/tasks", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Submit posts a sealed submission.
-func (c *Client) Submit(ctx context.Context, sub Submission) error {
-	return c.do(ctx, http.MethodPost, "/v1/submissions", sub, nil)
-}
-
-// Close settles the campaign and returns the report.
-func (c *Client) Close(ctx context.Context) (*Report, error) {
-	var out Report
-	if err := c.do(ctx, http.MethodPost, "/v1/close", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Report fetches the settled report.
-func (c *Client) Report(ctx context.Context) (*Report, error) {
-	var out Report
-	if err := c.do(ctx, http.MethodGet, "/v1/report", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Audit fetches the copier-audit report of a settled campaign.
-func (c *Client) Audit(ctx context.Context) (*AuditReport, error) {
-	var out AuditReport
-	if err := c.do(ctx, http.MethodGet, "/v1/audit", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Healthy reports whether the platform answers its health check.
 func (c *Client) Healthy(ctx context.Context) bool {
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
+	err := c.do(ctx, http.MethodGet, "/v2/healthz", nil, nil)
 	return err == nil
 }
 

@@ -50,6 +50,15 @@ func (c *Client) Campaign(ctx context.Context, id string) (*CampaignInfo, error)
 	return &out, nil
 }
 
+// CampaignTasks fetches one campaign's task list in publication order.
+func (c *Client) CampaignTasks(ctx context.Context, id string) ([]Task, error) {
+	var out []Task
+	if err := c.do(ctx, "GET", "/v2/campaigns/"+url.PathEscape(id)+"/tasks", nil, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // OpenCampaign publicizes a draft campaign.
 func (c *Client) OpenCampaign(ctx context.Context, id string) (*CampaignInfo, error) {
 	var out CampaignInfo

@@ -48,7 +48,7 @@ func TestRetryAfterHTTPDate(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	_, err := NewClient(hs.URL).Tasks(context.Background())
+	_, err := NewClient(hs.URL).CampaignTasks(context.Background(), "cmp-any")
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("err = %v, want *APIError", err)

@@ -3,7 +3,7 @@
 // runnable: cmd/platformd serves this API and cmd/workeragent drives the
 // client side.
 //
-// The versioned /v2 protocol is the primary surface: one process hosts
+// The versioned /v2 protocol is the only surface: one process hosts
 // many concurrent campaigns in a registry, each with an observable
 // lifecycle (draft → open → closing → settled, plus cancelled), and
 // closes settle asynchronously off the request path.
@@ -11,6 +11,7 @@
 //	POST /v2/campaigns                   create (task list or generator spec)
 //	GET  /v2/campaigns                   list, paginated (?offset=&limit=)
 //	GET  /v2/campaigns/{id}              lifecycle snapshot
+//	GET  /v2/campaigns/{id}/tasks        task list, in publication order
 //	POST /v2/campaigns/{id}/open         publicize a draft
 //	POST /v2/campaigns/{id}/cancel       abandon a draft/open campaign
 //	POST /v2/campaigns/{id}/submissions  sealed envelope (single or batch)
@@ -37,15 +38,6 @@
 // campaign mutation is logged before it is acknowledged, campaign
 // snapshots carry persisted/recovered_at, and GET /v2/stats serves the
 // WAL and snapshot counters in its store section. See API.md's "Durability" section.
-//
-// The original single-campaign /v1 endpoints remain as a compatibility
-// shim over a designated default campaign:
-//
-//	GET  /v1/tasks        → published task list
-//	POST /v1/submissions  → sealed bid + data envelope
-//	POST /v1/close        → close the auction, run both stages, settle
-//	GET  /v1/report       → settled report (409 until closed)
-//	GET  /v1/healthz      → liveness
 //
 // Every error response carries a machine-readable code from
 // internal/imcerr alongside the human-readable message; the code → HTTP
@@ -94,14 +86,12 @@ type errorBody struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// Server serves a campaign registry: the full /v2 protocol plus the /v1
-// single-campaign shim over a default campaign. It is safe for
-// concurrent use.
+// Server serves a campaign registry over the /v2 protocol. It is safe
+// for concurrent use.
 type Server struct {
-	reg       *registry.Registry
-	cfg       platform.Config
-	defaultID string
-	logf      func(format string, args ...any)
+	reg  *registry.Registry
+	cfg  platform.Config
+	logf func(format string, args ...any)
 
 	// m holds the HTTP layer's obs instruments (WithObs); slogger, when
 	// non-nil, receives one structured record per request (WithSlog);
@@ -117,31 +107,18 @@ type Server struct {
 	settles sync.WaitGroup
 }
 
-// NewServer wraps a single pre-built campaign — the /v1 world. The
-// campaign is adopted into a fresh registry as the default campaign, so
-// the /v2 protocol is available too. logf may be nil to silence logging.
-func NewServer(p *platform.Platform, cfg platform.Config, logf func(string, ...any), opts ...ServerOption) *Server {
-	reg := registry.New()
-	// Adoption into a fresh in-memory registry cannot fail: there is no
-	// store to refuse the platform and no storeErr to surface.
-	c, err := reg.Adopt("default", p, cfg)
-	if err != nil {
-		panic("wire: adopting into a fresh in-memory registry failed: " + err.Error())
-	}
-	return NewRegistryServer(reg, c.ID(), cfg, logf, opts...)
-}
-
-// NewRegistryServer serves an existing registry. defaultID designates the
-// campaign behind the /v1 shim (empty: /v1 campaign endpoints answer 404).
-// cfg is the settle configuration applied to campaigns created over /v2.
-// logf may be nil to silence logging. Options attach observability:
-// WithObs for metrics, WithSlog for structured request logs.
-func NewRegistryServer(reg *registry.Registry, defaultID string, cfg platform.Config, logf func(string, ...any), opts ...ServerOption) *Server {
+// NewRegistryServer serves an existing registry. The second parameter is
+// unused: it named the default campaign of the retired single-campaign
+// protocol and is kept only so existing callers compile. cfg is the
+// settle configuration applied to campaigns created over /v2. logf may
+// be nil to silence logging. Options attach observability: WithObs for
+// metrics, WithSlog for structured request logs.
+func NewRegistryServer(reg *registry.Registry, _ string, cfg platform.Config, logf func(string, ...any), opts ...ServerOption) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	ctx, cancel := context.WithCancel(context.Background()) //lint:allow ctxscope server lifecycle root; Shutdown cancels it after draining settles
-	s := &Server{reg: reg, cfg: cfg, defaultID: defaultID, logf: logf, ctx: ctx, cancel: cancel}
+	s := &Server{reg: reg, cfg: cfg, logf: logf, ctx: ctx, cancel: cancel}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -187,47 +164,43 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // interrupted.
 func (s *Server) ResumeSettles(pending []*registry.Campaign) {
 	for _, c := range pending {
-		c := c
 		s.logf("campaign %s: re-queueing settle interrupted by restart", c.ID())
 		// Recovered settles get their own root trace (there is no HTTP
 		// request to join); nil tracer → nil span, zero cost.
-		sctx, span := s.tracer.StartRoot(s.ctx, "campaign.settle.resume", "")
-		span.SetKind("settle")
-		span.SetAttr("campaign", c.ID())
-		s.settles.Add(1)
-		go func() {
-			defer s.settles.Done()
-			rep, err := c.Settle(sctx)
-			span.SetError(err)
-			span.End()
-			if err != nil {
-				s.logf("campaign %s recovered settle failed: %v", c.ID(), err)
-				return
-			}
-			s.logf("campaign %s settled after recovery: winners=%d social_cost=%.3f", c.ID(), len(rep.Winners), rep.SocialCost)
-		}()
+		_, span := s.tracer.StartRoot(s.ctx, "campaign.settle.resume", "")
+		s.settleAsync(c, span)
 	}
 }
 
-// Handler returns the HTTP routing for both protocol versions.
+// settleAsync settles c on its own goroutine. The settle is bounded by
+// the server's lifetime context, not any request's, so it survives a
+// client disconnect and Shutdown drains it. span (nil when untraced) is
+// carried by the settle's context and ends with its outcome.
+func (s *Server) settleAsync(c *registry.Campaign, span *tracing.Span) {
+	span.SetKind("settle")
+	span.SetAttr("campaign", c.ID())
+	sctx := tracing.ContextWithSpan(s.ctx, span)
+	s.settles.Add(1)
+	go func() {
+		defer s.settles.Done()
+		rep, err := c.Settle(sctx)
+		span.SetError(err)
+		span.End()
+		if err != nil {
+			s.logf("campaign %s settle failed: %v", c.ID(), err)
+			return
+		}
+		s.logf("campaign %s settled: winners=%d social_cost=%.3f", c.ID(), len(rep.Winners), rep.SocialCost)
+	}()
+}
+
+// Handler returns the HTTP routing of the /v2 protocol.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	healthz := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}
-
-	// v1: single-campaign shim over the default campaign.
-	mux.HandleFunc("GET /v1/tasks", s.handleTasks)
-	mux.HandleFunc("POST /v1/submissions", s.handleSubmit)
-	mux.HandleFunc("POST /v1/close", s.handleClose)
-	mux.HandleFunc("GET /v1/report", s.handleReport)
-	mux.HandleFunc("GET /v1/audit", s.handleAudit)
-	mux.HandleFunc("GET /v1/healthz", healthz)
-
-	// v2: the campaign registry.
 	mux.HandleFunc("POST /v2/campaigns", s.handleCreateCampaign)
 	mux.HandleFunc("GET /v2/campaigns", s.handleListCampaigns)
 	mux.HandleFunc("GET /v2/campaigns/{id}", s.handleGetCampaign)
+	mux.HandleFunc("GET /v2/campaigns/{id}/tasks", s.handleCampaignTasks)
 	mux.HandleFunc("POST /v2/campaigns/{id}/open", s.handleOpenCampaign)
 	mux.HandleFunc("POST /v2/campaigns/{id}/cancel", s.handleCancelCampaign)
 	mux.HandleFunc("POST /v2/campaigns/{id}/submissions", s.handleSubmissions)
@@ -238,86 +211,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v2/stats", s.handleStats)
 	mux.HandleFunc("GET /v2/traces", s.handleListTraces)
 	mux.HandleFunc("GET /v2/traces/{id}", s.handleGetTrace)
-	mux.HandleFunc("GET /v2/healthz", healthz)
+	mux.HandleFunc("GET /v2/healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
 	return s.instrument(mux)
-}
-
-// defaultCampaign resolves the campaign behind the /v1 shim.
-func (s *Server) defaultCampaign() (*registry.Campaign, error) {
-	if s.defaultID == "" {
-		return nil, imcerr.New(imcerr.CodeNotFound, "wire: no default campaign configured (use /v2)")
-	}
-	return s.reg.Get(s.defaultID)
-}
-
-func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	c, err := s.defaultCampaign()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, c.Tasks())
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	c, err := s.defaultCampaign()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	var sub Submission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		s.writeError(w, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed submission"))
-		return
-	}
-	if err := c.Submit(toPlatformSubmission(sub)); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.logf("submission accepted: worker=%s tasks=%d", sub.Worker, len(sub.Answers))
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "accepted"})
-}
-
-// handleClose settles the default campaign synchronously — v1 semantics —
-// but without any server-wide lock: the settle runs off-lock inside the
-// campaign, so /v1/tasks, /v1/healthz, and every /v2 campaign stay
-// responsive while the two stages execute. The settle is bounded by the
-// server's lifetime, not the request's, so a client disconnect mid-settle
-// still leaves the report computed and cached (the original v1 contract).
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	c, err := s.defaultCampaign()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	// The settle runs under the server's lifetime context but inside
-	// the request's trace: re-home the settle span onto s.ctx.
-	span := tracing.SpanFromContext(r.Context()).Child("campaign.settle")
-	span.SetKind("settle")
-	span.SetAttr("campaign", c.ID())
-	rep, err := c.Settle(tracing.ContextWithSpan(s.ctx, span))
-	span.SetError(err)
-	span.End()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.logf("campaign settled: winners=%d social_cost=%.3f", len(rep.Winners), rep.SocialCost)
-	writeJSON(w, http.StatusOK, toWireReport(rep))
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	c, err := s.defaultCampaign()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	rep, err := c.Report()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toWireReport(rep))
 }
 
 // SuspectPair mirrors platform.SuspectPair for the wire.
@@ -345,20 +242,6 @@ type AuditReport struct {
 	CopierScores map[string]float64 `json:"copier_scores"`
 	// Convergence is the settle's per-iteration telemetry, in order.
 	Convergence []IterationTelemetry `json:"convergence,omitempty"`
-}
-
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	c, err := s.defaultCampaign()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	audit, err := c.Audit()
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toWireAudit(audit))
 }
 
 func toPlatformSubmission(sub Submission) platform.Submission {

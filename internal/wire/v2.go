@@ -383,6 +383,9 @@ func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
+	// Echo the page actually served: Registry.List reads a negative
+	// offset as 0, just as the limit is clamped before it is echoed.
+	offset = max(offset, 0)
 	limit = clampPageLimit(limit)
 	cs, total := s.reg.List(offset, limit)
 	page := CampaignPage{Campaigns: make([]CampaignInfo, 0, len(cs)), Total: total, Offset: offset, Limit: limit}
@@ -399,6 +402,18 @@ func (s *Server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.campaignInfo(c))
+}
+
+// handleCampaignTasks serves the campaign's task list in publication
+// order. It is kept out of the lifecycle snapshot, which carries only
+// the count, so polling the snapshot stays cheap.
+func (s *Server) handleCampaignTasks(w http.ResponseWriter, r *http.Request) {
+	c, err := s.campaign(r)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, c.Tasks())
 }
 
 func (s *Server) handleOpenCampaign(w http.ResponseWriter, r *http.Request) {
@@ -473,9 +488,6 @@ func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 // handleCloseCampaign begins an asynchronous settle: the campaign moves
 // to "closing" and the caller polls GET /v2/campaigns/{id} until it
 // reads "settled" (fetch the report) or "open" again with a settle_error.
-// The settle is bounded by the server's lifetime context, not the
-// request's, so it survives the client disconnecting and stops at
-// Shutdown.
 func (s *Server) handleCloseCampaign(w http.ResponseWriter, r *http.Request) {
 	c, err := s.campaign(r)
 	if err != nil {
@@ -518,25 +530,8 @@ func (s *Server) handleCloseCampaign(w http.ResponseWriter, r *http.Request) {
 	// attempt's outcome.
 	c.ClearSettleErr()
 	// The settle outlives this request (202 now, work later) but stays
-	// inside its trace: the settle span is a child of the request span,
-	// re-homed onto the server's lifetime context. Nil span (tracing
-	// off) leaves s.ctx untouched.
-	span := tracing.SpanFromContext(r.Context()).Child("campaign.settle")
-	span.SetKind("settle")
-	span.SetAttr("campaign", c.ID())
-	sctx := tracing.ContextWithSpan(s.ctx, span)
-	s.settles.Add(1)
-	go func() {
-		defer s.settles.Done()
-		rep, err := c.Settle(sctx)
-		span.SetError(err)
-		span.End()
-		if err != nil {
-			s.logf("campaign %s settle failed: %v", c.ID(), err)
-			return
-		}
-		s.logf("campaign %s settled: winners=%d social_cost=%.3f", c.ID(), len(rep.Winners), rep.SocialCost)
-	}()
+	// inside its trace: the settle span is a child of the request span.
+	s.settleAsync(c, tracing.SpanFromContext(r.Context()).Child("campaign.settle"))
 	info := s.campaignInfo(c)
 	info.State = platform.StateClosing.String()
 	writeJSON(w, http.StatusAccepted, info)

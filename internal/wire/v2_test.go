@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ import (
 	"imc2/internal/registry"
 )
 
-// startRegistry serves an empty registry (no default /v1 campaign).
+// startRegistry serves an empty registry.
 func startRegistry(t *testing.T) (*Client, *Server) {
 	t.Helper()
 	srv := NewRegistryServer(registry.New(), "", platform.DefaultConfig(), nil)
@@ -33,8 +35,7 @@ func startRegistry(t *testing.T) (*Client, *Server) {
 	return NewClient(hs.URL), srv
 }
 
-// testWorkload generates a settleable campaign workload (same shape as
-// startCampaign's).
+// testWorkload generates a small settleable campaign workload.
 func testWorkload(t *testing.T, seed int64) *gen.Campaign {
 	t.Helper()
 	spec := gen.DefaultSpec()
@@ -176,6 +177,19 @@ func TestV2ListPagination(t *testing.T) {
 	}
 	if page2.Campaigns[0].ID <= page.Campaigns[2].ID {
 		t.Fatal("listing not in creation order")
+	}
+	// A negative offset serves from the start and echoes what it served.
+	resp, err := http.Get(client.base + "/v2/campaigns?offset=-3&limit=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var neg CampaignPage
+	if err := json.NewDecoder(resp.Body).Decode(&neg); err != nil {
+		t.Fatal(err)
+	}
+	if neg.Offset != 0 || len(neg.Campaigns) != 2 || neg.Campaigns[0].ID != page.Campaigns[0].ID {
+		t.Fatalf("offset=-3 page = %+v", neg)
 	}
 }
 
@@ -370,42 +384,62 @@ func TestV2CloseIsIdempotentAcrossStates(t *testing.T) {
 	}
 }
 
-func TestV1AndV2CoexistOverDefaultCampaign(t *testing.T) {
-	// A server built the v1 way exposes the same campaign over v2.
-	client, c, _ := startCampaign(t, 77)
+// TestV2CampaignTasks: the tasks endpoint serves the campaign's task
+// list in publication order, for a draft as for an open campaign, and
+// 404 for an unknown ID.
+func TestV2CampaignTasks(t *testing.T) {
+	client, _ := startRegistry(t)
 	ctx := context.Background()
-
-	page, err := client.Campaigns(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Publication order is not ID order: the endpoint must not sort.
+	tasks := []Task{
+		{ID: "t-c", NumFalse: 1, Requirement: 0.5},
+		{ID: "t-a", NumFalse: 2, Requirement: 0.7, Value: 3},
+		{ID: "t-b", NumFalse: 1, Requirement: 0.6},
 	}
-	if page.Total != 1 {
-		t.Fatalf("default-campaign registry lists %d campaigns", page.Total)
-	}
-	id := page.Campaigns[0].ID
-
-	// Submit over v1, observe over v2.
-	if err := client.Submit(ctx, submissionFor(c, 0)); err != nil {
-		t.Fatal(err)
-	}
-	info, err := client.Campaign(ctx, id)
-	if err != nil || info.Submissions != 1 {
-		t.Fatalf("v2 snapshot after v1 submit: %+v, %v", info, err)
-	}
-	// Submit the rest over v2, close over v1.
-	for i := 1; i < c.Dataset.NumWorkers(); i++ {
-		if err := client.SubmitTo(ctx, id, submissionFor(c, i)); err != nil {
+	for _, draft := range []bool{true, false} {
+		info, err := client.CreateCampaign(ctx, CreateCampaignRequest{Tasks: tasks, Draft: draft})
+		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := client.CampaignTasks(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tasks) {
+			t.Fatalf("draft=%v: tasks = %+v, want %+v", draft, got, tasks)
+		}
 	}
-	rep, err := client.Close(ctx)
-	if err != nil || len(rep.Winners) == 0 {
-		t.Fatalf("v1 close: %v", err)
+	_, err := client.CampaignTasks(ctx, "cmp-missing")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != "not_found" {
+		t.Fatalf("unknown campaign: %v", err)
 	}
-	// v2 report agrees.
-	rep2, err := client.CampaignReport(ctx, id)
-	if err != nil || fmt.Sprint(rep.Winners) != fmt.Sprint(rep2.Winners) {
-		t.Fatalf("v2 report disagrees with v1 close: %v", err)
+}
+
+// TestV1PathsNotFound: the retired single-campaign protocol is gone —
+// every path it served answers 404, even with a campaign registered.
+func TestV1PathsNotFound(t *testing.T) {
+	client, _, _ := startCampaign(t, 77)
+	for _, route := range []struct{ method, path string }{
+		{"GET", "/v1/tasks"},
+		{"POST", "/v1/submissions"},
+		{"POST", "/v1/close"},
+		{"GET", "/v1/report"},
+		{"GET", "/v1/audit"},
+		{"GET", "/v1/healthz"},
+	} {
+		req, err := http.NewRequest(route.method, client.base+route.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", route.method, route.path, resp.StatusCode)
+		}
 	}
 }
 

@@ -5,39 +5,58 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/http/httptest"
+	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"imc2/internal/gen"
 	"imc2/internal/platform"
-	"imc2/internal/randx"
 )
 
-// startCampaign generates a workload, serves it over loopback HTTP, and
-// returns the client plus the generated campaign.
-func startCampaign(t *testing.T, seed int64) (*Client, *gen.Campaign, *httptest.Server) {
+// startCampaign serves an empty registry over loopback HTTP, creates one
+// open campaign over the generated workload's tasks, and returns the
+// client, the generated campaign and the campaign's ID.
+func startCampaign(t *testing.T, seed int64) (*Client, *gen.Campaign, string) {
 	t.Helper()
-	spec := gen.DefaultSpec()
-	spec.Workers = 20
-	spec.Tasks = 15
-	spec.Copiers = 5
-	spec.TasksPerWorker = 9
-	// Over-provisioned so every instance keeps critical payments defined.
-	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
-	spec.ParticipationDecay = 0.3
-	c, err := gen.NewCampaign(spec, randx.New(seed))
+	client, _ := startRegistry(t)
+	w := testWorkload(t, seed)
+	info, err := client.CreateCampaign(context.Background(), CreateCampaignRequest{Name: "test", Tasks: w.Dataset.Tasks()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := platform.New(c.Dataset.Tasks())
+	return client, w, info.ID
+}
+
+// submitAll posts every worker's envelope, one request each, in
+// worker-index order.
+func submitAll(t *testing.T, client *Client, w *gen.Campaign, id string) {
+	t.Helper()
+	for i := 0; i < w.Dataset.NumWorkers(); i++ {
+		if err := client.SubmitTo(context.Background(), id, submissionFor(w, i)); err != nil {
+			t.Fatalf("worker %d submission failed: %v", i, err)
+		}
+	}
+}
+
+// settle closes the campaign, waits for the settle and returns the
+// report.
+func settle(t *testing.T, client *Client, id string) *Report {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := client.CloseCampaign(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.AwaitSettled(ctx, id, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := client.CampaignReport(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(p, platform.DefaultConfig(), nil).Handler())
-	t.Cleanup(srv.Close)
-	return NewClient(srv.URL), c, srv
+	return rep
 }
 
 func submissionFor(c *gen.Campaign, i int) Submission {
@@ -49,14 +68,23 @@ func submissionFor(c *gen.Campaign, i int) Submission {
 	return Submission{Worker: ds.WorkerID(i), Price: c.Costs[i], Answers: answers}
 }
 
+// requireStatus fails unless err is an *APIError with the given status.
+func requireStatus(t *testing.T, what string, err error, status int) {
+	t.Helper()
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != status {
+		t.Fatalf("%s: err = %v, want %d", what, err, status)
+	}
+}
+
 func TestEndToEndOverHTTP(t *testing.T) {
-	client, c, _ := startCampaign(t, 42)
+	client, c, id := startCampaign(t, 42)
 	ctx := context.Background()
 
 	if !client.Healthy(ctx) {
 		t.Fatal("health check failed")
 	}
-	tasks, err := client.Tasks(ctx)
+	tasks, err := client.CampaignTasks(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,16 +95,8 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	// Submit in worker-index order: the mechanisms break ties by index,
 	// so bit-exact equality with the local run requires the same
 	// submission order (concurrent submission is exercised separately).
-	for i := 0; i < c.Dataset.NumWorkers(); i++ {
-		if err := client.Submit(ctx, submissionFor(c, i)); err != nil {
-			t.Fatalf("worker %d submission failed: %v", i, err)
-		}
-	}
-
-	report, err := client.Close(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	submitAll(t, client, c, id)
+	report := settle(t, client, id)
 	if len(report.Winners) == 0 {
 		t.Fatal("no winners over the wire")
 	}
@@ -117,7 +137,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 }
 
 func TestConcurrentSubmissions(t *testing.T) {
-	client, c, _ := startCampaign(t, 99)
+	client, c, id := startCampaign(t, 99)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -126,7 +146,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = client.Submit(ctx, submissionFor(c, i))
+			errs[i] = client.SubmitTo(ctx, id, submissionFor(c, i))
 		}(i)
 	}
 	wg.Wait()
@@ -135,10 +155,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 			t.Fatalf("worker %d concurrent submission failed: %v", i, err)
 		}
 	}
-	report, err := client.Close(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := settle(t, client, id)
 	if len(report.Winners) == 0 {
 		t.Fatal("no winners")
 	}
@@ -155,26 +172,16 @@ func TestConcurrentSubmissions(t *testing.T) {
 }
 
 func TestAuditEndpoint(t *testing.T) {
-	client, c, _ := startCampaign(t, 21)
+	client, c, id := startCampaign(t, 21)
 	ctx := context.Background()
 
-	// Before close: 409.
-	_, err := client.Audit(ctx)
-	var apiErr *APIError
-	if !asAPIError(err, &apiErr) || apiErr.Status != 409 {
-		t.Fatalf("audit before close: err = %v, want 409", err)
-	}
+	_, err := client.CampaignAudit(ctx, id)
+	requireStatus(t, "audit before close", err, 409)
 
-	for i := 0; i < c.Dataset.NumWorkers(); i++ {
-		if err := client.Submit(ctx, submissionFor(c, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := client.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
+	submitAll(t, client, c, id)
+	settle(t, client, id)
 
-	audit, err := client.Audit(ctx)
+	audit, err := client.CampaignAudit(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,54 +210,52 @@ func TestAuditEndpoint(t *testing.T) {
 	}
 }
 
+// TestReportBeforeClose: neither the report nor the audit exists before
+// the settle, with or without submissions.
 func TestReportBeforeClose(t *testing.T) {
-	client, _, _ := startCampaign(t, 5)
-	_, err := client.Report(context.Background())
-	var apiErr *APIError
-	if !asAPIError(err, &apiErr) || apiErr.Status != 409 {
-		t.Fatalf("err = %v, want 409 APIError", err)
+	client, c, id := startCampaign(t, 5)
+	ctx := context.Background()
+	check := func(when string) {
+		t.Helper()
+		_, err := client.CampaignReport(ctx, id)
+		requireStatus(t, "report "+when, err, 409)
+		_, err = client.CampaignAudit(ctx, id)
+		requireStatus(t, "audit "+when, err, 409)
 	}
+	check("before any submission")
+	if err := client.SubmitTo(ctx, id, submissionFor(c, 0)); err != nil {
+		t.Fatal(err)
+	}
+	check("before close")
 }
 
 func TestSubmitAfterCloseRejected(t *testing.T) {
-	client, c, _ := startCampaign(t, 7)
-	ctx := context.Background()
-	for i := 0; i < c.Dataset.NumWorkers(); i++ {
-		if err := client.Submit(ctx, submissionFor(c, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := client.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	err := client.Submit(ctx, Submission{
+	client, c, id := startCampaign(t, 7)
+	submitAll(t, client, c, id)
+	settle(t, client, id)
+	err := client.SubmitTo(context.Background(), id, Submission{
 		Worker: "latecomer", Price: 1, Answers: map[string]string{c.Dataset.Task(0).ID: "x"},
 	})
-	var apiErr *APIError
-	if !asAPIError(err, &apiErr) || apiErr.Status != 409 {
-		t.Fatalf("late submission: err = %v, want 409", err)
-	}
+	requireStatus(t, "late submission", err, 409)
 }
 
 func TestDuplicateSubmissionConflict(t *testing.T) {
-	client, c, _ := startCampaign(t, 9)
+	client, c, id := startCampaign(t, 9)
 	ctx := context.Background()
 	sub := submissionFor(c, 0)
-	if err := client.Submit(ctx, sub); err != nil {
+	if err := client.SubmitTo(ctx, id, sub); err != nil {
 		t.Fatal(err)
 	}
-	err := client.Submit(ctx, sub)
-	var apiErr *APIError
-	if !asAPIError(err, &apiErr) || apiErr.Status != 409 {
-		t.Fatalf("duplicate: err = %v, want 409", err)
-	}
+	requireStatus(t, "duplicate", client.SubmitTo(ctx, id, sub), 409)
+	// The same worker inside a batch is a duplicate too.
+	_, err := client.SubmitBatch(ctx, id, []Submission{sub})
+	requireStatus(t, "duplicate in batch", err, 409)
 }
 
 func TestMalformedSubmissionRejected(t *testing.T) {
-	client, c, srv := startCampaign(t, 11)
-	ctx := context.Background()
+	client, c, id := startCampaign(t, 11)
 	// Invalid body straight to the endpoint.
-	resp, err := srv.Client().Post(srv.URL+"/v1/submissions", "application/json",
+	resp, err := http.Post(client.base+"/v2/campaigns/"+id+"/submissions", "application/json",
 		strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
@@ -260,51 +265,33 @@ func TestMalformedSubmissionRejected(t *testing.T) {
 		t.Fatalf("malformed body: status = %d, want 400", resp.StatusCode)
 	}
 	// Structurally valid JSON but semantically bad (negative price).
-	err = client.Submit(ctx, Submission{Worker: "w", Price: -1,
+	err = client.SubmitTo(context.Background(), id, Submission{Worker: "w", Price: -1,
 		Answers: map[string]string{c.Dataset.Task(0).ID: "v"}})
-	var apiErr *APIError
-	if !asAPIError(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("negative price: err = %v, want 400", err)
-	}
+	requireStatus(t, "negative price", err, 400)
 }
 
+// TestCloseIsIdempotent: closing a settled campaign again starts no
+// second settle, and every read returns the first settle's report.
 func TestCloseIsIdempotent(t *testing.T) {
-	client, c, _ := startCampaign(t, 13)
+	client, c, id := startCampaign(t, 13)
 	ctx := context.Background()
-	for i := 0; i < c.Dataset.NumWorkers(); i++ {
-		if err := client.Submit(ctx, submissionFor(c, i)); err != nil {
-			t.Fatal(err)
-		}
+	submitAll(t, client, c, id)
+	r1 := settle(t, client, id)
+	again, err := client.CloseCampaign(ctx, id)
+	if err != nil || again.State != "settled" {
+		t.Fatalf("second close: %+v, %v", again, err)
 	}
-	r1, err := client.Close(ctx)
+	r2, err := client.CampaignReport(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := client.Close(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(r1.Winners) != fmt.Sprint(r2.Winners) {
-		t.Fatal("second close produced a different report")
-	}
-	r3, err := client.Report(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(r1.Winners) != fmt.Sprint(r3.Winners) {
-		t.Fatal("report endpoint disagrees with close")
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("report changed after a second close")
 	}
 }
 
 func TestCloseWithoutSubmissions(t *testing.T) {
-	client, _, _ := startCampaign(t, 15)
-	_, err := client.Close(context.Background())
-	var apiErr *APIError
-	if !asAPIError(err, &apiErr) || apiErr.Status != 422 {
-		t.Fatalf("err = %v, want 422", err)
-	}
-}
-
-func asAPIError(err error, target **APIError) bool {
-	return errors.As(err, target)
+	client, _, id := startCampaign(t, 15)
+	_, err := client.CloseCampaign(context.Background(), id)
+	requireStatus(t, "close without submissions", err, 422)
 }
