@@ -9,7 +9,7 @@
 //	workeragent -platform http://127.0.0.1:8080 -seed 42 -workers 40 -close
 //	workeragent -platform http://127.0.0.1:8080 -list
 //	workeragent -platform http://127.0.0.1:8080 -stats
-//	workeragent -platform http://127.0.0.1:8080 -campaign cmp-… -estimate
+//	workeragent -platform http://127.0.0.1:8080 -estimate
 //	workeragent -platform http://127.0.0.1:8080 -campaign cmp-… -seed 43 -all -close
 //	workeragent -platform http://127.0.0.1:8080 -trace 4bf92f3577b34da6a3ce929d0e0e4736
 //
@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		close_    = fs.Bool("close", false, "close the auction and print the report")
 		campaign  = fs.String("campaign", "", "target this campaign ID (empty: the platform's first campaign)")
 		list      = fs.Bool("list", false, "list the platform's campaigns and exit")
-		estimate  = fs.Bool("estimate", false, "print the campaign's provisional truth estimate, computed on request (requires -campaign), and exit")
+		estimate  = fs.Bool("estimate", false, "print the campaign's provisional truth estimate, computed on request, and exit")
 		showStats = fs.Bool("stats", false, "print the platform's unified stats snapshot (GET /v2/stats) and exit")
 		traceID   = fs.String("trace", "", "pretty-print this trace's span tree (GET /v2/traces/{id}; requires platformd -trace) and exit")
 		timeout   = fs.Duration("timeout", time.Minute, "request deadline")
@@ -84,10 +84,11 @@ func run(args []string, out io.Writer) error {
 		return printTrace(ctx, client, *traceID, out)
 	}
 	if *estimate {
-		if *campaign == "" {
-			return fmt.Errorf("-estimate requires -campaign (see -list for IDs)")
+		id, err := resolveCampaign(ctx, client, *campaign)
+		if err != nil {
+			return err
 		}
-		return printEstimate(ctx, client, *campaign, out)
+		return printEstimate(ctx, client, id, out)
 	}
 
 	if !*all && *index < 0 && !*close_ {

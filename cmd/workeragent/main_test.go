@@ -259,13 +259,19 @@ func TestAgentEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := reg.Create("second", c.Dataset.Tasks(), platform.DefaultConfig(), false); err != nil {
+		t.Fatal(err)
+	}
 	hs := httptest.NewServer(wire.NewRegistryServer(reg, "", platform.DefaultConfig(), nil).Handler())
 	defer hs.Close()
 
+	// Without -campaign the estimate is the first listed campaign's.
 	var buf strings.Builder
-	if err := run([]string{"-platform", hs.URL, "-estimate"}, &buf); err == nil ||
-		!strings.Contains(err.Error(), "requires -campaign") {
-		t.Fatalf("-estimate without -campaign: err = %v", err)
+	if err := run([]string{"-platform", hs.URL, "-estimate"}, &buf); err != nil {
+		t.Fatalf("-estimate without -campaign: %v", err)
+	}
+	if want := "campaign " + hosted.ID() + " estimate"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("-estimate without -campaign printed %q, want %q", buf.String(), want)
 	}
 
 	args := []string{

@@ -13,6 +13,12 @@ import (
 // across replays.
 var detflowSinkScope = []string{"internal/store"}
 
+// detflowWALTypes names the WAL-encoded struct types declared outside
+// detflowSinkScope: the store logs them verbatim in its events and
+// campaign records. (platform's Report and Audit are logged too; they
+// are sinks through detflowReportScope.)
+var detflowWALTypes = []struct{ scope, name string }{{"internal/platform", "Submission"}}
+
 // detflowReportScope names the packages whose Report/Audit types are
 // compared across runs and replicas.
 var detflowReportScope = []string{"internal/platform", "internal/wire", "internal/truth", "internal/strategy"}
@@ -152,8 +158,8 @@ func transferTaint(pass *Pass, node ast.Node, t taint, report bool) {
 				// Writing a tainted value into a field of a sink-typed
 				// value is a sink in itself.
 				if tainted && report {
-					if sink := sinkTypeName(pass, l.X); sink != "" {
-						pass.Reportf(n.Pos(), "value derived from %s flows into %s (%s)", why, sink, sinkKindDesc(sink))
+					if sink, wal := sinkTypeName(pass, l.X); sink != "" {
+						pass.Reportf(n.Pos(), "value derived from %s flows into %s (%s)", why, sink, sinkKindDesc(wal))
 					}
 				}
 				// Weak update: the base object becomes tainted.
@@ -213,7 +219,7 @@ func checkSinks(pass *Pass, node ast.Node, t taint) {
 		if !ok {
 			return true
 		}
-		sink := sinkTypeName(pass, lit)
+		sink, wal := sinkTypeName(pass, lit)
 		if sink == "" {
 			return true
 		}
@@ -223,7 +229,7 @@ func checkSinks(pass *Pass, node ast.Node, t taint) {
 				val = kv.Value
 			}
 			if ok, why := exprTaint(pass, val, t); ok {
-				pass.Reportf(val.Pos(), "value derived from %s flows into %s (%s)", why, sink, sinkKindDesc(sink))
+				pass.Reportf(val.Pos(), "value derived from %s flows into %s (%s)", why, sink, sinkKindDesc(wal))
 			}
 		}
 		return true
@@ -319,11 +325,12 @@ func isSortCall(pass *Pass, call *ast.CallExpr) bool {
 	return false
 }
 
-// sinkTypeName names the sink type an expression denotes, or "".
-func sinkTypeName(pass *Pass, e ast.Expr) string {
+// sinkTypeName names the sink type an expression denotes, or "", and
+// whether the store logs its values.
+func sinkTypeName(pass *Pass, e ast.Expr) (sink string, wal bool) {
 	tv, ok := pass.Pkg.Info.Types[e]
 	if !ok || tv.Type == nil {
-		return ""
+		return "", false
 	}
 	t := tv.Type
 	if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
@@ -331,24 +338,30 @@ func sinkTypeName(pass *Pass, e ast.Expr) string {
 	}
 	named, isNamed := types.Unalias(t).(*types.Named)
 	if !isNamed {
-		return ""
+		return "", false
 	}
 	obj := named.Obj()
 	if obj.Pkg() == nil {
-		return ""
+		return "", false
 	}
 	if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-		return ""
+		return "", false
 	}
-	path := obj.Pkg().Path()
-	if pathInScope(path, detflowSinkScope...) && walEncodedName(obj.Name()) {
-		return obj.Pkg().Name() + "." + obj.Name()
+	path, name := obj.Pkg().Path(), obj.Name()
+	sink = obj.Pkg().Name() + "." + name
+	if pathInScope(path, detflowSinkScope...) && walEncodedName(name) {
+		return sink, true
+	}
+	for _, w := range detflowWALTypes {
+		if name == w.name && pathInScope(path, w.scope) {
+			return sink, true
+		}
 	}
 	if pathInScope(path, detflowReportScope...) &&
-		(strings.Contains(obj.Name(), "Report") || strings.Contains(obj.Name(), "Audit")) {
-		return obj.Pkg().Name() + "." + obj.Name()
+		(strings.Contains(name, "Report") || strings.Contains(name, "Audit")) {
+		return sink, false
 	}
-	return ""
+	return "", false
 }
 
 // walEncodedName recognizes the store types that are actually encoded
@@ -360,8 +373,8 @@ func walEncodedName(name string) bool {
 }
 
 // sinkKindDesc says why the sink matters in the message.
-func sinkKindDesc(sink string) string {
-	if strings.HasPrefix(sink, "store.") {
+func sinkKindDesc(wal bool) string {
+	if wal {
 		return "WAL-encoded: order- or time-dependent bytes break replay equality"
 	}
 	return "compared across runs: nondeterministic content breaks report equality"

@@ -119,14 +119,17 @@ func DefaultConfig() Config {
 
 // Submission is one worker's sealed envelope: the bid price and the data
 // for the tasks the worker performed (D_i determines T_i).
+//
+// The JSON tags are the wire envelope a worker posts and the store's
+// submissions record.
 type Submission struct {
-	Worker string
+	Worker string `json:"worker"`
 	// Price is the claimed cost b_i.
-	Price float64
+	Price float64 `json:"price"`
 	// Answers maps task ID → value. Submit copies the answers into the
 	// campaign's log, so the caller keeps the map and may reuse or
 	// modify it once Submit returns.
-	Answers map[string]string
+	Answers map[string]string `json:"answers"`
 }
 
 // ErrDuplicateSubmission reports a worker submitting twice. It carries
@@ -328,46 +331,51 @@ func (p *Platform) Submissions() int {
 	return len(p.log.Workers)
 }
 
-// Report is the settled campaign outcome.
+// Report is the settled campaign outcome. Its JSON encoding is both the
+// GET …/report body and the report of the store's settled event.
 type Report struct {
 	// Truth maps task ID → estimated value.
-	Truth map[string]string
+	Truth map[string]string `json:"truth"`
 	// Winners lists winning worker IDs in selection order.
-	Winners []string
+	Winners []string `json:"winners"`
 	// Payments maps worker ID → payment (winners only).
-	Payments map[string]float64
+	Payments map[string]float64 `json:"payments"`
 	// WorkerAccuracy maps worker ID → estimated mean accuracy.
-	WorkerAccuracy map[string]float64
+	WorkerAccuracy map[string]float64 `json:"worker_accuracy"`
 	// SocialCost is the winners' total bid (the SOAC objective).
-	SocialCost float64
+	SocialCost float64 `json:"social_cost"`
 	// TotalPayment is the platform's outlay.
-	TotalPayment float64
+	TotalPayment float64 `json:"total_payment"`
 	// PlatformUtility is V(S) − Σp (eq. 2).
-	PlatformUtility float64
+	PlatformUtility float64 `json:"platform_utility"`
 	// TruthIterations is how many refinement rounds stage 1 used.
-	TruthIterations int
+	TruthIterations int `json:"truth_iterations"`
 	// Converged reports stage-1 convergence.
-	Converged bool
+	Converged bool `json:"converged"`
 }
 
 // SuspectPair is a worker pair the platform flags for audit, with the
 // posterior copying probabilities in both directions.
 type SuspectPair struct {
-	WorkerA, WorkerB string
-	AtoB, BtoA       float64
+	WorkerA string  `json:"worker_a"`
+	WorkerB string  `json:"worker_b"`
+	AtoB    float64 `json:"a_to_b"`
+	BtoA    float64 `json:"b_to_a"`
 }
 
 // Audit lists the TopK most dependence-suspicious worker pairs (and each
 // worker's copier score) discovered during Run. Empty until Run executes
-// with a dependence-aware method.
+// with a dependence-aware method. Its JSON encoding is both the
+// GET …/audit body and the audit of the store's settled event; a
+// zero-pair audit encodes "pairs":null.
 type Audit struct {
-	Pairs        []SuspectPair
-	CopierScores map[string]float64
+	Pairs        []SuspectPair      `json:"pairs"`
+	CopierScores map[string]float64 `json:"copier_scores"`
 	// Convergence is the settle's per-iteration telemetry — pass wall
 	// times and how many task truths moved each round (truth.Trace).
 	// Wall-clock times vary run to run; equality checks on settle output
 	// should compare Reports, which stay bit-identical.
-	Convergence []truth.IterationStats
+	Convergence []truth.IterationStats `json:"convergence,omitempty"`
 }
 
 // Run executes both stages and settles the campaign. It is the

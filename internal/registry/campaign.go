@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"maps"
 	"sync"
 	"time"
 
@@ -147,7 +148,7 @@ func (c *Campaign) SubmitBatch(subs []platform.Submission) (int, error) {
 func (c *Campaign) submitDurable(subs []platform.Submission, batch bool) (int, error) {
 	c.storeMu.Lock()
 	defer c.storeMu.Unlock()
-	accepted := make([]store.SubmissionRecord, 0, len(subs))
+	accepted := make([]platform.Submission, 0, len(subs))
 	var firstErr error
 	for i, sub := range subs {
 		if err := c.p.Submit(sub); err != nil {
@@ -157,7 +158,12 @@ func (c *Campaign) submitDurable(subs []platform.Submission, batch bool) (int, e
 			firstErr = err
 			break
 		}
-		accepted = append(accepted, store.SubmissionFromPlatform(sub))
+		// The event owns a copy of the answers: the store keeps it in
+		// its state and later snapshots encode it, so sharing the
+		// caller's map would let a caller that reuses it change what
+		// recovery replays.
+		sub.Answers = maps.Clone(sub.Answers)
+		accepted = append(accepted, sub)
 	}
 	c.m.noteSubmissions(len(accepted))
 	if len(accepted) > 0 {
@@ -257,10 +263,7 @@ func (c *Campaign) settleConfig() platform.Config {
 			return c.appendLockedCtx(ctx, store.Event{
 				Type:     store.EventSettled,
 				Campaign: c.id,
-				Settled: &store.SettledPayload{
-					Report: store.ReportFromPlatform(rep),
-					Audit:  store.AuditFromPlatform(audit),
-				},
+				Settled:  &store.SettledPayload{Report: rep, Audit: audit},
 			})
 		}
 	}

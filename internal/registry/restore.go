@@ -39,16 +39,12 @@ func (r *Registry) Restore(recs []*store.CampaignRecord, recoveredAt time.Time) 
 			state = platform.StateOpen
 			requeue = true
 		}
-		var subs []platform.Submission
-		for _, s := range rec.Submissions {
-			subs = append(subs, s.ToPlatform())
-		}
 		p, perr := platform.Restore(platform.RestoreState{
 			Tasks:       rec.Tasks,
 			State:       state,
-			Submissions: subs,
-			Report:      rec.Report.ToPlatform(),
-			Audit:       rec.Audit.ToPlatform(),
+			Submissions: rec.Submissions,
+			Report:      rec.Report,
+			Audit:       rec.Audit,
 		})
 		if perr != nil {
 			return nil, imcerr.Wrapf(imcerr.CodeOf(perr), perr, "registry: restoring campaign %q", rec.ID)

@@ -209,8 +209,8 @@ func TestDurableSubmitDoesNotAliasAnswers(t *testing.T) {
 		t.Fatalf("recovered %d campaign records", len(recs))
 	}
 	for i, rec := range recs[0].Submissions {
-		if want := submissionFor(wl, i); !reflect.DeepEqual(rec.ToPlatform(), want) {
-			t.Fatalf("recovered submission %d = %+v, want %+v", i, rec.ToPlatform(), want)
+		if want := submissionFor(wl, i); !reflect.DeepEqual(rec, want) {
+			t.Fatalf("recovered submission %d = %+v, want %+v", i, rec, want)
 		}
 	}
 	if _, err := r2.Restore(recs, time.Now()); err != nil {

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"maps"
-
 	"imc2/internal/imcerr"
 	"imc2/internal/model"
 	"imc2/internal/platform"
@@ -35,7 +33,9 @@ const (
 )
 
 // Event is one durable campaign mutation. Exactly the payload field
-// matching Type is set.
+// matching Type is set. Submissions, reports and audits are logged as
+// the platform's own types: their JSON tags are the record format, the
+// same bytes the wire serves.
 type Event struct {
 	// Seq is the event's position in the log, strictly increasing from 1.
 	// Append assigns it; events handed to Append carry zero.
@@ -45,9 +45,9 @@ type Event struct {
 	// Campaign is the registry-assigned campaign ID the event applies to.
 	Campaign string `json:"campaign"`
 
-	Created     *CreatedPayload    `json:"created,omitempty"`
-	Submissions []SubmissionRecord `json:"submissions,omitempty"`
-	Settled     *SettledPayload    `json:"settled,omitempty"`
+	Created     *CreatedPayload       `json:"created,omitempty"`
+	Submissions []platform.Submission `json:"submissions,omitempty"`
+	Settled     *SettledPayload       `json:"settled,omitempty"`
 }
 
 // CreatedPayload declares a campaign.
@@ -62,29 +62,8 @@ type CreatedPayload struct {
 
 // SettledPayload finalizes a campaign.
 type SettledPayload struct {
-	Report *ReportRecord `json:"report"`
-	Audit  *AuditRecord  `json:"audit,omitempty"`
-}
-
-// SubmissionRecord is the durable form of one sealed submission.
-type SubmissionRecord struct {
-	Worker  string            `json:"worker"`
-	Price   float64           `json:"price"`
-	Answers map[string]string `json:"answers"`
-}
-
-// SubmissionFromPlatform converts a live submission to its durable form.
-// The record owns a copy of the answers: the store keeps records in its
-// in-memory state and later snapshots encode them, so sharing the
-// caller's map would let a caller that reuses or mutates it change what
-// recovery replays.
-func SubmissionFromPlatform(sub platform.Submission) SubmissionRecord {
-	return SubmissionRecord{Worker: sub.Worker, Price: sub.Price, Answers: maps.Clone(sub.Answers)}
-}
-
-// ToPlatform converts the durable submission back to the live form.
-func (s SubmissionRecord) ToPlatform() platform.Submission {
-	return platform.Submission{Worker: s.Worker, Price: s.Price, Answers: s.Answers}
+	Report *platform.Report `json:"report"`
+	Audit  *platform.Audit  `json:"audit,omitempty"`
 }
 
 // ConfigRecord is the serializable core of a platform.Config: everything
@@ -139,133 +118,6 @@ func (c ConfigRecord) ToPlatform() platform.Config {
 	cfg.TruthOptions.EDSamples = c.EDSamples
 	cfg.TruthOptions.Parallelism = c.Parallelism
 	return cfg
-}
-
-// ReportRecord is the durable form of a settled report.
-type ReportRecord struct {
-	Truth           map[string]string  `json:"truth"`
-	Winners         []string           `json:"winners"`
-	Payments        map[string]float64 `json:"payments"`
-	WorkerAccuracy  map[string]float64 `json:"worker_accuracy"`
-	SocialCost      float64            `json:"social_cost"`
-	TotalPayment    float64            `json:"total_payment"`
-	PlatformUtility float64            `json:"platform_utility"`
-	TruthIterations int                `json:"truth_iterations"`
-	Converged       bool               `json:"converged"`
-}
-
-// ReportFromPlatform converts a live report to its durable form. Nil in,
-// nil out.
-func ReportFromPlatform(rep *platform.Report) *ReportRecord {
-	if rep == nil {
-		return nil
-	}
-	return &ReportRecord{
-		Truth:           rep.Truth,
-		Winners:         rep.Winners,
-		Payments:        rep.Payments,
-		WorkerAccuracy:  rep.WorkerAccuracy,
-		SocialCost:      rep.SocialCost,
-		TotalPayment:    rep.TotalPayment,
-		PlatformUtility: rep.PlatformUtility,
-		TruthIterations: rep.TruthIterations,
-		Converged:       rep.Converged,
-	}
-}
-
-// ToPlatform converts the durable report back to the live form. Nil in,
-// nil out.
-func (r *ReportRecord) ToPlatform() *platform.Report {
-	if r == nil {
-		return nil
-	}
-	return &platform.Report{
-		Truth:           r.Truth,
-		Winners:         r.Winners,
-		Payments:        r.Payments,
-		WorkerAccuracy:  r.WorkerAccuracy,
-		SocialCost:      r.SocialCost,
-		TotalPayment:    r.TotalPayment,
-		PlatformUtility: r.PlatformUtility,
-		TruthIterations: r.TruthIterations,
-		Converged:       r.Converged,
-	}
-}
-
-// SuspectPairRecord is the durable form of one audit pair.
-type SuspectPairRecord struct {
-	WorkerA string  `json:"worker_a"`
-	WorkerB string  `json:"worker_b"`
-	AtoB    float64 `json:"a_to_b"`
-	BtoA    float64 `json:"b_to_a"`
-}
-
-// IterationRecord is the durable form of one settle iteration's
-// telemetry (truth.IterationStats).
-type IterationRecord struct {
-	Iteration           int     `json:"iteration"`
-	DependenceSeconds   float64 `json:"dependence_seconds,omitempty"`
-	IndependenceSeconds float64 `json:"independence_seconds,omitempty"`
-	EstimateSeconds     float64 `json:"estimate_seconds,omitempty"`
-	Changed             int     `json:"changed"`
-	Converged           bool    `json:"converged,omitempty"`
-}
-
-// AuditRecord is the durable form of a copier audit.
-type AuditRecord struct {
-	Pairs        []SuspectPairRecord `json:"pairs,omitempty"`
-	CopierScores map[string]float64  `json:"copier_scores,omitempty"`
-	Convergence  []IterationRecord   `json:"convergence,omitempty"`
-}
-
-// AuditFromPlatform converts a live audit to its durable form. Nil in,
-// nil out.
-func AuditFromPlatform(a *platform.Audit) *AuditRecord {
-	if a == nil {
-		return nil
-	}
-	rec := &AuditRecord{CopierScores: a.CopierScores}
-	for _, pr := range a.Pairs {
-		rec.Pairs = append(rec.Pairs, SuspectPairRecord{
-			WorkerA: pr.WorkerA, WorkerB: pr.WorkerB, AtoB: pr.AtoB, BtoA: pr.BtoA,
-		})
-	}
-	for _, it := range a.Convergence {
-		rec.Convergence = append(rec.Convergence, IterationRecord{
-			Iteration:           it.Iteration,
-			DependenceSeconds:   it.DependenceSeconds,
-			IndependenceSeconds: it.IndependenceSeconds,
-			EstimateSeconds:     it.EstimateSeconds,
-			Changed:             it.Changed,
-			Converged:           it.Converged,
-		})
-	}
-	return rec
-}
-
-// ToPlatform converts the durable audit back to the live form. Nil in,
-// nil out.
-func (a *AuditRecord) ToPlatform() *platform.Audit {
-	if a == nil {
-		return nil
-	}
-	out := &platform.Audit{CopierScores: a.CopierScores}
-	for _, pr := range a.Pairs {
-		out.Pairs = append(out.Pairs, platform.SuspectPair{
-			WorkerA: pr.WorkerA, WorkerB: pr.WorkerB, AtoB: pr.AtoB, BtoA: pr.BtoA,
-		})
-	}
-	for _, it := range a.Convergence {
-		out.Convergence = append(out.Convergence, truth.IterationStats{
-			Iteration:           it.Iteration,
-			DependenceSeconds:   it.DependenceSeconds,
-			IndependenceSeconds: it.IndependenceSeconds,
-			EstimateSeconds:     it.EstimateSeconds,
-			Changed:             it.Changed,
-			Converged:           it.Converged,
-		})
-	}
-	return out
 }
 
 // validate checks the event's structural invariants before it is encoded

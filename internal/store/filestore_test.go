@@ -37,7 +37,7 @@ func createdEvent(id, name string, draft bool) Event {
 func submissionsEvent(id string, workers ...string) Event {
 	ev := Event{Type: EventSubmissions, Campaign: id}
 	for _, w := range workers {
-		ev.Submissions = append(ev.Submissions, SubmissionRecord{
+		ev.Submissions = append(ev.Submissions, platform.Submission{
 			Worker:  w,
 			Price:   2.5,
 			Answers: map[string]string{"t1": "a", "t2": "b"},
@@ -51,7 +51,7 @@ func settledEvent(id string) Event {
 		Type:     EventSettled,
 		Campaign: id,
 		Settled: &SettledPayload{
-			Report: &ReportRecord{
+			Report: &platform.Report{
 				Truth:           map[string]string{"t1": "a", "t2": "b"},
 				Winners:         []string{"w1"},
 				Payments:        map[string]float64{"w1": 3.25},
@@ -62,8 +62,8 @@ func settledEvent(id string) Event {
 				TruthIterations: 4,
 				Converged:       true,
 			},
-			Audit: &AuditRecord{
-				Pairs:        []SuspectPairRecord{{WorkerA: "w1", WorkerB: "w2", AtoB: 0.25, BtoA: 0.75}},
+			Audit: &platform.Audit{
+				Pairs:        []platform.SuspectPair{{WorkerA: "w1", WorkerB: "w2", AtoB: 0.25, BtoA: 0.75}},
 				CopierScores: map[string]float64{"w1": 0.1, "w2": 0.9},
 			},
 		},
@@ -253,7 +253,7 @@ func snapshotRecords(st *State) []*CampaignRecord {
 	out := make([]*CampaignRecord, 0, st.Len())
 	for _, rec := range st.Campaigns() {
 		cp := *rec
-		cp.Submissions = append([]SubmissionRecord(nil), rec.Submissions...)
+		cp.Submissions = append([]platform.Submission(nil), rec.Submissions...)
 		out = append(out, &cp)
 	}
 	return out
@@ -550,34 +550,9 @@ func TestMidLogCorruptionRefusesOpen(t *testing.T) {
 	}
 }
 
+// TestConvertersRoundTrip covers the one converter pair left: the
+// settle configuration's serializable core.
 func TestConvertersRoundTrip(t *testing.T) {
-	rep := &platform.Report{
-		Truth:           map[string]string{"t1": "a"},
-		Winners:         []string{"w1", "w2"},
-		Payments:        map[string]float64{"w1": 1.25, "w2": 0.5},
-		WorkerAccuracy:  map[string]float64{"w1": 0.9},
-		SocialCost:      1.75,
-		TotalPayment:    1.75,
-		PlatformUtility: 9.25,
-		TruthIterations: 3,
-		Converged:       true,
-	}
-	if got := ReportFromPlatform(rep).ToPlatform(); !reflect.DeepEqual(got, rep) {
-		t.Fatalf("report round trip diverged: %+v", got)
-	}
-	audit := &platform.Audit{
-		Pairs:        []platform.SuspectPair{{WorkerA: "a", WorkerB: "b", AtoB: 0.5, BtoA: 0.25}},
-		CopierScores: map[string]float64{"a": 0.5},
-	}
-	if got := AuditFromPlatform(audit).ToPlatform(); !reflect.DeepEqual(got, audit) {
-		t.Fatalf("audit round trip diverged: %+v", got)
-	}
-	if ReportFromPlatform(nil) != nil || (*ReportRecord)(nil).ToPlatform() != nil {
-		t.Fatal("nil report did not round-trip to nil")
-	}
-	if AuditFromPlatform(nil) != nil || (*AuditRecord)(nil).ToPlatform() != nil {
-		t.Fatal("nil audit did not round-trip to nil")
-	}
 	cfg := platform.DefaultConfig()
 	cfg.TruthOptions.CopyProb = 0.8
 	cfg.TruthOptions.Parallelism = 1

@@ -16,11 +16,11 @@ type CampaignRecord struct {
 	// StateClosing is a settle the process did not survive: recovery
 	// materializes it as open (submissions intact) and re-queues the
 	// settle through the registry's admission path.
-	State       platform.State     `json:"state"`
-	Config      ConfigRecord       `json:"config"`
-	Submissions []SubmissionRecord `json:"submissions,omitempty"`
-	Report      *ReportRecord      `json:"report,omitempty"`
-	Audit       *AuditRecord       `json:"audit,omitempty"`
+	State       platform.State        `json:"state"`
+	Config      ConfigRecord          `json:"config"`
+	Submissions []platform.Submission `json:"submissions,omitempty"`
+	Report      *platform.Report      `json:"report,omitempty"`
+	Audit       *platform.Audit       `json:"audit,omitempty"`
 }
 
 // State is the fold of an event log: the durable view of a whole

@@ -18,12 +18,12 @@ func lifecycleLog() []Event {
 	return []Event{
 		{Type: EventCreated, Campaign: "c1", Created: &CreatedPayload{Name: "full", Tasks: tasks}},
 		{Type: EventOpened, Campaign: "c1"}, // idempotent on an open campaign
-		{Type: EventSubmissions, Campaign: "c1", Submissions: []SubmissionRecord{
+		{Type: EventSubmissions, Campaign: "c1", Submissions: []platform.Submission{
 			{Worker: "w1", Price: 2.5, Answers: map[string]string{"t1": "yes"}},
 		}},
 		{Type: EventCloseRequested, Campaign: "c1"},
 		{Type: EventSettled, Campaign: "c1", Settled: &SettledPayload{
-			Report: &ReportRecord{Winners: []string{"w1"}, SocialCost: 2.5},
+			Report: &platform.Report{Winners: []string{"w1"}, SocialCost: 2.5},
 		}},
 		{Type: EventCreated, Campaign: "c2", Created: &CreatedPayload{Name: "draft", Tasks: tasks, Draft: true}},
 		{Type: EventCancelled, Campaign: "c2"},
@@ -137,14 +137,14 @@ func TestApplyRejectsImpossibleTransitions(t *testing.T) {
 	base := []Event{
 		{Type: EventCreated, Campaign: "c", Created: &CreatedPayload{Name: "x", Tasks: tasks}},
 		{Type: EventCloseRequested, Campaign: "c"},
-		{Type: EventSettled, Campaign: "c", Settled: &SettledPayload{Report: &ReportRecord{}}},
+		{Type: EventSettled, Campaign: "c", Settled: &SettledPayload{Report: &platform.Report{}}},
 	}
 	bad := []Event{
 		// Settled campaigns accept nothing further.
-		{Type: EventSubmissions, Campaign: "c", Submissions: []SubmissionRecord{{Worker: "w"}}},
+		{Type: EventSubmissions, Campaign: "c", Submissions: []platform.Submission{{Worker: "w"}}},
 		{Type: EventOpened, Campaign: "c"},
 		{Type: EventCloseRequested, Campaign: "c"},
-		{Type: EventSettled, Campaign: "c", Settled: &SettledPayload{Report: &ReportRecord{}}},
+		{Type: EventSettled, Campaign: "c", Settled: &SettledPayload{Report: &platform.Report{}}},
 		{Type: EventCancelled, Campaign: "c"},
 		// And a campaign cannot be created twice.
 		{Type: EventCreated, Campaign: "c", Created: &CreatedPayload{Name: "x", Tasks: tasks}},

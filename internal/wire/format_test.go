@@ -520,3 +520,43 @@ func TestFormatPinParentDirRecovers(t *testing.T) {
 		t.Fatalf("solo audit = %+v, %v; want nil pairs and one copier score", a, err)
 	}
 }
+
+// TestFormatPinZeroPairAudit pins the one place the WAL bytes moved when
+// the store began logging platform.Audit itself: a zero-pair audit (a
+// one-worker campaign's) now encodes "pairs":null where the old store
+// record omitted the key. Both forms decode to nil pairs.
+func TestFormatPinZeroPairAudit(t *testing.T) {
+	payloads := walPayloads(t, filepath.Join(formatDir, "data", "wal-000000000000000a.log"))
+	var raw []byte
+	for _, p := range payloads {
+		var ev store.Event
+		if err := json.Unmarshal(p, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == store.EventSettled && ev.Campaign == formatSolo {
+			raw = p
+		}
+	}
+	if raw == nil {
+		t.Fatal("committed WAL tail holds no settled event for the one-worker campaign")
+	}
+	var ev store.Event
+	if err := json.Unmarshal(raw, &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Settled.Audit == nil || ev.Settled.Audit.Pairs != nil {
+		t.Fatalf("zero-pair audit decoded as %+v, want nil pairs", ev.Settled.Audit)
+	}
+	got, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := raw
+	if !bytes.Contains(raw, []byte(`"pairs":null`)) {
+		// Written by the old store record, which omitted the key.
+		want = bytes.Replace(raw, []byte(`"audit":{`), []byte(`"audit":{"pairs":null,`), 1)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("zero-pair settled event re-encodes as\n got: %s\nwant: %s", got, want)
+	}
+}

@@ -56,27 +56,24 @@ import (
 	"imc2/internal/platform"
 	"imc2/internal/registry"
 	"imc2/internal/tracing"
+	"imc2/internal/truth"
 )
 
-// Submission is the JSON envelope a worker posts.
-type Submission struct {
-	Worker  string            `json:"worker"`
-	Price   float64           `json:"price"`
-	Answers map[string]string `json:"answers"`
-}
-
-// Report mirrors platform.Report for the wire.
-type Report struct {
-	Truth           map[string]string  `json:"truth"`
-	Winners         []string           `json:"winners"`
-	Payments        map[string]float64 `json:"payments"`
-	WorkerAccuracy  map[string]float64 `json:"worker_accuracy"`
-	SocialCost      float64            `json:"social_cost"`
-	TotalPayment    float64            `json:"total_payment"`
-	PlatformUtility float64            `json:"platform_utility"`
-	TruthIterations int                `json:"truth_iterations"`
-	Converged       bool               `json:"converged"`
-}
+// The settled record's wire names are the platform's own types: their
+// JSON tags are the HTTP bodies, and the store logs the same bytes.
+type (
+	// Submission is the JSON envelope a worker posts.
+	Submission = platform.Submission
+	// Report is the GET /v2/campaigns/{id}/report body.
+	Report = platform.Report
+	// SuspectPair is one flagged worker pair of an audit.
+	SuspectPair = platform.SuspectPair
+	// IterationTelemetry is one settle iteration's pass wall times and
+	// convergence delta.
+	IterationTelemetry = truth.IterationStats
+	// AuditReport is the GET /v2/campaigns/{id}/audit body.
+	AuditReport = platform.Audit
+)
 
 type errorBody struct {
 	Error string `json:"error"`
@@ -215,71 +212,6 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return s.instrument(mux)
-}
-
-// SuspectPair mirrors platform.SuspectPair for the wire.
-type SuspectPair struct {
-	WorkerA string  `json:"worker_a"`
-	WorkerB string  `json:"worker_b"`
-	AtoB    float64 `json:"a_to_b"`
-	BtoA    float64 `json:"b_to_a"`
-}
-
-// IterationTelemetry mirrors truth.IterationStats for the wire: one
-// settle iteration's pass wall times and convergence delta.
-type IterationTelemetry struct {
-	Iteration           int     `json:"iteration"`
-	DependenceSeconds   float64 `json:"dependence_seconds,omitempty"`
-	IndependenceSeconds float64 `json:"independence_seconds,omitempty"`
-	EstimateSeconds     float64 `json:"estimate_seconds,omitempty"`
-	Changed             int     `json:"changed"`
-	Converged           bool    `json:"converged,omitempty"`
-}
-
-// AuditReport is the copier-audit view of a settled campaign.
-type AuditReport struct {
-	Pairs        []SuspectPair      `json:"pairs"`
-	CopierScores map[string]float64 `json:"copier_scores"`
-	// Convergence is the settle's per-iteration telemetry, in order.
-	Convergence []IterationTelemetry `json:"convergence,omitempty"`
-}
-
-func toPlatformSubmission(sub Submission) platform.Submission {
-	return platform.Submission{Worker: sub.Worker, Price: sub.Price, Answers: sub.Answers}
-}
-
-func toWireReport(rep *platform.Report) *Report {
-	return &Report{
-		Truth:           rep.Truth,
-		Winners:         rep.Winners,
-		Payments:        rep.Payments,
-		WorkerAccuracy:  rep.WorkerAccuracy,
-		SocialCost:      rep.SocialCost,
-		TotalPayment:    rep.TotalPayment,
-		PlatformUtility: rep.PlatformUtility,
-		TruthIterations: rep.TruthIterations,
-		Converged:       rep.Converged,
-	}
-}
-
-func toWireAudit(audit *platform.Audit) *AuditReport {
-	out := &AuditReport{CopierScores: audit.CopierScores}
-	for _, pr := range audit.Pairs {
-		out.Pairs = append(out.Pairs, SuspectPair{
-			WorkerA: pr.WorkerA, WorkerB: pr.WorkerB, AtoB: pr.AtoB, BtoA: pr.BtoA,
-		})
-	}
-	for _, it := range audit.Convergence {
-		out.Convergence = append(out.Convergence, IterationTelemetry{
-			Iteration:           it.Iteration,
-			DependenceSeconds:   it.DependenceSeconds,
-			IndependenceSeconds: it.IndependenceSeconds,
-			EstimateSeconds:     it.EstimateSeconds,
-			Changed:             it.Changed,
-			Converged:           it.Converged,
-		})
-	}
-	return out
 }
 
 // statusOf is the single place a machine-readable error code maps to an

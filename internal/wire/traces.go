@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -26,6 +27,10 @@ type TracePage struct {
 	Total  int            `json:"total"`
 }
 
+// maxMinDurationMS is the largest ?min_duration_ms= whose Duration
+// fits an int64 of nanoseconds.
+const maxMinDurationMS = math.MaxInt64 / int64(time.Millisecond)
+
 // handleListTraces serves the flight recorder's retained traces,
 // newest first. Filters: ?campaign= keeps traces touching one
 // campaign, ?min_duration_ms= keeps slow ones, ?errors=true keeps
@@ -38,6 +43,12 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 	minMS, err := queryInt(r, "min_duration_ms", 0)
 	if err != nil {
 		s.writeError(w, err)
+		return
+	}
+	// Out of range, the product below would wrap to a negative Duration
+	// and switch the filter off.
+	if minMS < 0 || int64(minMS) > maxMinDurationMS {
+		s.writeError(w, imcerr.New(imcerr.CodeInvalid, "query parameter %q: %d is outside [0, %d]", "min_duration_ms", minMS, maxMinDurationMS))
 		return
 	}
 	filter := tracing.TraceFilter{

@@ -358,3 +358,64 @@ func TestTracesEndpointDisabledWithoutTracer(t *testing.T) {
 		t.Errorf("GET /v2/traces without tracer = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestTracesMinDurationBounds: ?min_duration_ms= must fit a
+// time.Duration. A negative value, or one whose nanoseconds overflow
+// int64 (and would wrap negative, switching the filter off), is 400
+// invalid rather than a listing of every trace.
+func TestTracesMinDurationBounds(t *testing.T) {
+	srv := NewRegistryServer(registry.New(), "", platform.DefaultConfig(), nil, WithTracing(tracing.New(tracing.Options{})))
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	// One finished request, so an unfiltered listing is not empty.
+	resp, err := http.Get(hs.URL + "/v2/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, tc := range []struct {
+		query  string
+		status int
+		traces bool // the listing holds the healthz trace
+	}{
+		{"", http.StatusOK, true},
+		{"0", http.StatusOK, true},
+		{"9223372036854", http.StatusOK, false}, // the largest whole-ms Duration
+		{"-1", http.StatusBadRequest, false},
+		{"9223372036855", http.StatusBadRequest, false},
+		{"9999999999999", http.StatusBadRequest, false},
+		{"soon", http.StatusBadRequest, false},
+	} {
+		resp, err := http.Get(hs.URL + "/v2/traces?min_duration_ms=" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("min_duration_ms=%q: status %d, want %d: %s", tc.query, resp.StatusCode, tc.status, body)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			if !strings.Contains(string(body), `"code":"invalid"`) {
+				t.Errorf("min_duration_ms=%q: body %s, want code invalid", tc.query, body)
+			}
+			continue
+		}
+		var page TracePage
+		if err := json.Unmarshal(body, &page); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, sum := range page.Traces {
+			found = found || strings.Contains(sum.Root, "/v2/healthz")
+		}
+		if found != tc.traces {
+			t.Errorf("min_duration_ms=%q: healthz trace listed = %v, want %v (%+v)", tc.query, found, tc.traces, page.Traces)
+		}
+	}
+}

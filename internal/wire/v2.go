@@ -472,11 +472,7 @@ func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	ps := make([]platform.Submission, 0, len(subs))
-	for _, sub := range subs {
-		ps = append(ps, toPlatformSubmission(sub))
-	}
-	n, err := c.SubmitBatch(ps)
+	n, err := c.SubmitBatch(subs)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -548,7 +544,7 @@ func (s *Server) handleCampaignReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toWireReport(rep))
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleCampaignEstimate serves the campaign's provisional estimate,
@@ -590,7 +586,7 @@ func (s *Server) handleCampaignAudit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toWireAudit(audit))
+	writeJSON(w, http.StatusOK, audit)
 }
 
 // queryInt parses an optional integer query parameter.
