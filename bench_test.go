@@ -97,7 +97,7 @@ func benchInstance(b *testing.B) *imc2.AuctionInstance {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return imc2.BuildAuctionInstance(c.Dataset, res.AccuracyMatrix(), c.Costs)
+	return imc2.BuildAuctionInstance(c.Dataset, res.Accuracy, c.Costs)
 }
 
 func benchMechanism(b *testing.B, in *imc2.AuctionInstance, run func(*imc2.AuctionInstance) (*imc2.AuctionOutcome, error)) {
@@ -164,7 +164,7 @@ func benchFig5Instance(b *testing.B) *imc2.AuctionInstance {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return imc2.BuildAuctionInstance(c.Dataset, res.AccuracyMatrix(), c.Costs)
+	return imc2.BuildAuctionInstance(c.Dataset, res.Accuracy, c.Costs)
 }
 
 // benchFig5Submissions assembles every worker's sealed envelope for the

@@ -57,7 +57,7 @@ func run(w io.Writer) error {
 		imc2.Precision(res.TruthMap(ds), campaign.GroundTruth), ds.NumTasks())
 
 	// Stage 2: the reverse auction over the estimated accuracies.
-	in := imc2.BuildAuctionInstance(ds, res.AccuracyMatrix(), campaign.Costs)
+	in := imc2.BuildAuctionInstance(ds, res.Accuracy, campaign.Costs)
 
 	type mech struct {
 		name string

@@ -52,7 +52,7 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		in := imc2.BuildAuctionInstance(c.Dataset, res.AccuracyMatrix(), c.Costs)
+		in := imc2.BuildAuctionInstance(c.Dataset, res.Accuracy, c.Costs)
 		if _, err := imc2.RunReverseAuction(in); err != nil {
 			continue // this draw has an irreplaceable winner; skip
 		}

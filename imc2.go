@@ -246,8 +246,10 @@ func VerifyTruthfulness(in *AuctionInstance, worker int, bids []float64) error {
 	return auction.VerifyTruthfulness(in, worker, bids)
 }
 
-// BuildAuctionInstance assembles the SOAC instance from a dataset, an
-// accuracy matrix (from truth discovery), and the submitted bids.
+// BuildAuctionInstance assembles the SOAC instance from a dataset, the
+// per-observation accuracy of truth discovery (TruthResult.Accuracy,
+// whose rows align with the dataset's WorkerTasks), and the submitted
+// bids.
 func BuildAuctionInstance(ds *Dataset, accuracy [][]float64, bids []float64) *AuctionInstance {
 	return platform.BuildInstance(ds, accuracy, bids)
 }

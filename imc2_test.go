@@ -134,7 +134,7 @@ func TestFacadeAuctionHelpers(t *testing.T) {
 	in := &imc2.AuctionInstance{
 		Bids:         []float64{2, 1, 1.2, 4},
 		TaskSets:     [][]int{{0, 1}, {0}, {1}, {0, 1}},
-		Accuracy:     [][]float64{{0.6, 0.6}, {0.5, 0}, {0, 0.5}, {0.5, 0.5}},
+		Accuracy:     [][]float64{{0.6, 0.6}, {0.5}, {0.5}, {0.5, 0.5}}, // aligned with TaskSets
 		Requirements: []float64{1, 1},
 	}
 	ra, err := imc2.RunReverseAuction(in)

@@ -18,8 +18,8 @@ func TheoreticalBound(in *Instance) float64 {
 	minAcc := math.Inf(1)
 	eps := 0.0
 	for i, ts := range in.TaskSets {
-		for _, j := range ts {
-			a := in.Accuracy[i][j]
+		for t := range ts {
+			a := in.Accuracy[i][t]
 			if a > 0 && a < minAcc {
 				minAcc = a
 			}
@@ -45,8 +45,8 @@ func TheoreticalBound(in *Instance) float64 {
 func CoverageSlack(in *Instance, winners []int) []float64 {
 	got := make([]float64, in.NumTasks())
 	for _, i := range winners {
-		for _, j := range in.TaskSets[i] {
-			got[j] += in.Accuracy[i][j]
+		for t, j := range in.TaskSets[i] {
+			got[j] += in.Accuracy[i][t]
 		}
 	}
 	for j := range got {

@@ -56,10 +56,10 @@ func newCoverageIndex(in *Instance) *coverageIndex {
 	}
 	next := append([]int(nil), ix.taskOff[:m]...)
 	for i, ts := range in.TaskSets {
-		for _, j := range ts {
+		for t, j := range ts {
 			e := next[j]
 			next[j]++
-			a := in.Accuracy[i][j]
+			a := in.Accuracy[i][t]
 			c := min2(st.residual[j], a)
 			ix.entWorker[e] = int32(i)
 			ix.entAcc[e] = a
@@ -113,8 +113,8 @@ func (s *coverageState) done() bool { return s.remain <= covered }
 func (s *coverageState) apply(i int) {
 	ix := s.ix
 	acc := ix.in.Accuracy[i]
-	for _, j := range ix.in.TaskSets[i] {
-		dec := min2(s.residual[j], acc[j])
+	for t, j := range ix.in.TaskSets[i] {
+		dec := min2(s.residual[j], acc[t])
 		if dec <= 0 {
 			continue
 		}

@@ -34,7 +34,9 @@ type Instance struct {
 	Bids []float64
 	// TaskSets[i] lists the task indices worker i performs (T_i).
 	TaskSets [][]int
-	// Accuracy[i][j] is A_i^j; entries outside T_i are ignored.
+	// Accuracy[i][t] is A_i^j for j = TaskSets[i][t]: one entry per
+	// task the worker performs, aligned with TaskSets[i] (A_i^j is
+	// defined only for j ∈ T_i).
 	Accuracy [][]float64
 	// Requirements[j] is Θ_j.
 	Requirements []float64
@@ -71,11 +73,12 @@ func (in *Instance) Validate() error {
 	}
 	seen := make([]int32, m) // seen[j] == i+1: worker i already listed task j
 	for i, ts := range in.TaskSets {
-		if len(in.Accuracy[i]) != m {
-			return fmt.Errorf("auction: accuracy row %d has %d entries, want %d", i, len(in.Accuracy[i]), m)
+		if len(in.Accuracy[i]) != len(ts) {
+			return fmt.Errorf("auction: accuracy row %d has %d entries, want one per task in its task set (%d)",
+				i, len(in.Accuracy[i]), len(ts))
 		}
 		stamp := int32(i + 1)
-		for _, j := range ts {
+		for t, j := range ts {
 			if j < 0 || j >= m {
 				return fmt.Errorf("auction: worker %d references task %d outside [0, %d)", i, j, m)
 			}
@@ -83,9 +86,9 @@ func (in *Instance) Validate() error {
 				return fmt.Errorf("auction: worker %d lists task %d twice", i, j)
 			}
 			seen[j] = stamp
-			a := in.Accuracy[i][j]
+			a := in.Accuracy[i][t]
 			if a < 0 || a > 1 || math.IsNaN(a) {
-				return fmt.Errorf("auction: accuracy[%d][%d] = %v outside [0,1]", i, j, a)
+				return fmt.Errorf("auction: worker %d accuracy on task %d = %v outside [0,1]", i, j, a)
 			}
 		}
 	}
@@ -105,8 +108,8 @@ func (in *Instance) feasibleWithout(skip int) bool {
 		if i == skip {
 			continue
 		}
-		for _, j := range ts {
-			total[j] += in.Accuracy[i][j]
+		for t, j := range ts {
+			total[j] += in.Accuracy[i][t]
 		}
 	}
 	for j, q := range in.Requirements {

@@ -19,10 +19,10 @@ func handInstance() *Instance {
 			{1},
 			{0, 1},
 		},
-		Accuracy: [][]float64{
+		Accuracy: [][]float64{ // aligned with TaskSets
 			{0.6, 0.6},
-			{0.5, 0},
-			{0, 0.5},
+			{0.5},
+			{0.5},
 			{0.5, 0.5},
 		},
 		Requirements: []float64{1, 1},
@@ -45,8 +45,10 @@ func TestInstanceValidate(t *testing.T) {
 		{"duplicate task", func(in *Instance) { in.TaskSets[0] = []int{1, 1} }, "twice"},
 		{"accuracy out of range", func(in *Instance) { in.Accuracy[0][0] = 1.5 }, "outside [0,1]"},
 		{
+			// A dense row (one entry per task) is not aligned with a
+			// one-task set.
 			"row length mismatch",
-			func(in *Instance) { in.Accuracy[2] = []float64{0.5} },
+			func(in *Instance) { in.Accuracy[2] = []float64{0, 0.5} },
 			"accuracy row",
 		},
 		{
@@ -146,8 +148,8 @@ func TestCoverageStateIncremental(t *testing.T) {
 			t.Helper()
 			for k, ts := range in.TaskSets {
 				want := 0.0
-				for _, j := range ts {
-					want += min2(s.residual[j], in.Accuracy[k][j])
+				for t, j := range ts {
+					want += min2(s.residual[j], in.Accuracy[k][t])
 				}
 				if math.Abs(s.cov[k]-want) > 1e-12 {
 					t.Fatalf("trial %d %s: cov[%d] = %v, from scratch %v", trial, when, k, s.cov[k], want)

@@ -63,8 +63,8 @@ func bruteForce(in *Instance) (float64, bool) {
 				continue
 			}
 			cost += in.Bids[i]
-			for _, j := range in.TaskSets[i] {
-				total[j] += in.Accuracy[i][j]
+			for t, j := range in.TaskSets[i] {
+				total[j] += in.Accuracy[i][t]
 			}
 		}
 		ok := true

@@ -46,7 +46,7 @@ func newOracleCoverage(in *Instance) *oracleCoverage {
 		s.contrib[i] = make([]float64, len(ts))
 		s.pos[i] = make(map[int]int, len(ts))
 		for t, j := range ts {
-			c := min2(s.residual[j], in.Accuracy[i][j])
+			c := min2(s.residual[j], in.Accuracy[i][t])
 			s.contrib[i][t] = c
 			s.cov[i] += c
 			s.byTask[j] = append(s.byTask[j], i)
@@ -59,8 +59,8 @@ func newOracleCoverage(in *Instance) *oracleCoverage {
 func (s *oracleCoverage) done() bool { return s.remain <= covered }
 
 func (s *oracleCoverage) apply(i int) {
-	for _, j := range s.in.TaskSets[i] {
-		dec := min2(s.residual[j], s.in.Accuracy[i][j])
+	for t, j := range s.in.TaskSets[i] {
+		dec := min2(s.residual[j], s.in.Accuracy[i][t])
 		if dec <= 0 {
 			continue
 		}
@@ -72,7 +72,7 @@ func (s *oracleCoverage) apply(i int) {
 		s.residual[j] = newResidual
 		for _, k := range s.byTask[j] {
 			t := s.pos[k][j]
-			newC := min2(newResidual, s.in.Accuracy[k][j])
+			newC := min2(newResidual, s.in.Accuracy[k][t])
 			s.cov[k] += newC - s.contrib[k][t]
 			s.contrib[k][t] = newC
 		}
@@ -169,7 +169,6 @@ func oracleCase(rng *rand.Rand, intBids bool) *Instance {
 		if intBids {
 			in.Bids[i] = float64(1 + rng.Intn(3))
 		}
-		in.Accuracy[i] = make([]float64, m)
 		for j := 0; j < m; j++ {
 			if rng.Float64() >= density {
 				continue
@@ -179,7 +178,7 @@ func oracleCase(rng *rand.Rand, intBids bool) *Instance {
 				a = float64(1+rng.Intn(3)) / 4
 			}
 			in.TaskSets[i] = append(in.TaskSets[i], j)
-			in.Accuracy[i][j] = a
+			in.Accuracy[i] = append(in.Accuracy[i], a)
 			total[j] += a
 		}
 	}
@@ -267,7 +266,7 @@ func TestReverseAuctionPrefixPriceCounts(t *testing.T) {
 	in := &Instance{
 		Bids:         []float64{9.189518900343645, 7.9, 7.9, 1000},
 		TaskSets:     [][]int{{0, 2}, {1, 2}, {1}, {0}},
-		Accuracy:     [][]float64{{0.517, 0, 0.5}, {0, 0.422, 0.5}, {0, 0.95, 0}, {1, 0, 0}},
+		Accuracy:     [][]float64{{0.517, 0.5}, {0.422, 0.5}, {0.95}, {1}},
 		Requirements: []float64{0.517, 0.422, 0.16},
 	}
 	want, wantErr := oracleReverseAuction(in)

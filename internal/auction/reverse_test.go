@@ -136,18 +136,17 @@ func randomInstance(rng *rand.Rand, n, m int) *Instance {
 	}
 	for i := 0; i < n; i++ {
 		in.Bids[i] = 1 + 9*rng.Float64()
-		in.Accuracy[i] = make([]float64, m)
 		for j := 0; j < m; j++ {
 			if rng.Float64() < 0.6 {
 				in.TaskSets[i] = append(in.TaskSets[i], j)
-				in.Accuracy[i][j] = 0.3 + 0.6*rng.Float64()
+				in.Accuracy[i] = append(in.Accuracy[i], 0.3+0.6*rng.Float64())
 			}
 		}
 	}
 	total := make([]float64, m)
 	for i := 0; i < n; i++ {
-		for _, j := range in.TaskSets[i] {
-			total[j] += in.Accuracy[i][j]
+		for t, j := range in.TaskSets[i] {
+			total[j] += in.Accuracy[i][t]
 		}
 	}
 	for j := 0; j < m; j++ {

@@ -414,8 +414,8 @@ func clampRequirements(in *auction.Instance) {
 	total := make([]float64, in.NumTasks())
 	maxAcc := make([]float64, in.NumTasks())
 	for i := 0; i < n; i++ {
-		for _, j := range in.TaskSets[i] {
-			a := in.Accuracy[i][j]
+		for t, j := range in.TaskSets[i] {
+			a := in.Accuracy[i][t]
 			total[j] += a
 			if a > maxAcc[j] {
 				maxAcc[j] = a

@@ -36,11 +36,12 @@ func WriteDataset(w io.Writer, ds *model.Dataset) error {
 		Tasks:   ds.Tasks(),
 	}
 	for i := 0; i < ds.NumWorkers(); i++ {
-		for _, j := range ds.WorkerTasks(i) {
+		vals := ds.WorkerValues(i)
+		for t, j := range ds.WorkerTasks(i) {
 			f.Observations = append(f.Observations, model.Observation{
 				Worker: ds.WorkerID(i),
 				Task:   ds.Task(j).ID,
-				Value:  ds.ValueString(j, ds.ValueOf(i, j)),
+				Value:  ds.ValueString(j, vals[t]),
 			})
 		}
 	}
@@ -105,11 +106,12 @@ func WriteCampaign(w io.Writer, c *gen.Campaign) error {
 		id := ds.WorkerID(i)
 		f.Costs[id] = c.Costs[i]
 		f.TrueAccuracy[id] = c.TrueAccuracy[i]
-		for _, j := range ds.WorkerTasks(i) {
+		vals := ds.WorkerValues(i)
+		for t, j := range ds.WorkerTasks(i) {
 			f.Observations = append(f.Observations, model.Observation{
 				Worker: id,
 				Task:   ds.Task(j).ID,
-				Value:  ds.ValueString(j, ds.ValueOf(i, j)),
+				Value:  ds.ValueString(j, vals[t]),
 			})
 		}
 	}

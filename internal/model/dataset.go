@@ -2,15 +2,18 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NotAnswered marks a (worker, task) cell with no submission.
 const NotAnswered = int32(-1)
 
 // Dataset is the compiled, immutable snapshot of all submissions for one
-// campaign. Internally every entity is index-addressed for the O(n²·m)
-// inner loops of DATE; string identities live at the boundary.
+// campaign. Every entity is index-addressed; string identities live at
+// the boundary. Answers are stored once per observation, in two aligned
+// layouts: task-major (TaskWorkers with TaskValues) and worker-major
+// (WorkerTasks with WorkerValues). Nothing is stored per unanswered
+// (worker, task) cell, so a dataset costs O(n + m + observations).
 type Dataset struct {
 	tasks     []Task
 	workers   []string
@@ -21,14 +24,16 @@ type Dataset struct {
 	// appearance order.
 	values [][]string
 
-	// obs[i][j] is the value index worker i submitted for task j, or
-	// NotAnswered.
-	obs [][]int32
-
-	// perWorkerTasks[i] lists the task indices worker i answered (T_i).
+	// perWorkerTasks[i] lists the task indices worker i answered (T_i),
+	// ascending; workerVals[i][t] is the value index worker i gave for
+	// task perWorkerTasks[i][t].
 	perWorkerTasks [][]int
-	// perTaskWorkers[j] lists the worker indices that answered task j (W^j).
+	workerVals     [][]int32
+	// perTaskWorkers[j] lists the worker indices that answered task j
+	// (W^j), ascending; taskVals[j][b] is the value index worker
+	// perTaskWorkers[j][b] gave for task j.
 	perTaskWorkers [][]int
+	taskVals       [][]int32
 
 	observations int
 }
@@ -106,59 +111,53 @@ func (b *Builder) Build() (*Dataset, error) {
 		return nil, fmt.Errorf("model: dataset has no observations")
 	}
 
-	// Stable worker ordering: first appearance.
+	// Stable worker ordering: first appearance. Each task's value
+	// dictionary is in first-appearance order over the observations.
 	workerIdx := make(map[string]int)
 	var workers []string
-	for _, o := range b.obs {
-		if _, ok := workerIdx[o.Worker]; !ok {
-			workerIdx[o.Worker] = len(workers)
-			workers = append(workers, o.Worker)
-		}
-	}
-
-	d := &Dataset{
-		tasks:     append([]Task(nil), b.tasks...),
-		workers:   workers,
-		taskIdx:   b.taskIdx,
-		workerIdx: workerIdx,
-		values:    make([][]string, len(b.tasks)),
-		obs:       make([][]int32, len(workers)),
-
-		perWorkerTasks: make([][]int, len(workers)),
-		perTaskWorkers: make([][]int, len(b.tasks)),
-		observations:   len(b.obs),
-	}
+	var rowLen []int
+	values := make([][]string, len(b.tasks))
 	valueIdx := make([]map[string]int, len(b.tasks))
-	for j := range valueIdx {
-		valueIdx[j] = make(map[string]int)
-	}
-	for i := range d.obs {
-		row := make([]int32, len(b.tasks))
-		for j := range row {
-			row[j] = NotAnswered
+	cells := make([]Cell, len(b.obs))
+	for k, o := range b.obs {
+		i, ok := workerIdx[o.Worker]
+		if !ok {
+			i = len(workers)
+			workerIdx[o.Worker] = i
+			workers = append(workers, o.Worker)
+			rowLen = append(rowLen, 0)
 		}
-		d.obs[i] = row
-	}
-	for _, o := range b.obs {
-		i := workerIdx[o.Worker]
+		rowLen[i]++
 		j := b.taskIdx[o.Task]
+		if valueIdx[j] == nil {
+			valueIdx[j] = make(map[string]int)
+		}
 		vi, ok := valueIdx[j][o.Value]
 		if !ok {
-			vi = len(d.values[j])
+			vi = len(values[j])
 			valueIdx[j][o.Value] = vi
-			d.values[j] = append(d.values[j], o.Value)
+			values[j] = append(values[j], o.Value)
 		}
-		d.obs[i][j] = int32(vi)
-		d.perWorkerTasks[i] = append(d.perWorkerTasks[i], j)
-		d.perTaskWorkers[j] = append(d.perTaskWorkers[j], i)
+		cells[k] = Cell{Task: int32(j), Val: int32(vi)}
 	}
-	for i := range d.perWorkerTasks {
-		sort.Ints(d.perWorkerTasks[i])
+	// Group the cells into one row per worker, in observation order.
+	offsets := make([]int, len(workers)+1)
+	for i, c := range rowLen {
+		offsets[i+1] = offsets[i] + c
 	}
-	for j := range d.perTaskWorkers {
-		sort.Ints(d.perTaskWorkers[j])
+	next := append([]int(nil), offsets[:len(workers)]...)
+	rows := make([]Cell, len(cells))
+	for k, o := range b.obs {
+		i := workerIdx[o.Worker]
+		rows[next[i]] = cells[k]
+		next[i]++
 	}
-	return d, nil
+	return FromRows(append([]Task(nil), b.tasks...), b.taskIdx, Rows{
+		Workers: workers,
+		Offsets: offsets,
+		Cells:   rows,
+		Values:  values,
+	})
 }
 
 // NumTasks returns |T|.
@@ -195,8 +194,14 @@ func (d *Dataset) TaskIndex(id string) (int, bool) {
 func (d *Dataset) Values(j int) []string { return d.values[j] }
 
 // ValueOf returns the value index worker i submitted for task j, or
-// NotAnswered.
-func (d *Dataset) ValueOf(i, j int) int32 { return d.obs[i][j] }
+// NotAnswered. It binary-searches WorkerTasks(i), O(log |T_i|); loops
+// over observations read TaskValues or WorkerValues instead.
+func (d *Dataset) ValueOf(i, j int) int32 {
+	if t, ok := slices.BinarySearch(d.perWorkerTasks[i], j); ok {
+		return d.workerVals[i][t]
+	}
+	return NotAnswered
+}
 
 // ValueString resolves task j's value index to its string form.
 func (d *Dataset) ValueString(j int, v int32) string {
@@ -206,27 +211,20 @@ func (d *Dataset) ValueString(j int, v int32) string {
 	return d.values[j][v]
 }
 
-// WorkerTasks returns the task indices worker i answered (do not mutate).
+// WorkerTasks returns the task indices worker i answered, ascending
+// (do not mutate).
 func (d *Dataset) WorkerTasks(i int) []int { return d.perWorkerTasks[i] }
 
-// TaskWorkers returns the worker indices that answered task j (do not
+// WorkerValues returns the value indices worker i submitted, aligned
+// with WorkerTasks(i): element t answers task WorkerTasks(i)[t] (do not
 // mutate).
+func (d *Dataset) WorkerValues(i int) []int32 { return d.workerVals[i] }
+
+// TaskWorkers returns the worker indices that answered task j,
+// ascending (do not mutate).
 func (d *Dataset) TaskWorkers(j int) []int { return d.perTaskWorkers[j] }
 
-// ProvidersOf returns the worker indices of task j that submitted value v.
-func (d *Dataset) ProvidersOf(j int, v int32) []int {
-	return d.ProvidersOfInto(j, v, nil)
-}
-
-// ProvidersOfInto is ProvidersOf appending into buf (reused from length
-// zero); hot loops pass reusable scratch to keep the per-group lookup
-// allocation-free.
-func (d *Dataset) ProvidersOfInto(j int, v int32, buf []int) []int {
-	out := buf[:0]
-	for _, i := range d.perTaskWorkers[j] {
-		if d.obs[i][j] == v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// TaskValues returns the value indices submitted for task j, aligned
+// with TaskWorkers(j): element b is worker TaskWorkers(j)[b]'s answer
+// (do not mutate).
+func (d *Dataset) TaskValues(j int) []int32 { return d.taskVals[j] }

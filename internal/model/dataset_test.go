@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,9 +103,18 @@ func TestBuilderIndexStructures(t *testing.T) {
 	if got := d.Values(j1); len(got) != 2 {
 		t.Fatalf("Values(t1) = %v, want [a b]", got)
 	}
-	prov := d.ProvidersOf(j1, 0) // value "a"
-	if len(prov) != 2 {
-		t.Fatalf("ProvidersOf(t1, a) = %v, want 2", prov)
+	// Values are stored once per observation, aligned with both lists.
+	if got, want := d.TaskValues(j1), []int32{0, 0, 1}; !slices.Equal(got, want) {
+		t.Fatalf("TaskValues(t1) = %v, want %v (a, a, b)", got, want)
+	}
+	if got, want := d.WorkerValues(i1), []int32{0, 0}; !slices.Equal(got, want) {
+		t.Fatalf("WorkerValues(w1) = %v, want %v (t1=a, t2=c)", got, want)
+	}
+	j2, _ := d.TaskIndex("t2")
+	i3, _ := d.WorkerIndex("w3")
+	if d.ValueOf(i3, j1) != 1 || d.ValueOf(i3, j2) != NotAnswered || d.ValueOf(i1, j2) != 0 {
+		t.Fatalf("ValueOf(w3, t1), ValueOf(w3, t2), ValueOf(w1, t2) = %d, %d, %d; want 1, %d, 0",
+			d.ValueOf(i3, j1), d.ValueOf(i3, j2), d.ValueOf(i1, j2), NotAnswered)
 	}
 }
 

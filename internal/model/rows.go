@@ -25,9 +25,11 @@ type Rows struct {
 // maps each task ID to its index in tasks. The result equals what a
 // Builder compiles from the same answers added row by row — same
 // worker, task and value indices — without hashing an answer or sorting
-// anything (only worker IDs are hashed, into the WorkerIndex map): obs
-// is one n×m block, TaskWorkers lists are filled in worker order, and
-// WorkerTasks lists in task order by walking the TaskWorkers lists.
+// anything (only worker IDs are hashed, into the WorkerIndex map):
+// TaskWorkers and TaskValues are filled in worker order, then
+// WorkerTasks and WorkerValues in task order by walking the task lists.
+// Every layout holds one entry per observation; nothing is allocated per
+// unanswered (worker, task) cell.
 //
 // The dataset shares tasks, taskIdx, Workers and the used prefix of each
 // Values dictionary with the caller, who must not modify them (appending
@@ -56,62 +58,74 @@ func FromRows(tasks []Task, taskIdx map[string]int, r Rows) (*Dataset, error) {
 	}
 
 	total := r.Offsets[n]
-	block := make([]int32, n*m)
-	for k := range block {
-		block[k] = NotAnswered
-	}
 	d := &Dataset{
 		tasks:          tasks,
 		workers:        r.Workers[:n:n],
 		taskIdx:        taskIdx,
 		workerIdx:      workerIdx,
 		values:         make([][]string, m),
-		obs:            make([][]int32, n),
 		perWorkerTasks: make([][]int, n),
+		workerVals:     make([][]int32, n),
 		perTaskWorkers: make([][]int, m),
+		taskVals:       make([][]int32, m),
 		observations:   total,
 	}
 	counts := make([]int, m)
 	used := make([]int32, m) // 1 + the largest value index the rows use
+	seen := make([]int32, m) // seen[j] == i+1: row i already answered task j
 	for i := 0; i < n; i++ {
-		row := block[i*m : (i+1)*m : (i+1)*m]
 		lo, hi := r.Offsets[i], r.Offsets[i+1]
 		if lo >= hi || hi > total {
 			return nil, fmt.Errorf("model: worker %q has no answers (row offsets %d..%d)", r.Workers[i], lo, hi)
 		}
+		stamp := int32(i + 1)
 		for k, c := range r.Cells[lo:hi] {
-			if c.Task < 0 || int(c.Task) >= m || c.Val < 0 || int(c.Val) >= len(r.Values[c.Task]) || row[c.Task] != NotAnswered {
+			if c.Task < 0 || int(c.Task) >= m || c.Val < 0 || int(c.Val) >= len(r.Values[c.Task]) || seen[c.Task] == stamp {
 				return nil, fmt.Errorf("model: worker %q answer %d (task %d, value %d) is out of range or repeats a task",
 					r.Workers[i], k, c.Task, c.Val)
 			}
-			row[c.Task] = c.Val
+			seen[c.Task] = stamp
 			counts[c.Task]++
 			if c.Val >= used[c.Task] {
 				used[c.Task] = c.Val + 1
 			}
 		}
-		d.obs[i] = row
 	}
-	taskWorkers := make([]int, total)
-	off := 0
+	// Fill the flat arrays through per-list cursors, then cut them into
+	// the per-task and per-worker lists. The counts become cursors at
+	// each task's first slot (next); wnext[i] starts at row i's.
+	taskWorkers, taskVals := make([]int, total), make([]int32, total)
+	next, off := counts, 0
 	for j, c := range counts {
-		d.perTaskWorkers[j] = taskWorkers[off : off : off+c]
+		next[j] = off
 		off += c
 		d.values[j] = r.Values[j][:used[j]:used[j]]
 	}
 	for i := 0; i < n; i++ {
 		for _, c := range r.Cells[r.Offsets[i]:r.Offsets[i+1]] {
-			d.perTaskWorkers[c.Task] = append(d.perTaskWorkers[c.Task], i)
+			k := next[c.Task]
+			next[c.Task]++
+			taskWorkers[k], taskVals[k] = i, c.Val
 		}
 	}
-	workerTasks := make([]int, total)
+	workerTasks, workerVals := make([]int, total), make([]int32, total)
+	wnext := append([]int(nil), r.Offsets[:n]...)
+	lo := 0
+	for j, hi := range next { // next[j] is now the end of task j's slots
+		for k := lo; k < hi; k++ {
+			i := taskWorkers[k]
+			p := wnext[i]
+			wnext[i]++
+			workerTasks[p], workerVals[p] = j, taskVals[k]
+		}
+		d.perTaskWorkers[j] = taskWorkers[lo:hi:hi]
+		d.taskVals[j] = taskVals[lo:hi:hi]
+		lo = hi
+	}
 	for i := range d.perWorkerTasks {
-		d.perWorkerTasks[i] = workerTasks[r.Offsets[i]:r.Offsets[i]:r.Offsets[i+1]]
-	}
-	for j, ws := range d.perTaskWorkers {
-		for _, i := range ws {
-			d.perWorkerTasks[i] = append(d.perWorkerTasks[i], j)
-		}
+		lo, hi := r.Offsets[i], r.Offsets[i+1]
+		d.perWorkerTasks[i] = workerTasks[lo:hi:hi]
+		d.workerVals[i] = workerVals[lo:hi:hi]
 	}
 	return d, nil
 }

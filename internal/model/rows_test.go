@@ -43,8 +43,10 @@ func TestFromRowsMatchesBuilder(t *testing.T) {
 		t.Fatalf("sizes = %d workers, %d tasks, %d obs", got.NumWorkers(), got.NumTasks(), got.NumObservations())
 	}
 	for i := 0; i < 3; i++ {
-		if got.WorkerID(i) != want.WorkerID(i) || !reflect.DeepEqual(got.WorkerTasks(i), want.WorkerTasks(i)) {
-			t.Fatalf("worker %d: %q %v, builder %q %v", i, got.WorkerID(i), got.WorkerTasks(i), want.WorkerID(i), want.WorkerTasks(i))
+		if got.WorkerID(i) != want.WorkerID(i) || !reflect.DeepEqual(got.WorkerTasks(i), want.WorkerTasks(i)) ||
+			!reflect.DeepEqual(got.WorkerValues(i), want.WorkerValues(i)) {
+			t.Fatalf("worker %d: %q %v %v, builder %q %v %v", i, got.WorkerID(i), got.WorkerTasks(i), got.WorkerValues(i),
+				want.WorkerID(i), want.WorkerTasks(i), want.WorkerValues(i))
 		}
 		for j := 0; j < 3; j++ {
 			if got.ValueOf(i, j) != want.ValueOf(i, j) {
@@ -53,8 +55,9 @@ func TestFromRowsMatchesBuilder(t *testing.T) {
 		}
 	}
 	for j := 0; j < 3; j++ {
-		if len(got.TaskWorkers(j))+len(want.TaskWorkers(j)) > 0 && !reflect.DeepEqual(got.TaskWorkers(j), want.TaskWorkers(j)) {
-			t.Fatalf("TaskWorkers(%d) = %v, builder %v", j, got.TaskWorkers(j), want.TaskWorkers(j))
+		if len(got.TaskWorkers(j))+len(want.TaskWorkers(j)) > 0 && (!reflect.DeepEqual(got.TaskWorkers(j), want.TaskWorkers(j)) ||
+			!reflect.DeepEqual(got.TaskValues(j), want.TaskValues(j))) {
+			t.Fatalf("TaskWorkers(%d) = %v %v, builder %v %v", j, got.TaskWorkers(j), got.TaskValues(j), want.TaskWorkers(j), want.TaskValues(j))
 		}
 		if len(got.Values(j))+len(want.Values(j)) > 0 && !reflect.DeepEqual(got.Values(j), want.Values(j)) {
 			t.Fatalf("Values(%d) = %q, builder %q", j, got.Values(j), want.Values(j))

@@ -610,8 +610,10 @@ func buildAudit(ds *model.Dataset, res *truth.Result, topK int) *Audit {
 	return a
 }
 
-// BuildInstance converts a dataset plus an accuracy matrix and bid vector
-// into the SOAC instance the auction stage consumes.
+// BuildInstance converts a dataset plus its per-observation accuracy and
+// bid vector into the SOAC instance the auction stage consumes.
+// accuracy[i] is aligned with ds.WorkerTasks(i), as truth.Result.Accuracy
+// is, and so with the instance's TaskSets[i]; the instance shares it.
 func BuildInstance(ds *model.Dataset, accuracy [][]float64, bids []float64) *auction.Instance {
 	n, m := ds.NumWorkers(), ds.NumTasks()
 	in := &auction.Instance{

@@ -306,6 +306,38 @@ func TestSnapshotCompactsWALKeepingOneGeneration(t *testing.T) {
 	st2.Close()
 }
 
+// TestSnapshotFileModeMatchesWAL requires a published snapshot to carry
+// the permission bits of a WAL segment in the same directory: a backup or
+// inspection tool that can read the log can read its compaction too.
+func TestSnapshotFileModeMatchesWAL(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, 2)
+	defer st.Close()
+	id := "cmp-0000000000000001"
+	mustAppend(t, st, createdEvent(id, "mode", false), submissionsEvent(id, "w1"))
+	snaps, err := snapshotNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := st.segmentNames()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 1 || len(segs) == 0 {
+		t.Fatalf("snapshots %v, segments %v: want one of each", snaps, segs)
+	}
+	mode := func(name string) os.FileMode {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	if got, want := mode(snaps[0]), mode(segs[0]); got != want {
+		t.Fatalf("snapshot %s mode %v, WAL segment %s mode %v", snaps[0], got, segs[0], want)
+	}
+}
+
 // TestCorruptNewestSnapshotFallsBack damages the newest snapshot file:
 // recovery must fall back to the retained previous generation and
 // replay its still-present WAL tail to the identical state — a damaged

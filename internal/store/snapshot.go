@@ -2,7 +2,9 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,11 +45,17 @@ func writeSnapshot(dir string, lastSeq uint64, st *State) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+	// The temp file is created as a WAL segment is (0o644 under the
+	// process umask), so a published snapshot is as readable as the log
+	// it compacts. A temp file left by a crashed write is replaced.
+	tmpName := filepath.Join(dir, snapName(lastSeq)+".tmp")
+	if err := os.Remove(tmpName); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: removing stale snapshot temp file: %w", err)
+	}
+	tmp, err := os.OpenFile(tmpName, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot temp file: %w", err)
 	}
-	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()

@@ -36,11 +36,17 @@ type state struct {
 	// (opt.executor()).
 	exec Executor
 
-	acc   [][]float64 // per-task accuracy A[i][j] = P_j(v_i^j)
+	acc   [][]float64 // A per observation: acc[i][t] = P_j(v_i^j), j = WorkerTasks(i)[t]
 	accW  []float64   // per-worker accuracy A_i (eq. 17's average)
+	logit []float64   // ln(A_i/(1−A_i)) of the clamped accW, per estimate pass
 	indep [][]float64 // I: indep[j][b] for worker TaskWorkers(j)[b]
 	dep   [][]float64 // dep[i][k] = P(i→k | D)
 	truth []int32     // et[j]
+
+	// accPos[j][b] is task j's position in the WorkerTasks list of
+	// worker TaskWorkers(j)[b]: where the task-parallel estimate writes
+	// that observation's accuracy.
+	accPos [][]int32
 
 	// depIx is computeDependence's dataset layout and equiv its
 	// similarity cache, both built on first use (the dataset is
@@ -92,8 +98,9 @@ func newState(ds *model.Dataset, opt Options, fm FalseValueModel) *state {
 		par:  opt.parallelism(),
 		exec: opt.executor(),
 
-		acc:   newZeroMatrix(n, m),
+		acc:   newWorkerMatrix(ds, opt.InitAccuracy),
 		accW:  make([]float64, n),
+		logit: make([]float64, n),
 		indep: newTaskMatrix(ds, 1),
 		truth: make([]int32, m),
 
@@ -107,10 +114,18 @@ func newState(ds *model.Dataset, opt Options, fm FalseValueModel) *state {
 			s.maxValues = v
 		}
 	}
+	s.accPos = make([][]int32, m)
+	backing := make([]int32, ds.NumObservations())
+	for j := range s.accPos {
+		p := len(ds.TaskWorkers(j))
+		s.accPos[j], backing = backing[:0:p], backing[p:]
+	}
 	for i := 0; i < n; i++ {
 		s.accW[i] = opt.InitAccuracy
-		for _, j := range ds.WorkerTasks(i) {
-			s.acc[i][j] = opt.InitAccuracy
+		// Workers are visited in ascending order, which is the order of
+		// every TaskWorkers list.
+		for t, j := range ds.WorkerTasks(i) {
+			s.accPos[j] = append(s.accPos[j], int32(t))
 		}
 	}
 	for j := 0; j < m; j++ {

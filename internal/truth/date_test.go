@@ -179,14 +179,16 @@ func TestResultInvariants(t *testing.T) {
 					}
 				}
 			}
-			for i := 0; i < ds.NumWorkers(); i++ {
-				for j := 0; j < ds.NumTasks(); j++ {
-					a := res.Accuracy[i][j]
+			if len(res.Accuracy) != ds.NumWorkers() {
+				t.Fatalf("accuracy has %d worker rows, want %d", len(res.Accuracy), ds.NumWorkers())
+			}
+			for i, row := range res.Accuracy {
+				if len(row) != len(ds.WorkerTasks(i)) {
+					t.Fatalf("accuracy row %d has %d cells for %d answered tasks", i, len(row), len(ds.WorkerTasks(i)))
+				}
+				for t2, a := range row {
 					if a < 0 || a > 1 || math.IsNaN(a) {
-						t.Fatalf("accuracy[%d][%d] = %v out of [0,1]", i, j, a)
-					}
-					if ds.ValueOf(i, j) == model.NotAnswered && a != 0 {
-						t.Fatalf("accuracy[%d][%d] = %v for unanswered cell", i, j, a)
+						t.Fatalf("accuracy[%d][%d] = %v out of [0,1]", i, t2, a)
 					}
 				}
 			}

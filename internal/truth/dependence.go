@@ -254,7 +254,7 @@ func (s *state) countRow(ix *depIndex, equiv *valueEquiv, i int, cnt []int32) {
 	w := 2 + len(ix.agree)
 	clear(cnt[(i+1)*w:])
 	for t, j := range s.ds.WorkerTasks(i) {
-		ws, vals := s.ds.TaskWorkers(j), ix.vals[j]
+		ws, vals := s.ds.TaskWorkers(j), s.ds.TaskValues(j)
 		p := int(ix.pos[i][t])
 		vi := vals[p]
 		// TaskWorkers is ascending, so i is the lower-index worker of
@@ -387,7 +387,7 @@ func hashTuple(c []int32) uint32 {
 // move re-classifies task j's shared values from truth old to truth et.
 func (pt *pairTable) move(s *state, ix *depIndex, j int, old, et int32) {
 	equiv := s.valueEquivalence()
-	ws, vals := s.ds.TaskWorkers(j), ix.vals[j]
+	ws, vals := s.ds.TaskWorkers(j), s.ds.TaskValues(j)
 	for a, vi := range vals {
 		from, to := s.sameColumn(ix, equiv, j, vi, old), s.sameColumn(ix, equiv, j, vi, et)
 		if from == to {
@@ -472,8 +472,6 @@ func (s *state) depMemoSlots() []*depMemo {
 // depIndex is the dataset-derived layout the dependence pass counts
 // over, built once per engine (the dataset is immutable).
 type depIndex struct {
-	// vals[j][b] is the value worker TaskWorkers(j)[b] gave for task j.
-	vals [][]int32
 	// pos[i][t] is worker i's position in TaskWorkers(WorkerTasks(i)[t]).
 	pos [][]int32
 	// class[j] indexes task j's false-value agreement probability in
@@ -494,22 +492,18 @@ func (s *state) depIndex() *depIndex {
 		return s.depIx
 	}
 	ix := &depIndex{
-		vals:  make([][]int32, s.m),
 		pos:   make([][]int32, s.n),
 		class: make([]int32, s.m),
 	}
-	// Both layouts hold one entry per observation; carve them from one
-	// backing array each.
-	backing := make([]int32, 2*s.ds.NumObservations())
+	// pos holds one entry per observation; carve it from one backing
+	// array.
+	backing := make([]int32, s.ds.NumObservations())
 	for i := range ix.pos {
 		nt := len(s.ds.WorkerTasks(i))
 		ix.pos[i], backing = backing[:0:nt], backing[nt:]
 	}
 	for j := 0; j < s.m; j++ {
-		ws := s.ds.TaskWorkers(j)
-		ix.vals[j], backing = backing[:len(ws):len(ws)], backing[len(ws):]
-		for b, k := range ws {
-			ix.vals[j][b] = s.ds.ValueOf(k, j)
+		for b, k := range s.ds.TaskWorkers(j) {
 			// Tasks are visited in ascending order, which is the order
 			// of every WorkerTasks list.
 			ix.pos[k] = append(ix.pos[k], int32(b))

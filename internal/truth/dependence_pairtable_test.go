@@ -52,8 +52,9 @@ func sameBits(t *testing.T, label, name string, got, want [][]float64) {
 }
 
 // requireSameState compares everything one iteration leaves behind:
-// dependence, the ordering totals, truth, both accuracy forms and
-// independence.
+// dependence, the ordering totals, truth, both accuracy forms (the
+// per-worker A_i and the per-observation A_i^j, one cell per answered
+// task) and independence.
 func requireSameState(t *testing.T, label string, got, want *state) {
 	t.Helper()
 	sameBits(t, label, "dep", got.dep, want.dep)
@@ -64,6 +65,11 @@ func requireSameState(t *testing.T, label string, got, want *state) {
 		}
 	}
 	sameBits(t, label, "accW", [][]float64{got.accW}, [][]float64{want.accW})
+	for i, row := range got.acc {
+		if len(row) != len(got.ds.WorkerTasks(i)) {
+			t.Fatalf("%s: accuracy row %d has %d cells, want one per answered task (%d)", label, i, len(row), len(got.ds.WorkerTasks(i)))
+		}
+	}
 	sameBits(t, label, "accuracy", got.acc, want.acc)
 	sameBits(t, label, "independence", got.indep, want.indep)
 }

@@ -43,7 +43,7 @@ func rowPassDependence(s *state) {
 		cnt := rows[slot]
 		clear(cnt[(i+1)*w:])
 		for t, j := range s.ds.WorkerTasks(i) {
-			ws, vals := s.ds.TaskWorkers(j), ix.vals[j]
+			ws, vals := s.ds.TaskWorkers(j), s.ds.TaskValues(j)
 			p := int(ix.pos[i][t])
 			vi := vals[p]
 			sameCol := 2 + int(ix.class[j])

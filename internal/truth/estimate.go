@@ -20,17 +20,24 @@ import (
 //     single per-worker accuracy A_i ("the accuracy of a worker as the
 //     average probability of its values"); that global A_i is what feeds
 //     the vote weights and the dependence analysis of the next round. The
-//     per-task matrix A_i^j = P_j(v_i^j) is retained as the worker's
-//     task-level accuracy for the auction stage.
+//     per-observation accuracy A_i^j = P_j(v_i^j) is retained as the
+//     worker's task-level accuracy for the auction stage.
 //   - The vote weight of each provider is discounted by its independence
 //     probability I (the "support counts" of line 28); without the
 //     discount inside eq. 20 a copied majority could never be overturned,
 //     because P_j(v) would keep amplifying the copiers regardless of I.
 func (s *state) estimate() {
-	// Task-parallel: each task writes only its own truth estimate and its
-	// own accuracy column, reading the previous iteration's accW, so no
-	// two tasks share state and no floating-point order depends on the
-	// schedule. Each pool slot owns reusable posterior scratch.
+	// Each worker's log-odds vote weight, once per pass from the
+	// previous iteration's accW.
+	for i, a := range s.accW {
+		a = clampAcc(a)
+		s.logit[i] = math.Log(a) - math.Log1p(-a)
+	}
+	// Task-parallel: each task writes only its own truth estimate and the
+	// accuracy cells of its own observations, reading the previous
+	// iteration's accW, so no two tasks share state and no floating-point
+	// order depends on the schedule. Each pool slot owns reusable
+	// posterior scratch.
 	scratch := s.estScratchSlots()
 	s.doSlots(s.m, func(slot, j int) {
 		s.estimateTask(j, scratch[slot])
@@ -38,16 +45,17 @@ func (s *state) estimate() {
 
 	// Eq. 17 (per-worker part): fold the per-task probabilities into the
 	// global accuracy used by the next iteration. Worker-parallel.
+	// A worker's cells are summed in WorkerTasks order.
 	s.do(s.n, func(i int) {
-		tasks := s.ds.WorkerTasks(i)
-		if len(tasks) == 0 {
+		row := s.acc[i]
+		if len(row) == 0 {
 			return
 		}
 		var sum numeric.KahanSum
-		for _, j := range tasks {
-			sum.Add(s.acc[i][j])
+		for _, a := range row {
+			sum.Add(a)
 		}
-		s.accW[i] = sum.Sum() / float64(len(tasks))
+		s.accW[i] = sum.Sum() / float64(len(row))
 	})
 }
 
@@ -84,7 +92,7 @@ func (s *state) estimateTask(j int, sc *estScratch) {
 		s.truth[j] = model.NotAnswered
 		return
 	}
-	providers := s.ds.TaskWorkers(j)
+	providers, vals := s.ds.TaskWorkers(j), s.ds.TaskValues(j)
 
 	// Independence-discounted log-vote per value: each provider of v
 	// contributes I · (ln(A/(1−A)) − E[ln p_false]). Under the uniform
@@ -96,10 +104,8 @@ func (s *state) estimateTask(j int, sc *estScratch) {
 	}
 	ind := s.indep[j]
 	for b, i := range providers {
-		a := clampAcc(s.accW[i])
-		v := s.ds.ValueOf(i, j)
-		w := math.Log(a) - math.Log1p(-a) - s.logMeanProb[j]
-		logScore[v] += ind[b] * w
+		w := s.logit[i] - s.logMeanProb[j]
+		logScore[vals[b]] += ind[b] * w
 	}
 	// Eq. 21 (§IV-A): values inherit ρ-weighted vote counts from
 	// similar values. The adjustment applies to the vote counts that
@@ -113,19 +119,17 @@ func (s *state) estimateTask(j int, sc *estScratch) {
 	probs := numeric.NormalizeLogsInto(sc.probs[:len(values)], logScore)
 
 	// Eq. 17 (per-task part): a worker's accuracy on the task is the
-	// truth probability of the value it provided.
-	for _, i := range providers {
-		s.acc[i][j] = probs[s.ds.ValueOf(i, j)]
-	}
-
-	// Line 28: support counts A·I select the truth.
+	// truth probability of the value it provided. Line 28: support
+	// counts A·I select the truth.
 	support := sc.support[:len(values)]
 	for v := range support {
 		support[v] = 0
 	}
+	pos := s.accPos[j]
 	for b, i := range providers {
-		v := s.ds.ValueOf(i, j)
-		support[v] += s.acc[i][j] * ind[b]
+		a := probs[vals[b]]
+		s.acc[i][pos[b]] = a
+		support[vals[b]] += a * ind[b]
 	}
 	s.truth[j] = argmaxValue(support)
 }
@@ -182,25 +186,26 @@ func majorityTruth(ds *model.Dataset) []int32 {
 			continue
 		}
 		counts := make([]float64, len(values))
-		for _, i := range ds.TaskWorkers(j) {
-			counts[ds.ValueOf(i, j)]++
+		for _, v := range ds.TaskValues(j) {
+			counts[v]++
 		}
 		truth[j] = argmaxValue(counts)
 	}
 	return truth
 }
 
-// majorityVote is the MV baseline: one voting pass. Its accuracy matrix is
-// the per-task truth indicator (1 where the worker agrees with the elected
-// value), which is the natural instantiation of eq. 17 under voting.
+// majorityVote is the MV baseline: one voting pass. Its accuracy is the
+// per-observation truth indicator (1 where the worker agrees with the
+// elected value), which is the natural instantiation of eq. 17 under
+// voting.
 func majorityVote(ds *model.Dataset) *Result {
-	n, m := ds.NumWorkers(), ds.NumTasks()
 	truth := majorityTruth(ds)
-	acc := newZeroMatrix(n, m)
-	for i := 0; i < n; i++ {
-		for _, j := range ds.WorkerTasks(i) {
-			if ds.ValueOf(i, j) == truth[j] {
-				acc[i][j] = 1
+	acc := newWorkerMatrix(ds, 0)
+	for i, row := range acc {
+		vals := ds.WorkerValues(i)
+		for t, j := range ds.WorkerTasks(i) {
+			if vals[t] == truth[j] {
+				row[t] = 1
 			}
 		}
 	}

@@ -31,13 +31,13 @@ func (s *state) computeIndependence(exact bool) {
 	// affect the output. Each pool slot owns the greedy pass's scratch.
 	// A group lists its providers by position in TaskWorkers(j), which
 	// is ascending by worker, so position order is worker order.
-	vals := s.depIndex().vals
 	scratch := s.indScratchSlots()
 	s.doSlots(s.m, func(slot, j int) {
 		sc := scratch[slot]
+		vals := s.ds.TaskValues(j)
 		for v := range s.ds.Values(j) {
 			group := sc.providers[:0]
-			for b, vb := range vals[j] {
+			for b, vb := range vals {
 				if vb == int32(v) {
 					group = append(group, b)
 				}

@@ -40,8 +40,9 @@ func MergePresentations(ds *model.Dataset, sim func(a, b string) float64, tau fl
 		representatives[j] = classRepresentatives(ds, j, sim, tau)
 	}
 	for i := 0; i < ds.NumWorkers(); i++ {
-		for _, j := range ds.WorkerTasks(i) {
-			v := ds.ValueOf(i, j)
+		vals := ds.WorkerValues(i)
+		for t, j := range ds.WorkerTasks(i) {
+			v := vals[t]
 			b.AddObservation(ds.WorkerID(i), ds.Task(j).ID, representatives[j][v])
 		}
 	}
@@ -85,8 +86,8 @@ func classRepresentatives(ds *model.Dataset, j int, sim func(a, b string) float6
 	// Representative per class: the member with the most providers
 	// (ties toward the lower value index, i.e. first observed).
 	providerCount := make([]int, n)
-	for _, i := range ds.TaskWorkers(j) {
-		providerCount[ds.ValueOf(i, j)]++
+	for _, v := range ds.TaskValues(j) {
+		providerCount[v]++
 	}
 	best := make(map[int]int) // class root → value index
 	for v := 0; v < n; v++ {

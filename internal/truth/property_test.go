@@ -3,6 +3,7 @@ package truth
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"imc2/internal/model"
@@ -72,14 +73,17 @@ func TestDiscoverPropertyRandomDatasets(t *testing.T) {
 					t.Fatalf("trial %d %v: truth[%d] = %d out of range", trial, m, j, v)
 				}
 				// The elected value must have at least one provider.
-				if len(ds.ProvidersOf(j, v)) == 0 {
+				if !slices.Contains(ds.TaskValues(j), v) {
 					t.Fatalf("trial %d %v: elected value of task %d has no providers", trial, m, j)
 				}
 			}
-			for i := 0; i < ds.NumWorkers(); i++ {
-				for j := 0; j < ds.NumTasks(); j++ {
-					if a := res.Accuracy[i][j]; a < 0 || a > 1 {
-						t.Fatalf("trial %d %v: accuracy[%d][%d] = %v", trial, m, i, j, a)
+			for i, row := range res.Accuracy {
+				if len(row) != len(ds.WorkerTasks(i)) {
+					t.Fatalf("trial %d %v: accuracy row %d has %d cells for %d tasks", trial, m, i, len(row), len(ds.WorkerTasks(i)))
+				}
+				for x, a := range row {
+					if a < 0 || a > 1 {
+						t.Fatalf("trial %d %v: accuracy[%d][%d] = %v", trial, m, i, x, a)
 					}
 				}
 			}

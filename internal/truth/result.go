@@ -10,8 +10,11 @@ type Result struct {
 	// Truth holds the estimated value index per task (model.NotAnswered
 	// for tasks nobody answered).
 	Truth []int32
-	// Accuracy is the matrix A: Accuracy[i][j] is worker i's estimated
-	// accuracy on task j, 0 where the worker did not answer.
+	// Accuracy is A per observation, worker-major: Accuracy[i][t] is
+	// worker i's estimated accuracy A_i^j on task j = WorkerTasks(i)[t].
+	// A row holds one cell per task the worker answered (A_i^j is
+	// defined only for j ∈ T_i), aligned with WorkerTasks(i) and so with
+	// the auction instance's TaskSets[i].
 	Accuracy [][]float64
 	// TaskIndependence is I per observation, task-major:
 	// TaskIndependence[j][b] is the probability that worker
@@ -50,29 +53,39 @@ func (r *Result) TruthMap(ds *model.Dataset) map[string]string {
 // answered (0 for workers that answered nothing).
 func (r *Result) WorkerAccuracy(ds *model.Dataset) []float64 {
 	out := make([]float64, ds.NumWorkers())
-	for i := range out {
-		tasks := ds.WorkerTasks(i)
-		if len(tasks) == 0 {
+	for i, row := range r.Accuracy {
+		if len(row) == 0 {
 			continue
 		}
 		var sum numeric.KahanSum
-		for _, j := range tasks {
-			sum.Add(r.Accuracy[i][j])
+		for _, a := range row {
+			sum.Add(a)
 		}
-		out[i] = sum.Sum() / float64(len(tasks))
+		out[i] = sum.Sum() / float64(len(row))
 	}
 	return out
 }
-
-// AccuracyMatrix returns the A matrix in the shape the auction stage
-// consumes (alias of the stored matrix; callers must not mutate).
-func (r *Result) AccuracyMatrix() [][]float64 { return r.Accuracy }
 
 func newZeroMatrix(n, m int) [][]float64 {
 	backing := make([]float64, n*m)
 	rows := make([][]float64, n)
 	for i := range rows {
 		rows[i], backing = backing[:m:m], backing[m:]
+	}
+	return rows
+}
+
+// newWorkerMatrix returns one row per worker with a cell per task it
+// answered, in WorkerTasks order, every cell set to fill.
+func newWorkerMatrix(ds *model.Dataset, fill float64) [][]float64 {
+	backing := make([]float64, ds.NumObservations())
+	for x := range backing {
+		backing[x] = fill
+	}
+	rows := make([][]float64, ds.NumWorkers())
+	for i := range rows {
+		p := len(ds.WorkerTasks(i))
+		rows[i], backing = backing[:p:p], backing[p:]
 	}
 	return rows
 }
