@@ -34,18 +34,18 @@ func (s *state) estimate() {
 		s.logit[i] = math.Log(a) - math.Log1p(-a)
 	}
 	// Task-parallel: each task writes only its own truth estimate and the
-	// accuracy cells of its own observations, reading the previous
-	// iteration's accW, so no two tasks share state and no floating-point
-	// order depends on the schedule. Each pool slot owns reusable
-	// posterior scratch.
+	// accuracy cells of its own observations, reading the logits of the
+	// previous iteration's accW, so no two tasks share state and no
+	// floating-point order depends on the schedule. Each pool slot owns
+	// reusable posterior scratch.
 	scratch := s.estScratchSlots()
 	s.doSlots(s.m, func(slot, j int) {
 		s.estimateTask(j, scratch[slot])
 	})
 
 	// Eq. 17 (per-worker part): fold the per-task probabilities into the
-	// global accuracy used by the next iteration. Worker-parallel.
-	// A worker's cells are summed in WorkerTasks order.
+	// global accuracy used by the next iteration. Worker-parallel; a
+	// worker's cells are summed in WorkerTasks order.
 	s.do(s.n, func(i int) {
 		row := s.acc[i]
 		if len(row) == 0 {
