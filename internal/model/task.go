@@ -6,6 +6,8 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
+	"unicode/utf8"
 )
 
 // ErrUnknownTask reports an observation referencing an undeclared task.
@@ -35,6 +37,9 @@ func (t Task) Validate() error {
 	if t.ID == "" {
 		return errors.New("model: task ID must be non-empty")
 	}
+	if !utf8.ValidString(t.ID) {
+		return fmt.Errorf("model: task ID %q is not valid UTF-8", t.ID)
+	}
 	if t.NumFalse < 1 {
 		return fmt.Errorf("model: task %q needs NumFalse >= 1, got %d", t.ID, t.NumFalse)
 	}
@@ -62,13 +67,18 @@ type Bid struct {
 	Price  float64 `json:"price"`
 }
 
-// Validate checks the bid's structural invariants.
+// Validate checks the bid's structural invariants: a non-empty worker ID
+// in valid UTF-8 and a finite, non-negative price. (JSON cannot carry a
+// NaN or an infinity, so a bid that passes can always be logged.)
 func (b Bid) Validate() error {
 	if b.Worker == "" {
 		return errors.New("model: bid worker must be non-empty")
 	}
-	if b.Price < 0 {
-		return fmt.Errorf("model: bid price %v for %q must be non-negative", b.Price, b.Worker)
+	if !utf8.ValidString(b.Worker) {
+		return fmt.Errorf("model: bid worker %q is not valid UTF-8", b.Worker)
+	}
+	if b.Price < 0 || math.IsNaN(b.Price) || math.IsInf(b.Price, 0) {
+		return fmt.Errorf("model: bid price %v for %q must be finite and non-negative", b.Price, b.Worker)
 	}
 	return nil
 }

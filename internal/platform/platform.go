@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"imc2/internal/auction"
 	"imc2/internal/imcerr"
@@ -162,56 +163,61 @@ type subLog struct {
 	prices []float64
 }
 
-// stage appends sub's answers as uncommitted cells, interning each
-// value into its task's dictionary. An answer naming an unpublished task
-// or carrying an empty value fails the submission and takes the staged
-// cells back. The caller holds p.mu and either commits the row or
-// truncates it before releasing the lock.
-func (l *subLog) stage(sub Submission, taskIdx map[string]int) error {
-	start := len(l.Cells)
-	for taskID, v := range sub.Answers {
-		j, ok := taskIdx[taskID]
-		if !ok {
-			l.truncate(start)
-			return imcerr.New(imcerr.CodeInvalid, "platform: %q answered unpublished task %q", sub.Worker, taskID)
-		}
-		if v == "" {
-			l.truncate(start)
-			return imcerr.New(imcerr.CodeInvalid, "platform: %q submitted an empty value for %q", sub.Worker, taskID)
-		}
-		l.Cells = append(l.Cells, model.Cell{Task: int32(j), Val: l.intern(j, v)})
+// stage appends one answer of worker's submission as an uncommitted
+// cell, interning v into task j's dictionary; j < 0 is a task ID the
+// campaign did not publish. An answer naming an unpublished task,
+// carrying an empty value, or adding a value that is not valid UTF-8
+// fails the submission; the caller then truncates the staged cells. The
+// caller holds p.mu and either commits the row or truncates it before
+// releasing the lock.
+func (l *subLog) stage(worker string, j int, taskID, v string) error {
+	if j < 0 {
+		return imcerr.New(imcerr.CodeInvalid, "platform: %q answered unpublished task %q", worker, taskID)
 	}
+	if v == "" {
+		return imcerr.New(imcerr.CodeInvalid, "platform: %q submitted an empty value for %q", worker, taskID)
+	}
+	val, ok := l.intern(j, v)
+	if !ok {
+		return imcerr.New(imcerr.CodeInvalid, "platform: %q submitted a value for %q that is not valid UTF-8", worker, taskID)
+	}
+	l.Cells = append(l.Cells, model.Cell{Task: int32(j), Val: val})
 	return nil
 }
 
-// commit makes the cells staged from start on sub's row: it clears their
+// commit makes the cells staged from start on a row: it clears their
 // new-value marks and records the worker and bid. The row keeps the
-// answers' map order; model.FromRows needs no sorted rows.
-func (l *subLog) commit(sub Submission, start int) {
+// order its answers were staged in; model.FromRows needs no sorted rows.
+func (l *subLog) commit(worker string, price float64, start int) {
 	for k := start; k < len(l.Cells); k++ {
 		if l.Cells[k].Val < 0 {
 			l.Cells[k].Val = ^l.Cells[k].Val
 		}
 	}
-	l.Workers = append(l.Workers, sub.Worker)
-	l.prices = append(l.prices, sub.Price)
+	l.Workers = append(l.Workers, worker)
+	l.prices = append(l.prices, price)
 	l.Offsets = append(l.Offsets, len(l.Cells))
 }
 
 // intern returns v's index in task j's value dictionary. A value the
 // dictionary lacks is appended and its index returned complemented
-// (negative), which marks it for truncate until the row is committed.
-// The scan is linear: a dictionary holds one entry per distinct value
-// the task has received, a handful (num_j+1) for honest answers.
-func (l *subLog) intern(j int, v string) int32 {
+// (negative), which marks it for truncate until the row is committed;
+// ok is false, and nothing is appended, for a new value that is not
+// valid UTF-8, so every dictionary entry is valid UTF-8. The scan is
+// linear: a dictionary holds one entry per distinct value the task has
+// received, a handful (num_j+1) for honest answers.
+func (l *subLog) intern(j int, v string) (val int32, ok bool) {
 	dict := l.Values[j]
 	for k, s := range dict {
 		if s == v {
-			return int32(k)
+			return int32(k), true
 		}
 	}
+	if !utf8.ValidString(v) {
+		return 0, false
+	}
 	l.Values[j] = append(dict, v)
-	return ^int32(len(dict))
+	return ^int32(len(dict)), true
 }
 
 // truncate drops the uncommitted cells from start on, together with the
@@ -280,29 +286,119 @@ func (p *Platform) Tasks() []model.Task {
 func (p *Platform) NumTasks() int { return len(p.tasks) }
 
 // Submit registers a sealed submission. Each worker may submit once; the
-// submission must bid a non-negative price and answer at least one
-// published task. Submissions are only accepted while the campaign is
-// Open. An invalid submission is reported as such even when the
-// campaign would also refuse it for its state or as a duplicate.
+// submission must bid a finite, non-negative price under a worker ID
+// that is valid UTF-8, and answer at least one published task with
+// non-empty, valid UTF-8 values. Submissions are only accepted while the
+// campaign is Open. An invalid submission is reported as such even when
+// the campaign would also refuse it for its state or as a duplicate.
 func (p *Platform) Submit(sub Submission) error {
-	if err := (model.Bid{Worker: sub.Worker, Price: sub.Price}).Validate(); err != nil {
-		return imcerr.Wrap(imcerr.CodeInvalid, err)
-	}
-	if len(sub.Answers) == 0 {
-		return imcerr.New(imcerr.CodeInvalid, "platform: submission from %q has no answers", sub.Worker)
+	if err := checkHead(sub.Worker, sub.Price, len(sub.Answers)); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	start := len(p.log.Cells)
-	if err := p.log.stage(sub, p.taskIdx); err != nil {
+	for taskID, v := range sub.Answers {
+		j, ok := p.taskIdx[taskID]
+		if !ok {
+			j = -1
+		}
+		if err := p.log.stage(sub.Worker, j, taskID, v); err != nil {
+			p.log.truncate(start)
+			return err
+		}
+	}
+	return p.commitLocked(sub.Worker, sub.Price, start)
+}
+
+// SubmitRows registers rows in order, under Submit's rules, until the
+// first refused row. It returns how many rows were accepted and that
+// row's error. Accepted rows stand.
+func (p *Platform) SubmitRows(rows Rows) (int, error) {
+	var res resolved
+	for i, r := range rows {
+		if r.t != res.t {
+			res = p.resolve(r.t)
+		}
+		if err := p.submitRow(r, &res); err != nil {
+			return i, err
+		}
+	}
+	return len(rows), nil
+}
+
+// resolved maps a row table onto the campaign: taskOf[k] is key k's
+// task index (-1: not published), and valOf[v] is value v's index in
+// its task's dictionary once a committed entry holds it (-1: not
+// looked up yet). Committed dictionary entries never move, so valOf
+// stays valid while other submissions interleave.
+type resolved struct {
+	t      *rowTable
+	taskOf []int32
+	valOf  []int32
+}
+
+func (p *Platform) resolve(t *rowTable) resolved {
+	res := resolved{t: t, taskOf: make([]int32, len(t.keys)), valOf: make([]int32, len(t.vals))}
+	for k, id := range t.keys {
+		j, ok := p.taskIdx[id]
+		if !ok {
+			j = -1
+		}
+		res.taskOf[k] = int32(j)
+	}
+	for v := range res.valOf {
+		res.valOf[v] = -1
+	}
+	return res
+}
+
+// submitRow is Submit for one row of res's table.
+func (p *Platform) submitRow(r Row, res *resolved) error {
+	if err := checkHead(r.Worker, r.Price, len(r.cells)); err != nil {
 		return err
 	}
-	if err := p.acceptsFrom(sub.Worker); err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	start := len(p.log.Cells)
+	for _, c := range r.cells {
+		j := res.taskOf[c.Task]
+		if v := res.valOf[c.Val]; v >= 0 {
+			p.log.Cells = append(p.log.Cells, model.Cell{Task: j, Val: v})
+			continue
+		}
+		if err := p.log.stage(r.Worker, int(j), r.t.keys[c.Task], r.t.vals[c.Val]); err != nil {
+			p.log.truncate(start)
+			return err
+		}
+		if v := p.log.Cells[len(p.log.Cells)-1].Val; v >= 0 {
+			res.valOf[c.Val] = v
+		}
+	}
+	return p.commitLocked(r.Worker, r.Price, start)
+}
+
+// checkHead validates a submission's bid and answer count.
+func checkHead(worker string, price float64, answers int) error {
+	if err := (model.Bid{Worker: worker, Price: price}).Validate(); err != nil {
+		return imcerr.Wrap(imcerr.CodeInvalid, err)
+	}
+	if answers == 0 {
+		return imcerr.New(imcerr.CodeInvalid, "platform: submission from %q has no answers", worker)
+	}
+	return nil
+}
+
+// commitLocked commits the cells staged from start as worker's row, or
+// truncates them when the campaign refuses the worker. The caller holds
+// p.mu.
+func (p *Platform) commitLocked(worker string, price float64, start int) error {
+	if err := p.acceptsFrom(worker); err != nil {
 		p.log.truncate(start)
 		return err
 	}
-	p.log.commit(sub, start)
-	p.byID[sub.Worker] = true
+	p.log.commit(worker, price, start)
+	p.byID[worker] = true
 	return nil
 }
 

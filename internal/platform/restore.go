@@ -16,7 +16,7 @@ type RestoreState struct {
 	State State
 	// Submissions replay in acceptance order — the order fixes worker
 	// indexing and therefore every downstream computation.
-	Submissions []Submission
+	Submissions Rows
 	// Report and Audit are required iff State is StateSettled.
 	Report *Report
 	Audit  *Audit
@@ -52,10 +52,8 @@ func Restore(rs RestoreState) (*Platform, error) {
 		// Submissions are only accepted while Open; flip the state for
 		// the replay and settle on the recorded state below.
 		p.state = StateOpen
-		for _, sub := range rs.Submissions {
-			if err := p.Submit(sub); err != nil {
-				return nil, imcerr.Wrapf(imcerr.CodeOf(err), err, "platform: replaying submission from %q", sub.Worker)
-			}
+		if n, err := p.SubmitRows(rs.Submissions); err != nil {
+			return nil, imcerr.Wrapf(imcerr.CodeOf(err), err, "platform: replaying submission from %q", rs.Submissions[n].Worker)
 		}
 	}
 	p.state = rs.State

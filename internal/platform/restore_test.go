@@ -103,6 +103,7 @@ func TestRestoreRoundTripsEveryState(t *testing.T) {
 	// Build a real settled platform to harvest a genuine report+audit.
 	settled, _ := smallCampaign(t, 47)
 	subs := settled.SubmissionList()
+	rows := RowsOf(subs)
 	baseline, err := settled.Settle(context.Background(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -114,9 +115,9 @@ func TestRestoreRoundTripsEveryState(t *testing.T) {
 		rs   RestoreState
 	}{
 		{"draft", RestoreState{Tasks: settled.Tasks(), State: StateDraft}},
-		{"open", RestoreState{Tasks: settled.Tasks(), State: StateOpen, Submissions: subs}},
-		{"cancelled", RestoreState{Tasks: settled.Tasks(), State: StateCancelled, Submissions: subs}},
-		{"settled", RestoreState{Tasks: settled.Tasks(), State: StateSettled, Submissions: subs, Report: baseline, Audit: audit}},
+		{"open", RestoreState{Tasks: settled.Tasks(), State: StateOpen, Submissions: rows}},
+		{"cancelled", RestoreState{Tasks: settled.Tasks(), State: StateCancelled, Submissions: rows}},
+		{"settled", RestoreState{Tasks: settled.Tasks(), State: StateSettled, Submissions: rows, Report: baseline, Audit: audit}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,7 +128,8 @@ func TestRestoreRoundTripsEveryState(t *testing.T) {
 			if p.State() != tc.rs.State {
 				t.Fatalf("state = %v, want %v", p.State(), tc.rs.State)
 			}
-			if got := p.SubmissionList(); !reflect.DeepEqual(got, tc.rs.Submissions) && len(got)+len(tc.rs.Submissions) > 0 {
+			want := subs[:len(tc.rs.Submissions)]
+			if got := p.SubmissionList(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 				t.Fatalf("submissions diverged: %d vs %d", len(got), len(tc.rs.Submissions))
 			}
 			if tc.rs.State == StateSettled {
@@ -147,7 +149,7 @@ func TestRestoreRoundTripsEveryState(t *testing.T) {
 	// A restored open campaign settles to the same report as the
 	// original — restoration preserves submission order, which fixes
 	// worker indexing.
-	reopened, err := Restore(RestoreState{Tasks: settled.Tasks(), State: StateOpen, Submissions: subs})
+	reopened, err := Restore(RestoreState{Tasks: settled.Tasks(), State: StateOpen, Submissions: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +164,16 @@ func TestRestoreRoundTripsEveryState(t *testing.T) {
 
 func TestRestoreRejectsImpossibleStates(t *testing.T) {
 	tasks := testTasks()
-	sub := Submission{Worker: "w", Price: 1, Answers: map[string]string{"t1": "a"}}
+	sub := RowsOf([]Submission{{Worker: "w", Price: 1, Answers: map[string]string{"t1": "a"}}})
 	cases := []struct {
 		name string
 		rs   RestoreState
 	}{
 		{"closing", RestoreState{Tasks: tasks, State: StateClosing}},
-		{"settled-without-report", RestoreState{Tasks: tasks, State: StateSettled, Submissions: []Submission{sub}}},
-		{"draft-with-submissions", RestoreState{Tasks: tasks, State: StateDraft, Submissions: []Submission{sub}}},
+		{"settled-without-report", RestoreState{Tasks: tasks, State: StateSettled, Submissions: sub}},
+		{"draft-with-submissions", RestoreState{Tasks: tasks, State: StateDraft, Submissions: sub}},
 		{"unknown-state", RestoreState{Tasks: tasks, State: State(99)}},
-		{"duplicate-submissions", RestoreState{Tasks: tasks, State: StateOpen, Submissions: []Submission{sub, sub}}},
+		{"duplicate-submissions", RestoreState{Tasks: tasks, State: StateOpen, Submissions: append(sub, sub...)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

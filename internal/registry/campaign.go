@@ -2,7 +2,6 @@ package registry
 
 import (
 	"context"
-	"maps"
 	"sync"
 	"time"
 
@@ -116,7 +115,7 @@ func (c *Campaign) Submit(sub platform.Submission) error {
 		c.m.noteSubmissions(1)
 		return nil
 	}
-	_, err := c.submitDurable([]platform.Submission{sub}, false)
+	_, err := c.submitDurable(platform.RowsOf([]platform.Submission{sub}), false)
 	return err
 }
 
@@ -126,56 +125,54 @@ func (c *Campaign) Submit(sub platform.Submission) error {
 // rolled back, matching what a worker observes when submitting one by
 // one.
 func (c *Campaign) SubmitBatch(subs []platform.Submission) (int, error) {
-	if c.store == nil {
-		for i, sub := range subs {
-			if err := c.p.Submit(sub); err != nil {
-				c.m.noteSubmissions(i)
-				return i, imcerr.Wrapf(imcerr.CodeOf(err), err, "registry: batch submission %d (worker %q)", i, sub.Worker)
-			}
-		}
-		c.m.noteSubmissions(len(subs))
-		return len(subs), nil
-	}
-	return c.submitDurable(subs, true)
+	return c.SubmitRows(platform.RowsOf(subs))
 }
 
-// submitDurable applies submissions in order and logs the accepted
-// prefix as one submissions event. storeMu is held across the whole
-// apply+append so a concurrent batch cannot interleave its event
-// between this batch's acceptance and its record — the log must list
-// submissions in acceptance order, because that order fixes worker
-// indexing and therefore the settled outcome.
-func (c *Campaign) submitDurable(subs []platform.Submission, batch bool) (int, error) {
+// SubmitRows is SubmitBatch for submissions already in index form, as
+// platform.DecodeSubmissions produces them from a request body.
+func (c *Campaign) SubmitRows(rows platform.Rows) (int, error) {
+	if c.store == nil {
+		n, err := c.p.SubmitRows(rows)
+		c.m.noteSubmissions(n)
+		if err != nil {
+			err = batchErr(n, rows[n].Worker, err)
+		}
+		return n, err
+	}
+	return c.submitDurable(rows, true)
+}
+
+// batchErr names the refused submission of a batch.
+func batchErr(i int, worker string, err error) error {
+	return imcerr.Wrapf(imcerr.CodeOf(err), err, "registry: batch submission %d (worker %q)", i, worker)
+}
+
+// submitDurable applies rows in order and logs the accepted prefix as
+// one submissions event. storeMu is held across the whole apply+append
+// so a concurrent batch cannot interleave its event between this
+// batch's acceptance and its record — the log must list submissions in
+// acceptance order, because that order is the order recovery replays
+// them in, and it fixes worker indexing and therefore the settled
+// outcome. The event holds the caller's rows, which are immutable, so a
+// caller cannot change what recovery replays.
+func (c *Campaign) submitDurable(rows platform.Rows, batch bool) (int, error) {
 	c.storeMu.Lock()
 	defer c.storeMu.Unlock()
-	accepted := make([]platform.Submission, 0, len(subs))
-	var firstErr error
-	for i, sub := range subs {
-		if err := c.p.Submit(sub); err != nil {
-			if batch {
-				err = imcerr.Wrapf(imcerr.CodeOf(err), err, "registry: batch submission %d (worker %q)", i, sub.Worker)
-			}
-			firstErr = err
-			break
-		}
-		// The event owns a copy of the answers: the store keeps it in
-		// its state and later snapshots encode it, so sharing the
-		// caller's map would let a caller that reuses it change what
-		// recovery replays.
-		sub.Answers = maps.Clone(sub.Answers)
-		accepted = append(accepted, sub)
+	n, err := c.p.SubmitRows(rows)
+	if err != nil && batch {
+		err = batchErr(n, rows[n].Worker, err)
 	}
-	c.m.noteSubmissions(len(accepted))
-	if len(accepted) > 0 {
-		ev := store.Event{Type: store.EventSubmissions, Campaign: c.id, Submissions: accepted}
-		if err := c.appendLocked(ev); err != nil {
+	c.m.noteSubmissions(n)
+	if n > 0 {
+		ev := store.Event{Type: store.EventSubmissions, Campaign: c.id, Submissions: rows[:n:n]}
+		if aerr := c.appendLocked(ev); aerr != nil {
 			// The submissions stand in memory but are not durable; the
 			// store has latched failed, so the caller sees the real
 			// cause instead of a silent durability gap.
-			return len(accepted), err
+			return n, aerr
 		}
 	}
-	return len(accepted), firstErr
+	return n, err
 }
 
 // appendLocked forwards one event to the store, classifying failures as

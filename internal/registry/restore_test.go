@@ -3,11 +3,13 @@ package registry
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"imc2/internal/imcerr"
+	"imc2/internal/model"
 	"imc2/internal/platform"
 	"imc2/internal/store"
 )
@@ -208,9 +210,9 @@ func TestDurableSubmitDoesNotAliasAnswers(t *testing.T) {
 	if len(recs) != 1 || len(recs[0].Submissions) != wl.Dataset.NumWorkers() {
 		t.Fatalf("recovered %d campaign records", len(recs))
 	}
-	for i, rec := range recs[0].Submissions {
-		if want := submissionFor(wl, i); !reflect.DeepEqual(rec, want) {
-			t.Fatalf("recovered submission %d = %+v, want %+v", i, rec, want)
+	for i, row := range recs[0].Submissions {
+		if got, want := row.Submission(), submissionFor(wl, i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recovered submission %d = %+v, want %+v", i, got, want)
 		}
 	}
 	if _, err := r2.Restore(recs, time.Now()); err != nil {
@@ -334,5 +336,84 @@ func TestStoreErrorPoisonsCreation(t *testing.T) {
 	_, err := r.Create("x", testTasks(), platform.DefaultConfig(), false)
 	if err == nil || imcerr.CodeOf(err) != imcerr.CodeInternal {
 		t.Fatalf("create on poisoned registry: %v, want internal", err)
+	}
+}
+
+// TestDurableNaNPriceRefusedStoreHealthy: a Go-API submission with a NaN
+// or infinite price is refused as invalid before anything is logged. It
+// used to be accepted in memory, fail to encode, and latch the store
+// failed, so every later append in every campaign was refused.
+func TestDurableNaNPriceRefusedStoreHealthy(t *testing.T) {
+	r := New(WithStore(openStore(t, t.TempDir())))
+	c, err := r.Create("prices", testTasks(), platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, price := range []float64{math.NaN(), math.Inf(1)} {
+		err := c.Submit(platform.Submission{Worker: "w", Price: price, Answers: map[string]string{"t1": "a"}})
+		if imcerr.CodeOf(err) != imcerr.CodeInvalid {
+			t.Fatalf("price %v: %v, want invalid", price, err)
+		}
+		if n, err := c.SubmitBatch([]platform.Submission{{Worker: "w", Price: price, Answers: map[string]string{"t1": "a"}}}); n != 0 || imcerr.CodeOf(err) != imcerr.CodeInvalid {
+			t.Fatalf("batch price %v: %d, %v, want invalid", price, n, err)
+		}
+	}
+	if err := c.Submit(platform.Submission{Worker: "w", Price: 1, Answers: map[string]string{"t1": "a"}}); err != nil {
+		t.Fatalf("submit after the refused price: %v", err)
+	}
+	if _, err := r.Create("after", testTasks(), platform.DefaultConfig(), false); err != nil {
+		t.Fatalf("create after the refused price: %v", err)
+	}
+	if st := r.Store().(*store.FileStore).Stats(); st.Failed != "" {
+		t.Fatalf("store failed: %s", st.Failed)
+	}
+}
+
+// TestDurableInvalidUTF8RefusedRecovers: worker IDs and answer values
+// must be valid UTF-8. Two worker IDs that differ only in invalid bytes
+// were both accepted live, but the log wrote both as the same U+FFFD
+// string, so recovery refused the data dir ("worker already submitted").
+// Now both are refused and the data dir recovers.
+func TestDurableInvalidUTF8RefusedRecovers(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	r := New(WithStore(st))
+	c, err := r.Create("utf8", testTasks(), platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []platform.Submission{
+		{Worker: "w\xff", Price: 1, Answers: map[string]string{"t1": "a"}},
+		{Worker: "w\xfe", Price: 1, Answers: map[string]string{"t1": "a"}},
+		{Worker: "v", Price: 1, Answers: map[string]string{"t1": "a\xff"}},
+	} {
+		if err := c.Submit(sub); imcerr.CodeOf(err) != imcerr.CodeInvalid {
+			t.Fatalf("submit %q %q: %v, want invalid", sub.Worker, sub.Answers, err)
+		}
+	}
+	if _, err := r.Create("bad task", []model.Task{{ID: "t\xff", NumFalse: 1}}, platform.DefaultConfig(), false); imcerr.CodeOf(err) != imcerr.CodeInvalid {
+		t.Fatalf("create with an invalid task ID: %v, want invalid", err)
+	}
+	for _, w := range []string{"w\ufffd", "w"} {
+		if err := c.Submit(platform.Submission{Worker: w, Price: 1, Answers: map[string]string{"t1": "a", "t2": "b\u00e9"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	r2 := New(WithStore(st2))
+	if _, err := r2.Restore(st2.State().Campaigns(), st2.RecoveredAt()); err != nil {
+		t.Fatalf("recovery refused the data dir: %v", err)
+	}
+	got, err := r2.Get(c.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Submissions() != 2 {
+		t.Fatalf("recovered %d submissions, want 2", got.Submissions())
 	}
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/json"
+
 	"imc2/internal/imcerr"
 	"imc2/internal/model"
 	"imc2/internal/platform"
@@ -34,8 +36,9 @@ const (
 
 // Event is one durable campaign mutation. Exactly the payload field
 // matching Type is set. Submissions, reports and audits are logged as
-// the platform's own types: their JSON tags are the record format, the
-// same bytes the wire serves.
+// the platform's own types: their JSON encodings are the record format,
+// the same bytes the wire serves. Submissions are the platform's
+// index-form rows, encoded as the equivalent []platform.Submission.
 type Event struct {
 	// Seq is the event's position in the log, strictly increasing from 1.
 	// Append assigns it; events handed to Append carry zero.
@@ -45,9 +48,32 @@ type Event struct {
 	// Campaign is the registry-assigned campaign ID the event applies to.
 	Campaign string `json:"campaign"`
 
-	Created     *CreatedPayload       `json:"created,omitempty"`
-	Submissions []platform.Submission `json:"submissions,omitempty"`
-	Settled     *SettledPayload       `json:"settled,omitempty"`
+	Created     *CreatedPayload `json:"created,omitempty"`
+	Submissions platform.Rows   `json:"submissions,omitempty"`
+	Settled     *SettledPayload `json:"settled,omitempty"`
+}
+
+// appendEvent appends ev's JSON encoding, the bytes of json.Marshal(ev),
+// to buf. A submissions event's rows are appended directly:
+// encoding/json would re-scan the whole output of their MarshalJSON.
+func appendEvent(buf []byte, ev Event) ([]byte, error) {
+	if ev.Type != EventSubmissions || len(ev.Submissions) == 0 || ev.Created != nil || ev.Settled != nil {
+		b, err := json.Marshal(ev)
+		return append(buf, b...), err
+	}
+	head, err := json.Marshal(struct {
+		Seq      uint64    `json:"seq"`
+		Type     EventType `json:"type"`
+		Campaign string    `json:"campaign"`
+	}{ev.Seq, ev.Type, ev.Campaign})
+	if err != nil {
+		return nil, err
+	}
+	buf = append(append(buf, head[:len(head)-1]...), `,"submissions":`...)
+	if buf, err = ev.Submissions.AppendJSON(buf); err != nil {
+		return nil, err
+	}
+	return append(buf, '}'), nil
 }
 
 // CreatedPayload declares a campaign.

@@ -291,12 +291,11 @@ func (s *FileStore) append(span *tracing.Span, ev Event) error {
 		// mutated and nothing reached disk. The store stays healthy.
 		return err
 	}
-	payload, err := json.Marshal(ev)
+	rec, err := appendEvent(make([]byte, recordHeaderSize), ev)
 	if err != nil {
 		return s.fail(fmt.Errorf("store: encoding event %d: %w", ev.Seq, err))
 	}
-	rec, err := appendRecord(nil, payload)
-	if err != nil {
+	if rec, err = frameRecord(rec, 0); err != nil {
 		return s.fail(err)
 	}
 	if _, err := s.f.Write(rec); err != nil {

@@ -35,15 +35,15 @@ func createdEvent(id, name string, draft bool) Event {
 }
 
 func submissionsEvent(id string, workers ...string) Event {
-	ev := Event{Type: EventSubmissions, Campaign: id}
+	var subs []platform.Submission
 	for _, w := range workers {
-		ev.Submissions = append(ev.Submissions, platform.Submission{
+		subs = append(subs, platform.Submission{
 			Worker:  w,
 			Price:   2.5,
 			Answers: map[string]string{"t1": "a", "t2": "b"},
 		})
 	}
-	return ev
+	return Event{Type: EventSubmissions, Campaign: id, Submissions: platform.RowsOf(subs)}
 }
 
 func settledEvent(id string) Event {
@@ -253,7 +253,7 @@ func snapshotRecords(st *State) []*CampaignRecord {
 	out := make([]*CampaignRecord, 0, st.Len())
 	for _, rec := range st.Campaigns() {
 		cp := *rec
-		cp.Submissions = append([]platform.Submission(nil), rec.Submissions...)
+		cp.Submissions = append(platform.Rows(nil), rec.Submissions...)
 		out = append(out, &cp)
 	}
 	return out

@@ -16,11 +16,13 @@ type CampaignRecord struct {
 	// StateClosing is a settle the process did not survive: recovery
 	// materializes it as open (submissions intact) and re-queues the
 	// settle through the registry's admission path.
-	State       platform.State        `json:"state"`
-	Config      ConfigRecord          `json:"config"`
-	Submissions []platform.Submission `json:"submissions,omitempty"`
-	Report      *platform.Report      `json:"report,omitempty"`
-	Audit       *platform.Audit       `json:"audit,omitempty"`
+	State  platform.State `json:"state"`
+	Config ConfigRecord   `json:"config"`
+	// Submissions lists the accepted submissions in acceptance order:
+	// the rows of every submissions event, shared with the events.
+	Submissions platform.Rows    `json:"submissions,omitempty"`
+	Report      *platform.Report `json:"report,omitempty"`
+	Audit       *platform.Audit  `json:"audit,omitempty"`
 }
 
 // State is the fold of an event log: the durable view of a whole

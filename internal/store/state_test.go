@@ -18,9 +18,9 @@ func lifecycleLog() []Event {
 	return []Event{
 		{Type: EventCreated, Campaign: "c1", Created: &CreatedPayload{Name: "full", Tasks: tasks}},
 		{Type: EventOpened, Campaign: "c1"}, // idempotent on an open campaign
-		{Type: EventSubmissions, Campaign: "c1", Submissions: []platform.Submission{
+		{Type: EventSubmissions, Campaign: "c1", Submissions: platform.RowsOf([]platform.Submission{
 			{Worker: "w1", Price: 2.5, Answers: map[string]string{"t1": "yes"}},
-		}},
+		})},
 		{Type: EventCloseRequested, Campaign: "c1"},
 		{Type: EventSettled, Campaign: "c1", Settled: &SettledPayload{
 			Report: &platform.Report{Winners: []string{"w1"}, SocialCost: 2.5},
@@ -141,7 +141,7 @@ func TestApplyRejectsImpossibleTransitions(t *testing.T) {
 	}
 	bad := []Event{
 		// Settled campaigns accept nothing further.
-		{Type: EventSubmissions, Campaign: "c", Submissions: []platform.Submission{{Worker: "w"}}},
+		{Type: EventSubmissions, Campaign: "c", Submissions: platform.RowsOf([]platform.Submission{{Worker: "w"}})},
 		{Type: EventOpened, Campaign: "c"},
 		{Type: EventCloseRequested, Campaign: "c"},
 		{Type: EventSettled, Campaign: "c", Settled: &SettledPayload{Report: &platform.Report{}}},

@@ -46,14 +46,22 @@ var ErrCorrupt = errors.New("store: corrupt WAL record")
 // appendRecord encodes payload as one WAL record into buf and returns
 // the extended slice.
 func appendRecord(buf, payload []byte) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, make([]byte, recordHeaderSize)...)
+	return frameRecord(append(buf, payload...), start)
+}
+
+// frameRecord writes the header of the record at buf[start:], whose
+// payload runs to the end of buf, so a payload can be encoded in place
+// after a reserved header.
+func frameRecord(buf []byte, start int) ([]byte, error) {
+	payload := buf[start+recordHeaderSize:]
 	if len(payload) > maxRecordSize {
-		return buf, fmt.Errorf("store: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordSize)
+		return buf[:start], fmt.Errorf("store: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordSize)
 	}
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
+	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.Checksum(payload, crcTable))
+	return buf, nil
 }
 
 // ReadRecord decodes the next WAL record from r. It returns io.EOF at a

@@ -31,12 +31,16 @@ func FuzzDecodeV2Request(f *testing.F) {
 		`{"spec":{"workers":-1}}`,
 		`{"tasks":[{"id":"", "num_false":-5}]}`,
 		strings.Repeat(`{"tasks":`, 50),
+		// Trailing bytes after a valid value must be refused.
+		`{"worker":"w1","price":1,"answers":{"t1":"v0"}} }garbage[`,
+		`{"name":"c1","tasks":[{"id":"t1","num_false":2,"requirement":1,"value":5}]} }garbage[`,
+		`{"submissions":[{"worker":"w1","price":1,"answers":{"t1":"v0"}}]}{}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeCreateCampaignRequest(strings.NewReader(string(body)))
+		req, err := decodeCreateCampaignRequest(body)
 		if err == nil {
 			// A decoded create must satisfy the handler's invariant:
 			// exactly one of tasks and spec, and any spec pre-validated.
@@ -49,7 +53,7 @@ func FuzzDecodeV2Request(f *testing.F) {
 				}
 			}
 		}
-		subs, err := decodeSubmitRequest(strings.NewReader(string(body)))
+		subs, err := decodeSubmitRequest(body)
 		if err == nil && len(subs) == 0 {
 			t.Fatal("submit decoder returned an empty batch without error")
 		}

@@ -1,8 +1,8 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -166,13 +166,6 @@ type CampaignPage struct {
 	Limit     int            `json:"limit"`
 }
 
-// submitRequest accepts both envelope shapes on the submissions
-// endpoint: a single submission object, or a batch under "submissions".
-type submitRequest struct {
-	Submission
-	Submissions []Submission `json:"submissions"`
-}
-
 // SubmitResult reports how many submissions an envelope registered.
 type SubmitResult struct {
 	Accepted int `json:"accepted"`
@@ -325,12 +318,13 @@ func (s *Server) campaign(r *http.Request) (*registry.Campaign, error) {
 }
 
 // decodeCreateCampaignRequest parses and structurally validates a
-// POST /v2/campaigns body: it must be well-formed JSON naming exactly
-// one of tasks and spec, and a named spec must validate. Factored out of
-// the handler so FuzzDecodeV2Request exercises the identical path.
-func decodeCreateCampaignRequest(body io.Reader) (CreateCampaignRequest, error) {
+// POST /v2/campaigns body: it must be one well-formed JSON value (white
+// space aside, nothing may follow it) naming exactly one of tasks and
+// spec, and a named spec must validate. Factored out of the handler so
+// FuzzDecodeV2Request exercises the identical path.
+func decodeCreateCampaignRequest(body []byte) (CreateCampaignRequest, error) {
 	var req CreateCampaignRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		return req, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed campaign request")
 	}
 	switch {
@@ -348,8 +342,30 @@ func decodeCreateCampaignRequest(body io.Reader) (CreateCampaignRequest, error) 
 	return req, nil
 }
 
+// maxBodyHint caps how much of a declared Content-Length readBody
+// allocates before any byte arrives.
+const maxBodyHint = 64 << 20
+
+// readBody reads a request body whole, sized by its Content-Length when
+// the client sent one.
+func readBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if r.ContentLength > 0 {
+		buf.Grow(int(min(r.ContentLength, maxBodyHint)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return nil, imcerr.Wrapf(imcerr.CodeInvalid, err, "reading request body")
+	}
+	return buf.Bytes(), nil
+}
+
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeCreateCampaignRequest(r.Body)
+	body, err := readBody(r)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	req, err := decodeCreateCampaignRequest(body)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -443,22 +459,17 @@ func (s *Server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.campaignInfo(c))
 }
 
-// decodeSubmitRequest parses a POST /v2/campaigns/{id}/submissions body,
-// accepting both envelope shapes: a single submission object, or a batch
-// under "submissions". Factored out of the handler so
+// decodeSubmitRequest parses a POST /v2/campaigns/{id}/submissions body
+// into index-form rows, accepting both envelope shapes: a single
+// submission object, or a batch under "submissions" (see
+// platform.DecodeSubmissions). Factored out of the handler so
 // FuzzDecodeV2Request exercises the identical path.
-func decodeSubmitRequest(body io.Reader) ([]Submission, error) {
-	var req submitRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+func decodeSubmitRequest(body []byte) (platform.Rows, error) {
+	rows, err := platform.DecodeSubmissions(body)
+	if err != nil {
 		return nil, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed submission")
 	}
-	if req.Submissions == nil {
-		return []Submission{req.Submission}, nil
-	}
-	if len(req.Submissions) == 0 {
-		return nil, imcerr.New(imcerr.CodeInvalid, "submission envelope has no submissions")
-	}
-	return req.Submissions, nil
+	return rows, nil
 }
 
 func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
@@ -467,12 +478,17 @@ func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	subs, err := decodeSubmitRequest(r.Body)
+	body, err := readBody(r)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	n, err := c.SubmitBatch(subs)
+	rows, err := decodeSubmitRequest(body)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	n, err := c.SubmitRows(rows)
 	if err != nil {
 		s.writeError(w, err)
 		return

@@ -524,3 +524,44 @@ func TestV2Stress(t *testing.T) {
 		}
 	}
 }
+
+// TestV2RejectsTrailingBytes: a request body is exactly one JSON value.
+// Bytes after it (other than white space) used to be ignored, so a
+// submission or a create with trailing garbage was accepted.
+func TestV2RejectsTrailingBytes(t *testing.T) {
+	reg := registry.New()
+	h := NewRegistryServer(reg, "", platform.DefaultConfig(), nil).Handler()
+	c, err := reg.Create("trailing", []Task{{ID: "t1", NumFalse: 2, Requirement: 1}}, platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	subs := "/v2/campaigns/" + c.ID() + "/submissions"
+	create := `{"name":"c","tasks":[{"id":"t1","num_false":2,"requirement":1}]}`
+	for _, tc := range []struct{ path, body string }{
+		{subs, `{"worker":"w1","price":1,"answers":{"t1":"a"}} }garbage[`},
+		{subs, `{"submissions":[{"worker":"w1","price":1,"answers":{"t1":"a"}}]} {}`},
+		{subs, `{"worker":"w1","price":1,"answers":{"t1":"a"}}x`},
+		{"/v2/campaigns", create + ` }garbage[`},
+		{"/v2/campaigns", create + `{}`},
+	} {
+		rec := post(tc.path, tc.body)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid"`) {
+			t.Fatalf("POST %s %q: %d %s, want 400 invalid", tc.path, tc.body, rec.Code, rec.Body)
+		}
+	}
+	if c.Submissions() != 0 || reg.Len() != 1 {
+		t.Fatalf("a refused body was applied: %d submissions, %d campaigns", c.Submissions(), reg.Len())
+	}
+	// White space after the value is fine.
+	if rec := post(subs, "{\"worker\":\"w1\",\"price\":1,\"answers\":{\"t1\":\"a\"}} \r\n\t"); rec.Code != http.StatusAccepted {
+		t.Fatalf("trailing white space: %d %s", rec.Code, rec.Body)
+	}
+	if rec := post("/v2/campaigns", create+"\n"); rec.Code != http.StatusCreated {
+		t.Fatalf("create with trailing newline: %d %s", rec.Code, rec.Body)
+	}
+}
