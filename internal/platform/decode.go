@@ -65,7 +65,7 @@ type rowDecoder struct {
 
 	t     rowTable
 	keys  map[string]int32
-	cells []model.Cell // every element's window, moved windows included
+	cells []model.Cell // every element's segments, in arrival order
 
 	// Values intern per key: key k's values are a chain from valHead[k]
 	// through the nodes, at most maxChain long; a key with more values

@@ -339,7 +339,8 @@ type resolved struct {
 }
 
 func (p *Platform) resolve(t *rowTable) resolved {
-	res := resolved{t: t, taskOf: make([]int32, len(t.keys)), valOf: make([]int32, len(t.vals))}
+	idx := make([]int32, len(t.keys)+len(t.vals))
+	res := resolved{t: t, taskOf: idx[:len(t.keys)], valOf: idx[len(t.keys):]}
 	for k, id := range t.keys {
 		j, ok := p.taskIdx[id]
 		if !ok {

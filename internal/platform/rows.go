@@ -62,14 +62,14 @@ func (t *rowTable) rankKeys() {
 func RowsOf(subs []Submission) Rows {
 	rows := make(Rows, len(subs))
 	for i, sub := range subs {
-		t := &rowTable{keys: make([]string, 0, len(sub.Answers))}
+		n := len(sub.Answers)
+		strs := make([]string, 0, 2*n)
 		for id := range sub.Answers {
-			t.keys = append(t.keys, id)
+			strs = append(strs, id)
 		}
-		slices.Sort(t.keys)
-		t.vals = make([]string, len(t.keys))
-		t.rank = make([]int32, len(t.keys))
-		cells := make([]model.Cell, len(t.keys))
+		slices.Sort(strs)
+		t := &rowTable{keys: strs[:n:n], vals: strs[n : 2*n], rank: make([]int32, n)}
+		cells := make([]model.Cell, n)
 		for k, id := range t.keys {
 			t.vals[k] = sub.Answers[id]
 			t.rank[k] = int32(k)
