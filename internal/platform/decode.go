@@ -2,7 +2,6 @@ package platform
 
 import (
 	"strconv"
-	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -10,62 +9,66 @@ import (
 	"imc2/internal/model"
 )
 
-// DecodeSubmissions decodes a submissions request body into rows: either
-// one submission object, or an envelope whose "submissions" array holds
-// the batch. It is one pass over the bytes that interns task IDs and
-// values into a table the rows share, so an answer costs a cell, not a
-// map entry or a string.
+// DecodeSubmissions decodes a submissions request body into rows. The
+// body is one submission object, or a batch {"submissions":[...]} whose
+// array holds one or more submission objects and which has no other
+// member. A submission object has exactly the members "worker" (a
+// string), "price" (a number) and "answers" (an object of string
+// values, or null for none), each once and in any order, and its
+// answers name each task ID at most once. Every other body is
+// CodeInvalid: an unknown or differently-cased member name, a repeated
+// member or answer key, a missing member, a null anywhere but
+// "answers", an empty batch, or anything but white space after the
+// value. Strings unquote as encoding/json unquotes them (invalid UTF-8
+// and lone surrogates become U+FFFD), and a price outside float64's
+// range is refused as encoding/json refuses it.
 //
-// The rows are what json.Unmarshal into the envelope struct
-//
-//	struct {
-//		Submission
-//		Submissions []Submission `json:"submissions"`
-//	}
-//
-// yields: field names match case-insensitively, unknown fields are
-// skipped, a null leaves a string or number field as it was, a repeated
-// answer key keeps its last value, a repeated "answers" object merges
-// into the map (null clears it), and a repeated "submissions" array
-// decodes into the elements the previous one left. Strings are unquoted
-// as encoding/json does, invalid UTF-8 and lone surrogates included.
-// Unlike encoding/json's Decoder, anything but white space after the
-// value is an error. A body that is not such a value, or whose
-// "submissions" array is empty, is CodeInvalid.
+// It is one pass over the bytes that interns task IDs and values into a
+// table the rows share, so an answer costs a cell, not a map entry or a
+// string.
 func DecodeSubmissions(body []byte) (Rows, error) {
 	d := newRowDecoder(body)
 	d.space()
-	if !d.literal("null") {
-		if err := d.object(0, true); err != nil {
-			return nil, err
+	if err := d.expect('{'); err != nil {
+		return nil, err
+	}
+	name, err := d.key()
+	if err != nil {
+		return nil, err
+	}
+	if string(name) == "submissions" {
+		if err = d.array(); err == nil {
+			d.space()
+			err = d.expect('}') // a batch has no other member
 		}
+	} else {
+		err = d.submission(name)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := d.end(); err != nil {
 		return nil, err
 	}
-	switch {
-	case !d.hasSubs:
-		return d.rows(d.elems[:1]), nil
-	case d.nsubs == 0:
+	if len(d.elems) == 0 {
 		return nil, imcerr.New(imcerr.CodeInvalid, "platform: submission envelope has no submissions")
 	}
-	return d.rows(d.elems[1 : 1+d.nsubs]), nil
+	return d.rows(), nil
 }
-
-// maxDepth is encoding/json's nesting bound: a body nesting deeper is
-// malformed.
-const maxDepth = 10000
 
 // rowDecoder is one decode of DecodeSubmissions or Rows.UnmarshalJSON.
 type rowDecoder struct {
-	data  []byte
-	off   int
-	depth int
-	buf   []byte // unquoting scratch
+	data []byte
+	off  int
+	buf  []byte // unquoting scratch
 
 	t     rowTable
 	keys  map[string]int32
-	cells []model.Cell // every element's segments, in arrival order
+	cells []model.Cell // every submission's answers, in body order
+	elems []elem       // the submissions decoded so far
+	// last[k] is 1 + the index in elems of the last submission that
+	// answered key k (0: none), so a repeated answer key is refused.
+	last []int
 
 	// Values intern per key: key k's values are a chain from valHead[k]
 	// through the nodes, at most maxChain long; a key with more values
@@ -75,86 +78,32 @@ type rowDecoder struct {
 	nodes    []valNode
 	overflow map[string]int32
 	scratch  []byte
-
-	// elems[0] is the envelope's own submission and elems[1:] the
-	// submissions array's elements, including any a shorter repeated
-	// array left past its length (nsubs). hasSubs reports a non-null
-	// "submissions".
-	elems   []elem
-	nsubs   int
-	hasSubs bool
-
-	// owner is the element whose segment ends the cell array (-1: none),
-	// so answers append to it. seen[k] == stamp of that segment when it
-	// holds key k, at cells[pos[k]].
-	owner int
-	stamp int
-	seen  []int
-	pos   []int
 }
 
-// elem is one submission being decoded. Its answers are the cells of
-// its earlier segments, then cells[start:end]; each segment holds a key
-// at most once, and a key in two segments keeps the later value. A
-// segment opens each time another element's answers came in between.
+// elem is one decoded submission; its answers are cells[start:end].
 type elem struct {
 	worker     string
 	price      float64
-	earlier    []segment
 	start, end int
-	stamp      int
 }
-
-type segment struct{ start, end int }
 
 func newRowDecoder(data []byte) *rowDecoder {
-	return &rowDecoder{
-		data:  data,
-		keys:  make(map[string]int32),
-		elems: make([]elem, 1),
-		owner: -1,
-	}
+	return &rowDecoder{data: data, keys: make(map[string]int32)}
 }
 
-// rows returns the decoded elements as rows over the decoder's table.
-func (d *rowDecoder) rows(elems []elem) Rows {
+// rows returns the decoded submissions as rows over the decoder's table.
+func (d *rowDecoder) rows() Rows {
 	t := &rowTable{keys: d.t.keys, vals: d.t.vals}
 	t.rankKeys()
-	rows := make(Rows, len(elems))
-	for i, e := range elems {
-		cells := d.cells[e.start:e.end:e.end]
-		if len(e.earlier) > 0 {
-			cells = d.merge(e)
-		}
-		rows[i] = Row{Worker: e.worker, Price: e.price, cells: cells, t: t}
+	rows := make(Rows, len(d.elems))
+	for i, e := range d.elems {
+		rows[i] = Row{Worker: e.worker, Price: e.price, cells: d.cells[e.start:e.end:e.end], t: t}
 	}
 	return rows
 }
 
-// merge gathers the segments of e into one cell list, a later value
-// replacing an earlier one of the same key.
-func (d *rowDecoder) merge(e elem) []model.Cell {
-	d.stamp++
-	var out []model.Cell
-	for _, sg := range append(e.earlier, segment{e.start, e.end}) {
-		for _, c := range d.cells[sg.start:sg.end] {
-			if d.seen[c.Task] == d.stamp {
-				out[d.pos[c.Task]].Val = c.Val
-				continue
-			}
-			d.seen[c.Task], d.pos[c.Task] = d.stamp, len(out)
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func (d *rowDecoder) syntax(what string) error {
 	return imcerr.New(imcerr.CodeInvalid, "platform: malformed submissions JSON: %s at offset %d", what, d.off)
-}
-
-func (d *rowDecoder) mismatch(field string) error {
-	return imcerr.New(imcerr.CodeInvalid, "platform: submissions JSON: %q has the wrong type at offset %d", field, d.off)
 }
 
 // space skips JSON white space.
@@ -195,15 +144,12 @@ func (d *rowDecoder) literal(lit string) bool {
 	return false
 }
 
-// open consumes the opening bracket c of an object or array.
-func (d *rowDecoder) open(c byte) error {
+// expect consumes the byte c.
+func (d *rowDecoder) expect(c byte) error {
 	if d.peek() != c {
 		return d.syntax("expected " + string(c))
 	}
 	d.off++
-	if d.depth++; d.depth > maxDepth {
-		return d.syntax("nesting too deep")
-	}
 	return nil
 }
 
@@ -219,7 +165,6 @@ func (d *rowDecoder) next(close byte) (more bool, err error) {
 		return true, nil
 	case close:
 		d.off++
-		d.depth--
 		return false, nil
 	}
 	return false, d.syntax("expected , or " + string(close))
@@ -231,7 +176,6 @@ func (d *rowDecoder) first(close byte) bool {
 	d.space()
 	if d.peek() == close {
 		d.off++
-		d.depth--
 		return false
 	}
 	return true
@@ -253,261 +197,134 @@ func (d *rowDecoder) key() ([]byte, error) {
 	return k, nil
 }
 
-// field names the envelope and submission members.
-type field int
-
-const (
-	fieldOther field = iota
-	fieldWorker
-	fieldPrice
-	fieldAnswers
-	fieldSubmissions
-)
-
-// fieldNames are the members' JSON names.
-var fieldNames = [...]string{fieldWorker: "worker", fieldPrice: "price", fieldAnswers: "answers", fieldSubmissions: "submissions"}
-
-// fieldOf matches a member name as encoding/json matches struct fields:
-// equal under Unicode simple case folding.
-func fieldOf(name []byte) field {
-	for f, want := range fieldNames {
-		if want != "" && foldEqual(name, want) {
-			return field(f)
-		}
-	}
-	return fieldOther
-}
-
-// foldEqual reports whether name folds to lower, a lower-case ASCII
-// word. Besides the ASCII letters, only U+017F and U+212A fold to one
-// (s and k).
-func foldEqual(name []byte, lower string) bool {
-	i := 0
-	for k := 0; k < len(lower); k++ {
-		if i >= len(name) {
-			return false
-		}
-		want := rune(lower[k])
-		if c := name[i]; c < utf8.RuneSelf {
-			if c|0x20 != lower[k] {
-				return false
-			}
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(name[i:])
-		if foldRune(r) != unicode.ToUpper(want) {
-			return false
-		}
-		i += n
-	}
-	return i == len(name)
-}
-
-// foldRune returns the smallest rune of r's simple case-folding orbit.
-func foldRune(r rune) rune {
-	for {
-		r2 := unicode.SimpleFold(r)
-		if r2 <= r {
-			return r2
-		}
-		r = r2
-	}
-}
-
-// object decodes a submission object into element i; top admits the
-// envelope's "submissions" member.
-func (d *rowDecoder) object(i int, top bool) error {
-	if d.peek() != '{' {
-		if isValueStart(d.peek()) {
-			return d.mismatch("submission")
-		}
-		return d.syntax("expected a value")
-	}
-	if err := d.open('{'); err != nil {
+// array decodes a JSON array of submission objects.
+func (d *rowDecoder) array() error {
+	if err := d.expect('['); err != nil {
 		return err
 	}
-	for more := d.first('}'); more; {
+	for more := d.first(']'); more; {
+		if err := d.expect('{'); err != nil {
+			return err
+		}
 		name, err := d.key()
 		if err != nil {
 			return err
 		}
-		f := fieldOf(name)
-		if f == fieldSubmissions && !top {
-			f = fieldOther
-		}
-		if err := d.member(i, f); err != nil {
+		if err := d.submission(name); err != nil {
 			return err
 		}
-		if more, err = d.next('}'); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// member decodes the value of one object member into element i.
-func (d *rowDecoder) member(i int, f field) error {
-	if f == fieldOther {
-		return d.skip()
-	}
-	if d.literal("null") {
-		switch f {
-		case fieldAnswers:
-			d.clear(i)
-		case fieldSubmissions:
-			d.hasSubs, d.nsubs = false, 0
-			d.drop()
-		case fieldOther, fieldWorker, fieldPrice:
-			// A null leaves a string or number field as it was.
-		}
-		return nil
-	}
-	c := d.peek()
-	switch {
-	case f == fieldWorker && c == '"':
-		s, err := d.str()
-		if err != nil {
-			return err
-		}
-		d.elems[i].worker = string(s)
-		return nil
-	case f == fieldPrice && (c == '-' || '0' <= c && c <= '9'):
-		num, err := d.number()
-		if err != nil {
-			return err
-		}
-		p, err := strconv.ParseFloat(string(num), 64)
-		if err != nil {
-			return d.mismatch("price")
-		}
-		d.elems[i].price = p
-		return nil
-	case f == fieldAnswers && c == '{':
-		return d.answers(i)
-	case f == fieldSubmissions && c == '[':
-		return d.array()
-	case isValueStart(c):
-		return d.mismatch(fieldNames[f])
-	}
-	return d.syntax("expected a value")
-}
-
-// isValueStart reports whether c can begin a JSON value.
-func isValueStart(c byte) bool {
-	switch c {
-	case '"', '{', '[', 't', 'f', 'n', '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-		return true
-	}
-	return false
-}
-
-// array decodes the "submissions" array: element k decodes into
-// elems[1+k], over whatever an earlier array left there, and an empty
-// array drops every element.
-func (d *rowDecoder) array() error {
-	if err := d.open('['); err != nil {
-		return err
-	}
-	d.hasSubs = true
-	n := 0
-	for more := d.first(']'); more; n++ {
-		i := 1 + n
-		if i == len(d.elems) {
-			d.elems = append(d.elems, elem{})
-		}
-		if !d.literal("null") {
-			if err := d.object(i, false); err != nil {
-				return err
-			}
-		}
-		var err error
 		if more, err = d.next(']'); err != nil {
 			return err
 		}
 	}
-	d.nsubs = n
-	if n == 0 {
-		d.drop()
-	}
 	return nil
 }
 
-// drop forgets every array element, as a null or empty "submissions"
-// does.
-func (d *rowDecoder) drop() {
-	d.elems = d.elems[:1]
-	if d.owner >= 1 {
-		d.owner = -1
+// The members of a submission object, as bits.
+const (
+	memberWorker = 1 << iota
+	memberPrice
+	memberAnswers
+	memberAll = memberWorker | memberPrice | memberAnswers
+)
+
+// submission decodes a submission object whose opening brace and first
+// member name are already read, and appends it to d.elems.
+func (d *rowDecoder) submission(name []byte) error {
+	e := elem{start: len(d.cells)}
+	have := 0
+	for {
+		var m int
+		switch string(name) {
+		case "worker":
+			m = memberWorker
+		case "price":
+			m = memberPrice
+		case "answers":
+			m = memberAnswers
+		default:
+			return d.syntax("unknown member " + strconv.Quote(string(name)))
+		}
+		if have&m != 0 {
+			return d.syntax("repeated member " + strconv.Quote(string(name)))
+		}
+		have |= m
+		var err error
+		switch m {
+		case memberWorker:
+			var s []byte
+			s, err = d.str()
+			e.worker = string(s)
+		case memberPrice:
+			e.price, err = d.price()
+		case memberAnswers:
+			err = d.answers()
+		}
+		if err != nil {
+			return err
+		}
+		more, err := d.next('}')
+		if err != nil {
+			return err
+		}
+		if !more {
+			break
+		}
+		if name, err = d.key(); err != nil {
+			return err
+		}
 	}
+	if have != memberAll {
+		return d.syntax(`submission lacks "worker", "price" or "answers"`)
+	}
+	e.end = len(d.cells)
+	d.elems = append(d.elems, e)
+	return nil
 }
 
-// answers merges an answers object into element i, last value winning
-// per key; a null value is the empty string.
-func (d *rowDecoder) answers(i int) error {
-	if err := d.open('{'); err != nil {
+// price reads a number as a float64.
+func (d *rowDecoder) price() (float64, error) {
+	num, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	p, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		return 0, d.syntax("price out of range")
+	}
+	return p, nil
+}
+
+// answers decodes an answers object, or null for none, into cells of
+// the submission being decoded.
+func (d *rowDecoder) answers() error {
+	if d.literal("null") {
+		return nil
+	}
+	if err := d.expect('{'); err != nil {
 		return err
 	}
-	d.enter(i)
-	e := &d.elems[i]
+	sub := len(d.elems) + 1
 	for more := d.first('}'); more; {
 		name, err := d.key()
 		if err != nil {
 			return err
 		}
 		k := d.taskKey(name)
-		var v int32
-		switch {
-		case d.literal("null"):
-			v = d.value(k, nil)
-		case d.peek() == '"':
-			s, err := d.str()
-			if err != nil {
-				return err
-			}
-			v = d.value(k, s)
-		case isValueStart(d.peek()):
-			return d.mismatch("answers")
-		default:
-			return d.syntax("expected a value")
+		if d.last[k] == sub {
+			return d.syntax("repeated answer key " + strconv.Quote(d.t.keys[k]))
 		}
-		if d.seen[k] == e.stamp {
-			d.cells[d.pos[k]].Val = v
-		} else {
-			d.seen[k], d.pos[k] = e.stamp, len(d.cells)
-			d.cells = append(d.cells, model.Cell{Task: k, Val: v})
-			e.end++
+		d.last[k] = sub
+		s, err := d.str()
+		if err != nil {
+			return err
 		}
+		d.cells = append(d.cells, model.Cell{Task: k, Val: d.value(k, s)})
 		if more, err = d.next('}'); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// enter makes element i the owner: unless it already is, its segment
-// is set aside and a new one opens at the end of the cell array.
-func (d *rowDecoder) enter(i int) {
-	if d.owner == i {
-		return
-	}
-	e := &d.elems[i]
-	if e.start < e.end {
-		e.earlier = append(e.earlier, segment{e.start, e.end})
-	}
-	e.start, e.end = len(d.cells), len(d.cells)
-	d.stamp++
-	e.stamp = d.stamp
-	d.owner = i
-}
-
-// clear empties element i's answers, as "answers":null does.
-func (d *rowDecoder) clear(i int) {
-	e := &d.elems[i]
-	e.earlier = nil
-	e.start, e.end = len(d.cells), len(d.cells)
-	d.stamp++
-	e.stamp = d.stamp
 }
 
 // taskKey returns the table index of task ID name, adding it when new.
@@ -519,7 +336,7 @@ func (d *rowDecoder) taskKey(name []byte) int32 {
 	id := string(name)
 	d.keys[id] = k
 	d.t.keys = append(d.t.keys, id)
-	d.seen, d.pos = append(d.seen, 0), append(d.pos, 0)
+	d.last = append(d.last, 0)
 	d.valHead = append(d.valHead, -1)
 	return k
 }
@@ -711,50 +528,4 @@ func (d *rowDecoder) number() ([]byte, error) {
 		}
 	}
 	return d.data[start:d.off], nil
-}
-
-// skip reads and discards one JSON value of any shape.
-func (d *rowDecoder) skip() error {
-	switch c := d.peek(); {
-	case c == '"':
-		_, err := d.str()
-		return err
-	case c == '{':
-		if err := d.open('{'); err != nil {
-			return err
-		}
-		for more := d.first('}'); more; {
-			if _, err := d.key(); err != nil {
-				return err
-			}
-			if err := d.skip(); err != nil {
-				return err
-			}
-			var err error
-			if more, err = d.next('}'); err != nil {
-				return err
-			}
-		}
-		return nil
-	case c == '[':
-		if err := d.open('['); err != nil {
-			return err
-		}
-		for more := d.first(']'); more; {
-			if err := d.skip(); err != nil {
-				return err
-			}
-			var err error
-			if more, err = d.next(']'); err != nil {
-				return err
-			}
-		}
-		return nil
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := d.number()
-		return err
-	case d.literal("true") || d.literal("false") || d.literal("null"):
-		return nil
-	}
-	return d.syntax("expected a value")
 }

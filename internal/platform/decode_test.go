@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,10 +14,10 @@ import (
 	"imc2/internal/model"
 )
 
-// decodeSeeds are submissions bodies on the edges of encoding/json's
-// semantics: case-folded and repeated fields, nulls, merged answers
-// objects, reused array elements, escapes, invalid UTF-8, and bodies the
-// decoder must refuse.
+// decodeSeeds are submissions bodies on the edges of the strict grammar
+// and of encoding/json: case-folded, unknown and repeated members,
+// nulls, repeated answers objects and arrays, escapes, invalid UTF-8,
+// deep nesting, and malformed bodies.
 var decodeSeeds = []string{
 	`{"worker":"w1","price":1.25,"answers":{"t1":"v0","t2":"v1"}}`,
 	`{"submissions":[{"worker":"w1","price":1,"answers":{"t1":"v0"}},{"worker":"w2","price":2,"answers":{"t1":"v1"}}]}`,
@@ -59,6 +60,11 @@ var decodeSeeds = []string{
 	strings.Repeat(`[`, 10001) + strings.Repeat(`]`, 10001),
 	`{"x":` + strings.Repeat(`[`, 9999) + strings.Repeat(`]`, 9999) + `,"worker":"w","price":1,"answers":{"t1":"a"}}`,
 	`{"x":` + strings.Repeat(`[`, 10000) + strings.Repeat(`]`, 10000) + `,"worker":"w","price":1,"answers":{"t1":"a"}}`,
+	`{"answers":null,"price":0,"worker":"w"}`,
+	`{"answers":{},"wor\u006ber":"w","price":1}`,
+	`{"worker":"w","price":1,"answers":{"t\u0031":"a","t1":"b"}}`,
+	`{"submissions":[{"worker":"w","price":1,"answers":{"t1":"a"}}],"submissions":[]}`,
+	`{"submissions":[{"price":2,"answers":{"t2":"b"},"worker":"v"},{"worker":"w","price":1,"answers":{"t1":"a"}}]}`,
 }
 
 // fuzzTasks are the campaign every decoded body is submitted to.
@@ -72,9 +78,11 @@ func fuzzTasks() []model.Task {
 
 // FuzzDecodeSubmissionsMatchesJSON checks the submissions decoder and
 // SubmitRows against the path they replace: json.Unmarshal into the
-// envelope struct, then Submit of each submission in order. Both must
-// accept or refuse the same bodies, accept the same number of
-// submissions with the same error code, and leave the same campaign log.
+// envelope struct, then Submit of each submission in order. On a body
+// that json.Unmarshal accepts and the grammar (grammarAdmits) admits,
+// both must accept the same number of submissions with the same error
+// code and leave the same campaign log and dictionaries; every other
+// body must be CodeInvalid.
 func FuzzDecodeSubmissionsMatchesJSON(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
@@ -85,23 +93,19 @@ func FuzzDecodeSubmissionsMatchesJSON(f *testing.F) {
 			Submissions []Submission `json:"submissions"`
 		}
 		refErr := json.Unmarshal(body, &env)
+		rows, err := DecodeSubmissions(body)
+		if refErr != nil || !grammarAdmits(body) {
+			if imcerr.CodeOf(err) != imcerr.CodeInvalid {
+				t.Fatalf("decoder returned %v on %q, want invalid (encoding/json: %v)", err, body, refErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("decoder refused %q (%v), which encoding/json and the grammar accept", body, err)
+		}
 		subs := env.Submissions
 		if subs == nil {
 			subs = []Submission{env.Submission}
-		}
-		refEmpty := refErr == nil && env.Submissions != nil && len(env.Submissions) == 0
-		rows, err := DecodeSubmissions(body)
-		switch {
-		case refErr != nil || refEmpty:
-			if err == nil {
-				t.Fatalf("decoder accepted %q, encoding/json refused it (%v)", body, refErr)
-			}
-			if imcerr.CodeOf(err) != imcerr.CodeInvalid {
-				t.Fatalf("decoder error %v is not invalid", err)
-			}
-			return
-		case err != nil:
-			t.Fatalf("decoder refused %q (%v), encoding/json accepted it", body, err)
 		}
 		if len(rows) != len(subs) {
 			t.Fatalf("decoded %d submissions, encoding/json %d", len(rows), len(subs))
@@ -142,72 +146,147 @@ func FuzzDecodeSubmissionsMatchesJSON(f *testing.F) {
 	})
 }
 
-// TestDecodeSubmissionsSemantics pins the decoded rows of the seeds whose
-// meaning is easy to get wrong.
-func TestDecodeSubmissionsSemantics(t *testing.T) {
-	cases := []struct {
-		body string
-		want []Submission
-	}{
-		{`{"submissions":[{"worker":"w1","price":1,"answers":{"t1":"","t1":"v"}}]}`,
-			[]Submission{{Worker: "w1", Price: 1, Answers: map[string]string{"t1": "v"}}}},
-		{`{"Worker":"w","PRICE":2,"Answers":{"t1":"a"}}`,
-			[]Submission{{Worker: "w", Price: 2, Answers: map[string]string{"t1": "a"}}}},
-		{`{"worker":"w","worker":null,"price":1,"answers":{"t1":"a"},"answers":{"t2":null}}`,
-			[]Submission{{Worker: "w", Price: 1, Answers: map[string]string{"t1": "a", "t2": ""}}}},
-		{`{"submissions":[{"worker":"a","price":1,"answers":{"t1":"x"}},{"worker":"b","price":2}],"submissions":[{"answers":{"t2":"z"}}],"submissions":[null,{"price":5}]}`,
-			[]Submission{{Worker: "a", Price: 1, Answers: map[string]string{"t1": "x", "t2": "z"}}, {Worker: "b", Price: 5}}},
-		{`{"submissions":[{"worker":"a"}],"submissions":[],"submissions":[null]}`,
-			[]Submission{{}}},
-	}
-	for _, tc := range cases {
-		rows, err := DecodeSubmissions([]byte(tc.body))
+// grammarAdmits reports whether body, one JSON value that json.Unmarshal
+// accepts, has DecodeSubmissions's grammar: a submission object with
+// exactly the members "worker" (a string), "price" (a number) and
+// "answers" (an object of string values with distinct keys, or null),
+// or {"submissions":[...]} holding one or more such objects and nothing
+// else. It reads the body as json.Decoder tokens, so names and keys
+// compare after unquoting.
+func grammarAdmits(body []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	next := func() json.Token {
+		tok, err := dec.Token()
 		if err != nil {
-			t.Fatalf("%s: %v", tc.body, err)
+			return err // matches no token the grammar expects
+		}
+		return tok
+	}
+	submission := func(name json.Token) bool {
+		seen := map[string]bool{}
+		for ; name != json.Delim('}'); name = next() {
+			s, ok := name.(string)
+			if !ok || seen[s] {
+				return false
+			}
+			seen[s] = true
+			v := next()
+			switch s {
+			case "worker":
+				if _, ok := v.(string); !ok {
+					return false
+				}
+			case "price":
+				if _, ok := v.(json.Number); !ok {
+					return false
+				}
+			case "answers":
+				if v == nil {
+					continue
+				}
+				if v != json.Delim('{') {
+					return false
+				}
+				keys := map[string]bool{}
+				for k := next(); k != json.Delim('}'); k = next() {
+					ks, ok := k.(string)
+					if !ok || keys[ks] {
+						return false
+					}
+					keys[ks] = true
+					if _, ok := next().(string); !ok {
+						return false
+					}
+				}
+			default:
+				return false
+			}
+		}
+		return len(seen) == 3
+	}
+	if next() != json.Delim('{') {
+		return false
+	}
+	if name := next(); name != "submissions" {
+		return submission(name)
+	}
+	if next() != json.Delim('[') {
+		return false
+	}
+	n := 0
+	for tok := next(); tok != json.Delim(']'); tok = next() {
+		if tok != json.Delim('{') || !submission(next()) {
+			return false
+		}
+		n++
+	}
+	return n > 0 && next() == json.Delim('}')
+}
+
+// TestDecodeSubmissionsGrammar pins the strict grammar. What the Go
+// client, workeragent and perfbench send (json.Marshal of a Submission
+// and of the batch envelope) decodes unchanged. Each refused body is
+// one json.Unmarshal into the envelope struct accepts, most of them with
+// a bid the worker never declared; each is CodeInvalid, and so is its
+// submission object inside an array read by Rows.UnmarshalJSON.
+func TestDecodeSubmissionsGrammar(t *testing.T) {
+	subs := []Submission{
+		{Worker: "w1", Price: 1.25, Answers: map[string]string{"t1": "v0", "t2": "v1"}},
+		{Worker: "w<2>", Price: 0, Answers: map[string]string{"ü": "a&b\u2028"}},
+		{Worker: "w3", Price: 2e-7},
+	}
+	for _, want := range [][]Submission{subs[:1], subs} {
+		var body []byte
+		var err error
+		if len(want) == 1 {
+			body, err = json.Marshal(want[0])
+		} else {
+			body, err = json.Marshal(struct {
+				Submissions []Submission `json:"submissions"`
+			}{want})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := DecodeSubmissions(body)
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
 		}
 		var got []Submission
 		for _, r := range rows {
 			got = append(got, r.Submission())
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("%s decoded as %+v, want %+v", tc.body, got, tc.want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s decoded as %+v, want %+v", body, got, want)
 		}
 	}
-	for _, body := range []string{`{"worker":"w","price":1,"answers":{"t1":"a"}} }garbage[`, `{"submissions":[]}`, `{} {}`} {
-		if _, err := DecodeSubmissions([]byte(body)); imcerr.CodeOf(err) != imcerr.CodeInvalid {
-			t.Fatalf("%s: error %v, want invalid", body, err)
-		}
-	}
-}
 
-// TestDecodeSubmissionsLinear: merging answers into an element that
-// other answers interleave with opens a segment; it never copies the
-// cells decoded so far, so the decoder's cell array holds at most one
-// cell per answer in the body.
-func TestDecodeSubmissionsLinear(t *testing.T) {
-	var b strings.Builder
-	b.WriteString(`{"submissions":[{"worker":"a","price":1,"answers":{`)
-	for k := 0; k < 2000; k++ {
-		if k > 0 {
-			b.WriteByte(',')
+	for _, body := range []string{
+		`{"worker":"w","answers":{"t1":"a"}}`,
+		`{"worker":"w","prise":5,"answers":{"t1":"a"}}`,
+		`{"worker":"w","Price":5,"answers":{"t1":"a"}}`,
+		`{"worker":"w","price":5,"answers":{"t1":"a"},"answers":{"t2":"b"}}`,
+		`{"worker":"w","price":5,"answers":{"t1":"a","t1":"b"}}`,
+		`{"submissions":[{"worker":"w","price":5,"answers":{"t1":"a"}}],"worker":"w"}`,
+		`{"submissions":[null,{"worker":"w","price":5,"answers":{"t1":"a"}}]}`,
+		`{"worker":null,"price":5,"answers":{"t1":"a"}}`,
+		`{"worker":"w","price":null,"answers":{"t1":"a"}}`,
+		`{"worker":"w","price":5,"answers":{"t1":null}}`,
+		`{"worker":"w","price":5,"answers":{"t1":"a"},"note":"x"}`,
+		`{"submissions":null}`,
+		`{}`,
+	} {
+		if _, err := DecodeSubmissions([]byte(body)); imcerr.CodeOf(err) != imcerr.CodeInvalid {
+			t.Errorf("%s: error %v, want invalid", body, err)
 		}
-		fmt.Fprintf(&b, `"k%d":"v"`, k)
-	}
-	b.WriteString(`}}]`)
-	for k := 0; k < 2000; k++ {
-		b.WriteString(`,"answers":{"t1":"a"},"submissions":[{"answers":{"t2":"b"}}]`)
-	}
-	b.WriteString(`,"worker":"w","price":1}`)
-	d := newRowDecoder([]byte(b.String()))
-	if err := d.object(0, true); err != nil {
-		t.Fatal(err)
-	}
-	if answers := 2000 + 2*2000; len(d.cells) > answers {
-		t.Fatalf("decoder holds %d cells for %d answers", len(d.cells), answers)
-	}
-	rows := d.rows(d.elems[1 : 1+d.nsubs])
-	if len(rows) != 1 || len(rows[0].Submission().Answers) != 2001 {
-		t.Fatalf("decoded %d rows, want 1 with 2001 answers", len(rows))
+		if strings.Contains(body, "submissions") {
+			continue
+		}
+		var rows Rows
+		if err := json.Unmarshal([]byte("["+body+"]"), &rows); err == nil {
+			t.Errorf("Rows.UnmarshalJSON accepted [%s]", body)
+		}
 	}
 }
 

@@ -161,7 +161,17 @@ type Platform struct {
 type subLog struct {
 	model.Rows
 	prices []float64
+	// index[j] maps task j's values to their dictionary indexes once the
+	// dictionary has reached indexFrom entries (nil before), so a task
+	// that receives many distinct values is not scanned per answer.
+	// Only the live log reads it.
+	index []map[string]int32
 }
+
+// indexFrom is the dictionary size from which intern looks values up in
+// the task's index: an honest task has num_j+1 values, so an index
+// pays only for input that gives a task many distinct values.
+const indexFrom = 16
 
 // stage appends one answer of worker's submission as an uncommitted
 // cell, interning v into task j's dictionary; j < 0 is a task ID the
@@ -203,29 +213,48 @@ func (l *subLog) commit(worker string, price float64, start int) {
 // dictionary lacks is appended and its index returned complemented
 // (negative), which marks it for truncate until the row is committed;
 // ok is false, and nothing is appended, for a new value that is not
-// valid UTF-8, so every dictionary entry is valid UTF-8. The scan is
-// linear: a dictionary holds one entry per distinct value the task has
-// received, a handful (num_j+1) for honest answers.
+// valid UTF-8, so every dictionary entry is valid UTF-8. A dictionary
+// holds one entry per distinct value the task has received: it is
+// scanned while it is short, and looked up in index[j] from indexFrom
+// entries on.
 func (l *subLog) intern(j int, v string) (val int32, ok bool) {
-	dict := l.Values[j]
-	for k, s := range dict {
-		if s == v {
-			return int32(k), true
+	dict, idx := l.Values[j], l.index[j]
+	if idx != nil {
+		if k, ok := idx[v]; ok {
+			return k, true
+		}
+	} else {
+		for k, s := range dict {
+			if s == v {
+				return int32(k), true
+			}
 		}
 	}
 	if !utf8.ValidString(v) {
 		return 0, false
+	}
+	if idx == nil && len(dict)+1 == indexFrom {
+		idx = make(map[string]int32, 2*indexFrom)
+		for k, s := range dict {
+			idx[s] = int32(k)
+		}
+		l.index[j] = idx
+	}
+	if idx != nil {
+		idx[v] = int32(len(dict))
 	}
 	l.Values[j] = append(dict, v)
 	return ^int32(len(dict)), true
 }
 
 // truncate drops the uncommitted cells from start on, together with the
-// dictionary entries they added.
+// dictionary and index entries they added.
 func (l *subLog) truncate(start int) {
 	for _, c := range l.Cells[start:] {
 		if c.Val < 0 {
-			l.Values[c.Task] = l.Values[c.Task][:len(l.Values[c.Task])-1]
+			dict := l.Values[c.Task]
+			delete(l.index[c.Task], dict[len(dict)-1])
+			l.Values[c.Task] = dict[:len(dict)-1]
 		}
 	}
 	l.Cells = l.Cells[:start]
@@ -274,6 +303,7 @@ func NewDraft(tasks []model.Task) (*Platform, error) {
 	}
 	p.log.Offsets = []int{0}
 	p.log.Values = make([][]string, len(p.tasks))
+	p.log.index = make([]map[string]int32, len(p.tasks))
 	return p, nil
 }
 

@@ -79,6 +79,84 @@ func TestDuplicateSubmissionError(t *testing.T) {
 	}
 }
 
+// TestInternIndexFollowsTruncate: once task t1's dictionary is looked up
+// in its index, a refused submission's new value leaves both the
+// dictionary and the index, whether an answer after it (an unpublished
+// task) or the campaign (a duplicate worker) refuses it.
+func TestInternIndexFollowsTruncate(t *testing.T) {
+	p, err := New(testTasks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2 * indexFrom
+	for i := 0; i < n; i++ {
+		if err := p.Submit(Submission{Worker: fmt.Sprintf("w%d", i), Price: 1, Answers: map[string]string{"t1": fmt.Sprintf("v%d", i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want int) {
+		t.Helper()
+		dict, idx := p.log.Values[0], p.log.index[0]
+		if len(dict) != want || len(idx) != want {
+			t.Fatalf("dictionary holds %d values and index %d, want %d", len(dict), len(idx), want)
+		}
+		for k, v := range dict {
+			if idx[v] != int32(k) {
+				t.Fatalf("index maps %q to %d, want %d", v, idx[v], k)
+			}
+		}
+	}
+	check(n)
+	refused := []Submission{
+		{Worker: "x", Price: 1, Answers: map[string]string{"t1": "new", "zz": "a"}},
+		{Worker: "w0", Price: 1, Answers: map[string]string{"t1": "new"}},
+	}
+	for _, sub := range refused {
+		if k, err := p.SubmitRows(RowsOf([]Submission{sub})); k != 0 || err == nil {
+			t.Fatalf("SubmitRows(%+v) = %d, %v, want a refusal", sub, k, err)
+		}
+		check(n)
+	}
+	if err := p.Submit(Submission{Worker: "x", Price: 1, Answers: map[string]string{"t1": "new"}}); err != nil {
+		t.Fatal(err)
+	}
+	check(n + 1)
+	if p.log.index[1] != nil {
+		t.Fatal("task t2's short dictionary has an index")
+	}
+}
+
+// BenchmarkSubmitRowsDistinctValues submits one decoded batch in which
+// every submission gives task t1 a value no earlier one gave it, so
+// every answer to t1 adds a dictionary entry under the campaign lock.
+func BenchmarkSubmitRowsDistinctValues(b *testing.B) {
+	const n = 10000
+	var body strings.Builder
+	body.WriteString(`{"submissions":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"worker":"w%d","price":1,"answers":{"t1":"v%d","t2":"a"}}`, i, i)
+	}
+	body.WriteString(`]}`)
+	rows, err := DecodeSubmissions([]byte(body.String()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(testTasks())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if k, err := p.SubmitRows(rows); k != n || err != nil {
+			b.Fatalf("SubmitRows accepted %d of %d: %v", k, n, err)
+		}
+	}
+}
+
 func TestRunWithoutSubmissions(t *testing.T) {
 	p, _ := New(testTasks())
 	if _, err := p.Run(DefaultConfig()); err == nil ||

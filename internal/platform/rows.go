@@ -195,8 +195,9 @@ func (rs Rows) sizeHint() int {
 	return n
 }
 
-// UnmarshalJSON decodes a JSON array of submissions with the
-// submissions decoder; null leaves the rows unchanged.
+// UnmarshalJSON decodes a JSON array of submission objects under
+// DecodeSubmissions's grammar, which is the form AppendJSON writes; an
+// empty array is empty rows, and null leaves the rows unchanged.
 func (rs *Rows) UnmarshalJSON(data []byte) error {
 	d := newRowDecoder(data)
 	d.space()
@@ -209,7 +210,7 @@ func (rs *Rows) UnmarshalJSON(data []byte) error {
 	if err := d.end(); err != nil {
 		return err
 	}
-	*rs = d.rows(d.elems[1 : 1+d.nsubs])
+	*rs = d.rows()
 	return nil
 }
 

@@ -185,16 +185,10 @@ func (c *Campaign) appendLocked(ev store.Event) error {
 }
 
 // appendLockedCtx is appendLocked for callers whose context may carry a
-// trace span: when the store is context-aware (store.ContextAppender),
-// the append — and its fsync/snapshot — is recorded as child spans of
-// the settle. Stores without the seam, and span-free contexts, behave
-// exactly like appendLocked. Callers hold storeMu.
+// trace span: the append — and its fsync/snapshot — is recorded as
+// child spans of the settle. Callers hold storeMu.
 func (c *Campaign) appendLockedCtx(ctx context.Context, ev store.Event) error {
-	ca, ok := c.store.(store.ContextAppender)
-	if !ok {
-		return c.appendLocked(ev)
-	}
-	if err := ca.AppendContext(ctx, ev); err != nil {
+	if err := c.store.AppendContext(ctx, ev); err != nil {
 		return imcerr.Wrapf(imcerr.CodeInternal, err, "registry: persisting %s event for %s", ev.Type, c.id)
 	}
 	return nil

@@ -257,7 +257,6 @@ func (s *FileStore) Append(ev Event) error { return s.appendPhase(nil, ev) }
 // records child spans ("store.append", "store.fsync", "store.snapshot")
 // in that trace. An untraced context degenerates to Append exactly: a
 // nil span is zero-cost, so durability latency is identical either way.
-// AppendContext satisfies ContextAppender.
 func (s *FileStore) AppendContext(ctx context.Context, ev Event) error {
 	return s.appendPhase(tracing.SpanFromContext(ctx), ev)
 }

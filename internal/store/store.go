@@ -18,18 +18,12 @@ type Store interface {
 	// durable — the registry surfaces it to the caller rather than
 	// acknowledging unpersisted work.
 	Append(ev Event) error
+	// AppendContext is Append with the caller's context, so the append
+	// (and any fsync or snapshot it triggers) can record spans in the
+	// caller's trace. Durability semantics are identical to Append.
+	AppendContext(ctx context.Context, ev Event) error
 	// Close flushes buffered records and releases the backing files.
 	Close() error
-}
-
-// ContextAppender is the optional trace-aware append: a store that
-// implements it receives the caller's context so the append (and any
-// fsync or snapshot it triggers) can record spans in the caller's
-// trace. Durability semantics are identical to Append — callers
-// type-assert and fall back to Append when the store does not care
-// about context.
-type ContextAppender interface {
-	AppendContext(ctx context.Context, ev Event) error
 }
 
 // FsyncPolicy selects when the WAL is fsynced.
