@@ -15,11 +15,11 @@ import (
 // member. A submission object has exactly the members "worker" (a
 // string), "price" (a number) and "answers" (an object of string
 // values, or null for none), each once and in any order, and its
-// answers name each task ID at most once. Every other body is
-// CodeInvalid: an unknown or differently-cased member name, a repeated
-// member or answer key, a missing member, a null anywhere but
-// "answers", an empty batch, or anything but white space after the
-// value. Strings unquote as encoding/json unquotes them (invalid UTF-8
+// answers name each task ID at most once. White space may stand between
+// any two tokens, as JSON allows. Every other body is CodeInvalid: an
+// unknown or differently-cased member name, a repeated member or answer
+// key, a missing member, a null anywhere but "answers", an empty batch,
+// or anything but white space after the value. Strings unquote as encoding/json unquotes them (invalid UTF-8
 // and lone surrogates become U+FFFD), and a price outside float64's
 // range is refused as encoding/json refuses it.
 //
@@ -181,9 +181,10 @@ func (d *rowDecoder) first(close byte) bool {
 	return true
 }
 
-// key reads an object member's name and the colon after it. The bytes
-// are valid until the next string is read.
+// key reads an object member's name, with the white space around it, and
+// the colon after it. The bytes are valid until the next string is read.
 func (d *rowDecoder) key() ([]byte, error) {
+	d.space()
 	k, err := d.str()
 	if err != nil {
 		return nil, err

@@ -65,6 +65,9 @@ var decodeSeeds = []string{
 	`{"worker":"w","price":1,"answers":{"t\u0031":"a","t1":"b"}}`,
 	`{"submissions":[{"worker":"w","price":1,"answers":{"t1":"a"}}],"submissions":[]}`,
 	`{"submissions":[{"price":2,"answers":{"t2":"b"},"worker":"v"},{"worker":"w","price":1,"answers":{"t1":"a"}}]}`,
+	"{ \"worker\":\"w\",\"price\":1,\"answers\":{ \"t1\":\"a\"}}",
+	"{\n  \"submissions\": [\n    {\n      \"worker\": \"w\",\n      \"price\": 1,\n      \"answers\": {\n        \"t1\": \"a\"\n      }\n    }\n  ]\n}",
+	"\t{\r\n\"submissions\"\t:\r\n[ {\t\"price\" : 2 , \"answers\" : null , \"worker\" : \"v\" } , { \"worker\":\"w\",\"price\":1,\"answers\":{}} ] } ",
 }
 
 // fuzzTasks are the campaign every decoded body is submitted to.
@@ -226,7 +229,9 @@ func grammarAdmits(body []byte) bool {
 
 // TestDecodeSubmissionsGrammar pins the strict grammar. What the Go
 // client, workeragent and perfbench send (json.Marshal of a Submission
-// and of the batch envelope) decodes unchanged. Each refused body is
+// and of the batch envelope) decodes unchanged, and so does the same
+// body pretty-printed or with white space around every token. Each
+// refused body is
 // one json.Unmarshal into the envelope struct accepts, most of them with
 // a bid the worker never declared; each is CodeInvalid, and so is its
 // submission object inside an array read by Rows.UnmarshalJSON.
@@ -236,29 +241,52 @@ func TestDecodeSubmissionsGrammar(t *testing.T) {
 		{Worker: "w<2>", Price: 0, Answers: map[string]string{"ü": "a&b\u2028"}},
 		{Worker: "w3", Price: 2e-7},
 	}
+	indent := func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }
 	for _, want := range [][]Submission{subs[:1], subs} {
-		var body []byte
-		var err error
-		if len(want) == 1 {
-			body, err = json.Marshal(want[0])
-		} else {
-			body, err = json.Marshal(struct {
+		var v any = want[0]
+		if len(want) > 1 {
+			v = struct {
 				Submissions []Submission `json:"submissions"`
-			}{want})
+			}{want}
 		}
+		for _, marshal := range []func(any) ([]byte, error){json.Marshal, indent} {
+			body, err := marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := DecodeSubmissions(body)
+			if err != nil {
+				t.Fatalf("%s: %v", body, err)
+			}
+			if got := submissionsOf(rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s decoded as %+v, want %+v", body, got, want)
+			}
+		}
+	}
+	body, err := indent(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows Rows
+	if err := json.Unmarshal(body, &rows); err != nil {
+		t.Fatalf("Rows.UnmarshalJSON refused %s: %v", body, err)
+	}
+	if got := submissionsOf(rows); !reflect.DeepEqual(got, subs) {
+		t.Fatalf("%s read as %+v, want %+v", body, got, subs)
+	}
+	for _, body := range []string{
+		"{ \"worker\":\"w\",\"price\":1,\"answers\":{\"t1\":\"a\"}}",
+		" \r\n{\n\t\"answers\" : { \"t1\" : \"a\" } ,\n\t\"price\" :1 , \"worker\" : \"w\"\n}\n ",
+		"{ \"submissions\" : [ { \"worker\":\"w\",\"price\":1,\"answers\":{\"t1\":\"a\"}} ] }",
+		"{\"submissions\":[\n{\n\"worker\":\"w\",\"price\":1,\"answers\":{\"t1\":\"a\"}}\n]}",
+	} {
+		rows, err := DecodeSubmissions([]byte(body))
+		want := []Submission{{Worker: "w", Price: 1, Answers: map[string]string{"t1": "a"}}}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%q: %v", body, err)
 		}
-		rows, err := DecodeSubmissions(body)
-		if err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		var got []Submission
-		for _, r := range rows {
-			got = append(got, r.Submission())
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s decoded as %+v, want %+v", body, got, want)
+		if got := submissionsOf(rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q decoded as %+v, want %+v", body, got, want)
 		}
 	}
 
@@ -288,6 +316,15 @@ func TestDecodeSubmissionsGrammar(t *testing.T) {
 			t.Errorf("Rows.UnmarshalJSON accepted [%s]", body)
 		}
 	}
+}
+
+// submissionsOf returns rows as submissions.
+func submissionsOf(rows Rows) []Submission {
+	var subs []Submission
+	for _, r := range rows {
+		subs = append(subs, r.Submission())
+	}
+	return subs
 }
 
 // TestRowsJSONMatchesEncodingJSON is the encoder's property test: rows

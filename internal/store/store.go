@@ -16,11 +16,14 @@ type Store interface {
 	// number; events arrive in the exact order the registry accepted the
 	// mutations they describe. An error means the event may not be
 	// durable — the registry surfaces it to the caller rather than
-	// acknowledging unpersisted work.
+	// acknowledging unpersisted work. The registry appends with it where
+	// its caller passes no context: campaign creation, open, cancel and
+	// submissions.
 	Append(ev Event) error
 	// AppendContext is Append with the caller's context, so the append
 	// (and any fsync or snapshot it triggers) can record spans in the
-	// caller's trace. Durability semantics are identical to Append.
+	// caller's trace. Durability semantics are identical to Append. The
+	// registry appends with it on the settle path.
 	AppendContext(ctx context.Context, ev Event) error
 	// Close flushes buffered records and releases the backing files.
 	Close() error
