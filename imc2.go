@@ -533,8 +533,9 @@ type SettleIterationStats = truth.IterationStats
 type Tracer = tracing.Tracer
 
 // TracerOptions sizes a tracer's flight recorder: the recent-trace ring
-// plus the retention pools that keep error traces and the slowest
-// settles after eviction.
+// and the floor a settle must reach to enter the slow pool. The
+// retention pools that keep error traces (32) and the slowest settles
+// (16) after eviction, and the 512-span bound per trace, are fixed.
 type TracerOptions = tracing.Options
 
 // TraceCollector is a tracer's flight recorder, queried for retained

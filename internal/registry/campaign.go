@@ -115,7 +115,7 @@ func (c *Campaign) Submit(sub platform.Submission) error {
 		c.m.noteSubmissions(1)
 		return nil
 	}
-	_, err := c.submitDurable(platform.RowsOf([]platform.Submission{sub}), false)
+	_, err := c.submitDurable(platform.RowsOf([]platform.Submission{sub}))
 	return err
 }
 
@@ -134,17 +134,18 @@ func (c *Campaign) SubmitRows(rows platform.Rows) (int, error) {
 	if c.store == nil {
 		n, err := c.p.SubmitRows(rows)
 		c.m.noteSubmissions(n)
-		if err != nil {
-			err = batchErr(n, rows[n].Worker, err)
-		}
-		return n, err
+		return n, batchErr(rows, n, err)
 	}
-	return c.submitDurable(rows, true)
+	return c.submitDurable(rows)
 }
 
-// batchErr names the refused submission of a batch.
-func batchErr(i int, worker string, err error) error {
-	return imcerr.Wrapf(imcerr.CodeOf(err), err, "registry: batch submission %d (worker %q)", i, worker)
+// batchErr names the refused submission rows[i] when more than one row
+// was submitted; a lone submission's error needs no index.
+func batchErr(rows platform.Rows, i int, err error) error {
+	if err == nil || len(rows) < 2 {
+		return err
+	}
+	return imcerr.Wrapf(imcerr.CodeOf(err), err, "registry: batch submission %d (worker %q)", i, rows[i].Worker)
 }
 
 // submitDurable applies rows in order and logs the accepted prefix as
@@ -155,13 +156,11 @@ func batchErr(i int, worker string, err error) error {
 // them in, and it fixes worker indexing and therefore the settled
 // outcome. The event holds the caller's rows, which are immutable, so a
 // caller cannot change what recovery replays.
-func (c *Campaign) submitDurable(rows platform.Rows, batch bool) (int, error) {
+func (c *Campaign) submitDurable(rows platform.Rows) (int, error) {
 	c.storeMu.Lock()
 	defer c.storeMu.Unlock()
 	n, err := c.p.SubmitRows(rows)
-	if err != nil && batch {
-		err = batchErr(n, rows[n].Worker, err)
-	}
+	err = batchErr(rows, n, err)
 	c.m.noteSubmissions(n)
 	if n > 0 {
 		ev := store.Event{Type: store.EventSubmissions, Campaign: c.id, Submissions: rows[:n:n]}

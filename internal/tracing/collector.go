@@ -24,8 +24,6 @@ type Collector struct {
 	errors    []*trace // ring of evicted error traces
 	errNext   int
 	slow      []*trace // pool of the slowest evicted settles
-	slowKeep  int
-	errorKeep int
 	slowFloor time.Duration
 	collected uint64
 	evicted   uint64
@@ -34,8 +32,6 @@ type Collector struct {
 func newCollector(opts Options) *Collector {
 	return &Collector{
 		recent:    make([]*trace, 0, opts.Buffer),
-		slowKeep:  opts.SlowKeep,
-		errorKeep: opts.ErrorKeep,
 		slowFloor: opts.SlowFloor,
 	}
 }
@@ -66,19 +62,19 @@ func (c *Collector) retain(tr *trace) {
 	failed, kind := tr.failed, tr.kind
 	tr.mu.Unlock()
 	if failed {
-		if len(c.errors) < c.errorKeep {
+		if len(c.errors) < errorKeep {
 			c.errors = append(c.errors, tr)
 			return
 		}
 		c.evicted++
 		c.errors[c.errNext] = tr
-		c.errNext = (c.errNext + 1) % c.errorKeep
+		c.errNext = (c.errNext + 1) % errorKeep
 		return
 	}
 	if kind == "settle" {
 		d := traceDuration(tr)
 		if d >= c.slowFloor {
-			if len(c.slow) < c.slowKeep {
+			if len(c.slow) < slowKeep {
 				c.slow = append(c.slow, tr)
 				return
 			}

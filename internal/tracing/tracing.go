@@ -84,6 +84,12 @@ func newSpanID() SpanID {
 const (
 	maxAttrsPerSpan  = 16
 	maxEventsPerSpan = 128
+	maxSpansPerTrace = 512
+	// errorKeep is how many evicted error traces the collector retains
+	// beyond the recent ring, and slowKeep how many of the slowest
+	// evicted settles.
+	errorKeep = 32
+	slowKeep  = 16
 )
 
 // Attr is one key/value annotation on a span or event. Values are
@@ -137,9 +143,8 @@ type Span struct {
 // (async settles outliving their 202 response) still land in the same
 // recorded trace, and snapshots are taken at query time.
 type trace struct {
-	id       TraceID
-	col      *Collector
-	maxSpans int
+	id  TraceID
+	col *Collector
 
 	mu      sync.Mutex
 	root    *Span
@@ -149,11 +154,11 @@ type trace struct {
 	failed  bool
 }
 
-// register adds a child span to the trace, bounded by maxSpans.
+// register adds a child span to the trace, bounded by maxSpansPerTrace.
 func (tr *trace) register(s *Span) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if len(tr.spans) >= tr.maxSpans {
+	if len(tr.spans) >= maxSpansPerTrace {
 		tr.dropped++
 		return
 	}
@@ -163,51 +168,27 @@ func (tr *trace) register(s *Span) {
 // Tracer mints root spans and feeds ended traces to its Collector. A
 // nil Tracer is fully inert.
 type Tracer struct {
-	col      *Collector
-	maxSpans int
+	col *Collector
 }
 
 // Options bounds a Tracer's flight recorder. The zero value selects
-// the defaults noted on each field.
+// the defaults noted on each field. The retention pools are fixed:
+// errorKeep error traces and the slowKeep slowest settles survive
+// eviction, and a trace holds at most maxSpansPerTrace spans.
 type Options struct {
 	// Buffer is the size of the recent-trace ring (default 256).
 	Buffer int
-	// ErrorKeep is how many evicted error traces are retained beyond
-	// the recent ring (default 32).
-	ErrorKeep int
-	// SlowKeep is how many of the slowest settle traces are retained
-	// beyond the recent ring (default 16).
-	SlowKeep int
 	// SlowFloor is the minimum settle duration eligible for the slow
 	// pool; faster settles are never retained there (default 0).
 	SlowFloor time.Duration
-	// MaxSpansPerTrace bounds one trace's span count (default 512).
-	MaxSpansPerTrace int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Buffer <= 0 {
-		o.Buffer = 256
-	}
-	if o.ErrorKeep <= 0 {
-		o.ErrorKeep = 32
-	}
-	if o.SlowKeep <= 0 {
-		o.SlowKeep = 16
-	}
-	if o.MaxSpansPerTrace <= 0 {
-		o.MaxSpansPerTrace = 512
-	}
-	return o
 }
 
 // New builds a Tracer with its own Collector sized by opts.
 func New(opts Options) *Tracer {
-	opts = opts.withDefaults()
-	return &Tracer{
-		col:      newCollector(opts),
-		maxSpans: opts.MaxSpansPerTrace,
+	if opts.Buffer <= 0 {
+		opts.Buffer = 256
 	}
+	return &Tracer{col: newCollector(opts)}
 }
 
 // Collector returns the tracer's flight recorder (nil on a nil
@@ -240,7 +221,7 @@ func (t *Tracer) startRootAt(ctx context.Context, name, remote string, start tim
 		tid = newTraceID()
 		parent = SpanID{}
 	}
-	tr := &trace{id: tid, col: t.col, maxSpans: t.maxSpans}
+	tr := &trace{id: tid, col: t.col}
 	s := &Span{tr: tr, id: newSpanID(), parent: parent, name: name, start: start}
 	tr.root = s
 	tr.spans = append(tr.spans, s)

@@ -132,7 +132,7 @@ func TestLateEndingSpansAppear(t *testing.T) {
 // TestBounds drives attrs, events, and spans past their limits and
 // checks the overflow is counted, not grown.
 func TestBounds(t *testing.T) {
-	tr := New(Options{Buffer: 4, MaxSpansPerTrace: 3})
+	tr := New(Options{Buffer: 4})
 	ctx, root := tr.StartRoot(context.Background(), "req", "")
 	for i := 0; i < maxAttrsPerSpan+5; i++ {
 		root.SetAttr(fmt.Sprintf("k%d", i), "v")
@@ -140,14 +140,15 @@ func TestBounds(t *testing.T) {
 	for i := 0; i < maxEventsPerSpan+7; i++ {
 		root.Event("e")
 	}
-	for i := 0; i < 6; i++ {
+	// The root plus maxSpansPerTrace+3 children: four over the bound.
+	for i := 0; i < maxSpansPerTrace+3; i++ {
 		_, s := Start(ctx, fmt.Sprintf("c%d", i))
 		s.End()
 	}
 	root.End()
 	snap, _ := tr.Collector().Trace(root.TraceIDString())
-	if len(snap.Spans) != 3 {
-		t.Errorf("spans = %d, want 3 (bounded)", len(snap.Spans))
+	if len(snap.Spans) != maxSpansPerTrace {
+		t.Errorf("spans = %d, want %d (bounded)", len(snap.Spans), maxSpansPerTrace)
 	}
 	if snap.DroppedSpans != 4 {
 		t.Errorf("dropped spans = %d, want 4", snap.DroppedSpans)
@@ -185,10 +186,19 @@ func endTrace(tr *Tracer, name string, fail bool, kind string, d time.Duration) 
 // size and checks the flight recorder's promise: error traces and the
 // slowest settles survive eviction while plain traffic does not.
 func TestRetentionKeepsErrorsAndSlowSettles(t *testing.T) {
-	tr := New(Options{Buffer: 4, ErrorKeep: 2, SlowKeep: 2, SlowFloor: time.Millisecond})
-	errID := endTrace(tr, "bad", true, "", 0)
-	slowest := endTrace(tr, "slow-settle", false, "settle", 500*time.Millisecond)
-	slower := endTrace(tr, "slower-settle", false, "settle", 300*time.Millisecond)
+	tr := New(Options{Buffer: 4, SlowFloor: time.Millisecond})
+	// errorKeep+2 error traces: the error ring keeps the newest errorKeep.
+	var errIDs []string
+	for i := 0; i < errorKeep+2; i++ {
+		errIDs = append(errIDs, endTrace(tr, "bad", true, "", 0))
+	}
+	// slowKeep settles fill the slow pool; the slowest one, arriving
+	// after, displaces the fastest of them (300 ms).
+	var slow []string
+	for i := 0; i < slowKeep; i++ {
+		slow = append(slow, endTrace(tr, "slow-settle", false, "settle", 300*time.Millisecond+time.Duration(i)*time.Millisecond))
+	}
+	slowest := endTrace(tr, "slowest-settle", false, "settle", time.Second)
 	fastSettle := endTrace(tr, "fast-settle", false, "settle", 0) // below floor
 	midSettle := endTrace(tr, "mid-settle", false, "settle", 100*time.Millisecond)
 	var plain []string
@@ -197,14 +207,18 @@ func TestRetentionKeepsErrorsAndSlowSettles(t *testing.T) {
 	}
 
 	col := tr.Collector()
-	if _, ok := col.Trace(errID); !ok {
-		t.Error("error trace evicted; must be retained")
+	for i, id := range errIDs {
+		if _, ok := col.Trace(id); ok != (i >= 2) {
+			t.Errorf("error trace %d retained = %v, want %v", i, ok, i >= 2)
+		}
 	}
 	if _, ok := col.Trace(slowest); !ok {
 		t.Error("slowest settle evicted; must be retained")
 	}
-	if _, ok := col.Trace(slower); !ok {
-		t.Error("second-slowest settle evicted; must be retained")
+	for i, id := range slow {
+		if _, ok := col.Trace(id); ok != (i > 0) {
+			t.Errorf("slow settle %d retained = %v, want %v", i, ok, i > 0)
+		}
 	}
 	if _, ok := col.Trace(midSettle); ok {
 		t.Error("mid settle should have lost the slow pool to slower settles")
@@ -216,11 +230,11 @@ func TestRetentionKeepsErrorsAndSlowSettles(t *testing.T) {
 		t.Error("oldest plain trace should be evicted")
 	}
 	st := col.Stats()
-	if st.RecentTraces != 4 || st.ErrorTraces != 1 || st.SlowTraces != 2 {
+	if st.RecentTraces != 4 || st.ErrorTraces != errorKeep || st.SlowTraces != slowKeep {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Collected != 25 {
-		t.Errorf("collected = %d, want 25", st.Collected)
+	if want := uint64(errorKeep + 2 + slowKeep + 3 + 20); st.Collected != want {
+		t.Errorf("collected = %d, want %d", st.Collected, want)
 	}
 }
 

@@ -48,16 +48,14 @@ type state struct {
 	// that observation's accuracy.
 	accPos [][]int32
 
-	// depIx is computeDependence's dataset layout and equiv its
-	// similarity cache, both built on first use (the dataset is
-	// immutable). depTau/depPhi hold the per-worker log terms of the
+	// depIx is computeDependence's dataset layout, built on first use
+	// (the dataset is immutable). depTau/depPhi hold the per-worker log terms of the
 	// current iteration. pairs is the value-sharing pair table, built by
 	// the first pass and kept in step with the truth after it;
 	// depCounts[slot] is one pool worker's pair-count row for counting
 	// it, and depMemos[slot] its posterior memo. depEvals is how many
 	// sigmoids the last pass evaluated.
 	depIx     *depIndex
-	equiv     *valueEquiv
 	depTau    []float64
 	depPhi    []float64
 	pairs     *pairTable

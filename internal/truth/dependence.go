@@ -163,8 +163,7 @@ func (s *state) sumDependence() {
 
 // pairTable holds the co-observation tuple of every value-sharing worker
 // pair, counted under the truth vector counted. A tuple is
-// [different, same-true, same-false per agreement class], counted from
-// the lower-index worker's side: its value decides true versus false.
+// [different, same-true, same-false per agreement class].
 type pairTable struct {
 	// w is the tuple width, 2 + the number of agreement classes.
 	w int
@@ -201,10 +200,10 @@ type pairTable struct {
 func (s *state) buildPairs(ix *depIndex) {
 	w := 2 + len(ix.agree)
 	pt := &pairTable{w: w, hi: make([][]int32, s.n), counted: slices.Clone(s.truth)}
-	rows, equiv := s.depCountSlots(w), s.valueEquivalence()
+	rows := s.depCountSlots(w)
 	s.doSlots(s.n, func(slot, i int) {
 		cnt := rows[slot]
-		s.countRow(ix, equiv, i, cnt)
+		s.countRow(ix, i, cnt)
 		pt.hi[i] = s.splitRow(ix, i, cnt, w)
 		dep := s.dep
 		for _, k := range pt.hi[i] {
@@ -247,24 +246,22 @@ func sharesValue(c []int32) bool {
 }
 
 // countRow counts, into cnt[k*w:(k+1)*w] for every k > i, the tasks
-// workers i and k co-observed, classified under the current truth.
-// equiv is the engine's similarity cache (nil when disabled), built
-// before any parallel pass reads it.
-func (s *state) countRow(ix *depIndex, equiv *valueEquiv, i int, cnt []int32) {
+// workers i and k co-observed, classified under the current truth. Two
+// workers share a value only when they gave the same value index:
+// presentation variants are the estimate's concern (eq. 21) or are
+// merged before inference (MergePresentations).
+func (s *state) countRow(ix *depIndex, i int, cnt []int32) {
 	w := 2 + len(ix.agree)
 	clear(cnt[(i+1)*w:])
 	for t, j := range s.ds.WorkerTasks(i) {
 		ws, vals := s.ds.TaskWorkers(j), s.ds.TaskValues(j)
 		p := int(ix.pos[i][t])
 		vi := vals[p]
-		// TaskWorkers is ascending, so i is the lower-index worker of
-		// every pair counted here and vi decides true versus false
-		// (which matters only under a non-transitive similarity).
-		sameCol := s.sameColumn(ix, equiv, j, vi, s.truth[j])
+		sameCol := s.sameColumn(ix, j, vi, s.truth[j])
 		later, laterVals := ws[p+1:], vals[p+1:len(ws)]
 		for b, k := range later {
 			col := 0
-			if vk := laterVals[b]; vk == vi || (equiv != nil && equiv.same(j, vi, vk)) {
+			if laterVals[b] == vi {
 				col = sameCol
 			}
 			cnt[k*w+col]++
@@ -273,10 +270,10 @@ func (s *state) countRow(ix *depIndex, equiv *valueEquiv, i int, cnt []int32) {
 }
 
 // sameColumn is the tuple column of a shared value v on task j when the
-// task's truth is et: 1 (same true) when v is, or is a presentation of,
-// the truth, otherwise task j's same-false class.
-func (s *state) sameColumn(ix *depIndex, equiv *valueEquiv, j int, v, et int32) int {
-	if v == et || (equiv != nil && equiv.same(j, v, et)) {
+// task's truth is et: 1 (same true) when v is the truth, otherwise task
+// j's same-false class.
+func (s *state) sameColumn(ix *depIndex, j int, v, et int32) int {
+	if v == et {
 		return 1
 	}
 	return 2 + int(ix.class[j])
@@ -317,12 +314,12 @@ func (pt *pairTable) index(s *state, ix *depIndex) {
 	}
 	pt.upTup = make([]int32, pt.sharing)
 	pt.loK, pt.loTup = make([]int32, pt.sharing), make([]int32, pt.sharing)
-	cnt, equiv := s.depCountSlots(w)[0], s.valueEquivalence()
+	cnt := s.depCountSlots(w)[0]
 	// Rows are visited in ascending order, so every lower-partner list
 	// fills ascending.
 	next := slices.Clone(pt.loOff[:n])
 	for i, hi := range pt.hi {
-		s.countRow(ix, equiv, i, cnt)
+		s.countRow(ix, i, cnt)
 		for x, k := range hi {
 			u := pt.intern(cnt[int(k)*w : int(k+1)*w])
 			pt.upTup[int(pt.upOff[i])+x] = u
@@ -386,16 +383,15 @@ func hashTuple(c []int32) uint32 {
 
 // move re-classifies task j's shared values from truth old to truth et.
 func (pt *pairTable) move(s *state, ix *depIndex, j int, old, et int32) {
-	equiv := s.valueEquivalence()
 	ws, vals := s.ds.TaskWorkers(j), s.ds.TaskValues(j)
 	for a, vi := range vals {
-		from, to := s.sameColumn(ix, equiv, j, vi, old), s.sameColumn(ix, equiv, j, vi, et)
+		from, to := s.sameColumn(ix, j, vi, old), s.sameColumn(ix, j, vi, et)
 		if from == to {
 			continue
 		}
 		i := ws[a]
 		for b := a + 1; b < len(ws); b++ {
-			if vk := vals[b]; vk == vi || (equiv != nil && equiv.same(j, vi, vk)) {
+			if vals[b] == vi {
 				k := ws[b]
 				x, _ := slices.BinarySearch(pt.hi[i], int32(k))
 				up := int(pt.upOff[i]) + x

@@ -81,10 +81,8 @@ func coObserved(ds *model.Dataset) [][]bool {
 }
 
 // passCoverage counts the oracle-test situations a trial exercised.
-// asymmetric counts incidences where two values are presentations of
-// each other but only one of them is a presentation of the truth.
 type passCoverage struct {
-	multiClass, singletonTasks, priorPairs, coPairs, asymmetric int
+	multiClass, singletonTasks, priorPairs, coPairs int
 }
 
 // checkPassAgainstOracle runs computeDependence and the old per-task pass
@@ -130,20 +128,8 @@ func checkPassAgainstOracle(t *testing.T, label string, s *state, cov *passCover
 		cov.multiClass++
 	}
 	for j := 0; j < s.m; j++ {
-		ws := s.ds.TaskWorkers(j)
-		if len(ws) == 1 {
+		if len(s.ds.TaskWorkers(j)) == 1 {
 			cov.singletonTasks++
-		}
-		if e := s.equiv; e != nil {
-			et := s.truth[j]
-			for a := range ws {
-				for b := a + 1; b < len(ws); b++ {
-					vi, vk := s.ds.ValueOf(ws[a], j), s.ds.ValueOf(ws[b], j)
-					if e.same(j, vi, vk) && e.same(j, vi, et) != e.same(j, vk, et) {
-						cov.asymmetric++
-					}
-				}
-			}
 		}
 	}
 }
@@ -151,7 +137,7 @@ func checkPassAgainstOracle(t *testing.T, label string, s *state, cov *passCover
 // runOracleTrials drives checkPassAgainstOracle over random datasets and
 // options, three randomized states per engine so the count rows and
 // caches are reused across passes.
-func runOracleTrials(t *testing.T, seed int64, trials, nValues int, tune func(*Options)) passCoverage {
+func runOracleTrials(t *testing.T, seed int64, trials, nValues int) passCoverage {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var cov passCoverage
@@ -163,9 +149,6 @@ func runOracleTrials(t *testing.T, seed int64, trials, nValues int, tune func(*O
 		opt.Parallelism = 1 + rng.Intn(4)
 		if rng.Intn(2) == 0 {
 			opt.FalseValues = ZipfFalse{S: 1.3}
-		}
-		if tune != nil {
-			tune(&opt)
 		}
 		s := newState(ds, opt, opt.falseModelOrUniform())
 		s.dep = newFilledMatrix(s.n, s.n, opt.PriorDependence)
@@ -188,62 +171,7 @@ func requireCoverage(t *testing.T, cov passCoverage) {
 // TestDependenceMatchesOracle checks one closed-form pass against the old
 // per-task pass from identical states on random datasets.
 func TestDependenceMatchesOracle(t *testing.T) {
-	requireCoverage(t, runOracleTrials(t, 11, 300, 4, nil))
-}
-
-// nonTransitiveSim makes v_a and v_b presentations of each other when
-// their indices differ by at most one: v0≈v1 and v1≈v2 but v0≉v2. A
-// shared-value pair can then have one side that is a presentation of the
-// truth and one that is not, so which worker decides true versus false
-// matters.
-func nonTransitiveSim(a, b string) float64 {
-	var x, y int
-	fmt.Sscanf(a, "v%d", &x)
-	fmt.Sscanf(b, "v%d", &y)
-	if x-y <= 1 && y-x <= 1 {
-		return 1
-	}
-	return 0
-}
-
-// TestDependenceMatchesOracleSimilarity is the oracle check under
-// SimilarityInDependence with a non-transitive similarity, where the
-// same/true classification of a pair is asymmetric in its two workers.
-func TestDependenceMatchesOracleSimilarity(t *testing.T) {
-	cov := runOracleTrials(t, 12, 300, 6, func(o *Options) {
-		o.Similarity = nonTransitiveSim
-		o.SimilarityInDependence = true
-	})
-	requireCoverage(t, cov)
-	if cov.asymmetric == 0 {
-		t.Fatal("no asymmetric same/true incidence generated")
-	}
-}
-
-// TestValueEquivalenceBuiltOnce pins the similarity cache's lifetime: one
-// build per engine, whatever the truth does between passes.
-func TestValueEquivalenceBuiltOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	ds := oracleDataset(rng, 6)
-	calls := 0
-	opt := DefaultOptions()
-	opt.Similarity = func(a, b string) float64 { calls++; return nonTransitiveSim(a, b) }
-	opt.SimilarityInDependence = true
-	s := newState(ds, opt, UniformFalse{})
-	s.dep = newFilledMatrix(s.n, s.n, opt.PriorDependence)
-	s.totalDep = make([]float64, s.n)
-	s.computeDependence()
-	first := calls
-	if first == 0 {
-		t.Fatal("first pass never called Similarity")
-	}
-	for round := 0; round < 3; round++ {
-		randomizeState(rng, s)
-		s.computeDependence()
-	}
-	if calls != first {
-		t.Fatalf("Similarity called %d more times after the first pass", calls-first)
-	}
+	requireCoverage(t, runOracleTrials(t, 11, 300, 4))
 }
 
 // requireRunsAgree compares a full DATE run against the oracle run: the

@@ -13,8 +13,7 @@ import (
 // matrix, and the shards are folded into the prior in shard order. It is
 // the serial path of the old implementation, which was bit-identical to
 // its parallel path. It reads the same state (accW, truth, agreement,
-// logPriorRatio) and builds its own similarity classification per call,
-// as the old code did every iteration.
+// logPriorRatio).
 
 // oracleDepShardSize and oracleMaxDepShards fix the old shard layout.
 const (
@@ -27,60 +26,14 @@ func oracleDepShardCount(m int) int {
 	return max(1, min(s, oracleMaxDepShards))
 }
 
-// oracleEquiv is the old per-iteration similarity cache: value pairs
-// that are presentations of each other, and values that are
-// presentations of the current truth.
-type oracleEquiv struct {
-	samePair  [][]bool
-	likeTruth [][]bool
-	width     []int
-}
-
-func oracleValueEquivalence(s *state) *oracleEquiv {
-	if !s.opt.SimilarityInDependence || s.opt.Similarity == nil {
-		return nil
-	}
-	tau := s.opt.similarityThreshold()
-	e := &oracleEquiv{
-		samePair:  make([][]bool, s.m),
-		likeTruth: make([][]bool, s.m),
-		width:     make([]int, s.m),
-	}
-	for j := 0; j < s.m; j++ {
-		values := s.ds.Values(j)
-		v := len(values)
-		e.width[j] = v
-		e.samePair[j] = make([]bool, v*v)
-		e.likeTruth[j] = make([]bool, v)
-		for a := 0; a < v; a++ {
-			e.samePair[j][a*v+a] = true
-			for b := a + 1; b < v; b++ {
-				if s.opt.Similarity(values[a], values[b]) >= tau {
-					e.samePair[j][a*v+b] = true
-					e.samePair[j][b*v+a] = true
-				}
-			}
-		}
-		et := s.truth[j]
-		if et == model.NotAnswered {
-			continue
-		}
-		for a := 0; a < v; a++ {
-			e.likeTruth[j][a] = e.samePair[j][a*v+int(et)]
-		}
-	}
-	return e
-}
-
 // oracleComputeDependence overwrites s.dep and s.totalDep the way the
 // per-task pass did.
 func oracleComputeDependence(s *state) {
-	equiv := oracleValueEquivalence(s)
 	shards := oracleDepShardCount(s.m)
 	acc, partial := newFilledMatrix(s.n, s.n, s.logPriorRatio), newZeroMatrix(s.n, s.n)
 	for sh := 0; sh < shards; sh++ {
 		lo, hi := sh*s.m/shards, (sh+1)*s.m/shards
-		oracleAccumulate(s, partial, lo, hi, equiv)
+		oracleAccumulate(s, partial, lo, hi)
 		for i := range acc {
 			for k := range acc[i] {
 				acc[i][k] += partial[i][k]
@@ -109,7 +62,7 @@ func oracleComputeDependence(s *state) {
 
 // oracleAccumulate adds the evidence of tasks [lo, hi) into partial
 // (zeroed first); partial[i][k] accumulates the i→k hypothesis.
-func oracleAccumulate(s *state, partial [][]float64, lo, hi int, equiv *oracleEquiv) {
+func oracleAccumulate(s *state, partial [][]float64, lo, hi int) {
 	r := s.opt.CopyProb
 	logOneMinusR := math.Log1p(-r)
 	for i := range partial {
@@ -132,17 +85,11 @@ func oracleAccumulate(s *state, partial [][]float64, lo, hi int, equiv *oracleEq
 				k := ws[b]
 				vk := s.ds.ValueOf(k, j)
 				ak := clampAcc(s.accW[k])
-				same := vi == vk
-				isTrue := vi == et
-				if equiv != nil {
-					same = same || equiv.samePair[j][int(vi)*equiv.width[j]+int(vk)]
-					isTrue = isTrue || equiv.likeTruth[j][vi]
-				}
 				switch {
-				case !same:
+				case vi != vk:
 					partial[i][k] -= logOneMinusR
 					partial[k][i] -= logOneMinusR
-				case isTrue:
+				case vi == et:
 					ps := ai * ak
 					logPs := math.Log(ps)
 					partial[i][k] += logPs - math.Log(ak*r+ps*(1-r))

@@ -192,34 +192,6 @@ func TestDependencePairTableLockstepOracle(t *testing.T) {
 	t.Logf("table paths: %v", paths)
 }
 
-// TestDependencePairTableOracleSimilarity is the lockstep check under
-// SimilarityInDependence with the non-transitive similarity, where the
-// lower-index worker's value decides true versus false, on random sparse
-// datasets with mixed agreement classes.
-func TestDependencePairTableOracleSimilarity(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	paths := map[string]int{}
-	for trial := 0; trial < 60; trial++ {
-		ds := oracleDataset(rng, 6)
-		opt := DefaultOptions()
-		opt.CopyProb = 0.05 + 0.9*rng.Float64()
-		opt.PriorDependence = 0.01 + 0.5*rng.Float64()
-		opt.Parallelism = []int{1, 2, 0}[trial%3]
-		opt.Similarity = nonTransitiveSim
-		opt.SimilarityInDependence = true
-		method := MethodDATE
-		if trial%4 == 3 {
-			method = MethodED
-		}
-		for p, n := range lockstepAgainstRowPass(t, fmt.Sprintf("trial %d ", trial), ds, method, opt) {
-			paths[p] += n
-		}
-	}
-	if paths["build"] == 0 || paths["move"] == 0 {
-		t.Fatalf("trials missed a table path: %v", paths)
-	}
-}
-
 // passAgainstRowPass runs one pair-table pass on s and the row pass on a
 // copy of s's inputs, and requires bitwise-equal dep and totalDep.
 func passAgainstRowPass(t *testing.T, label string, s, o *state) {
@@ -236,7 +208,7 @@ func passAgainstRowPass(t *testing.T, label string, s, o *state) {
 // arbitrary points between passes — random accuracies, and the truth of
 // none, one, a few or every task moved to any provided value — so the
 // table's tuple moves, for any number of moved tasks, run against the
-// row pass, with and without the non-transitive similarity.
+// row pass.
 func TestDependencePairTableRandomStatesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	paths := map[string]int{}
@@ -246,10 +218,6 @@ func TestDependencePairTableRandomStatesOracle(t *testing.T) {
 		opt.CopyProb = 0.05 + 0.9*rng.Float64()
 		opt.PriorDependence = 0.01 + 0.5*rng.Float64()
 		opt.Parallelism = 1 + rng.Intn(4)
-		if trial%2 == 1 {
-			opt.Similarity = nonTransitiveSim
-			opt.SimilarityInDependence = true
-		}
 		s, o := oracleState(ds, opt), oracleState(ds, opt)
 		for round := 0; round < 6; round++ {
 			randomizeState(rng, o) // random accuracies and a random truth
@@ -277,18 +245,16 @@ func TestDependencePairTableRandomStatesOracle(t *testing.T) {
 	}
 }
 
-// TestDependencePairTableFlipABAOracle flips one task's truth A→B→A→B→A
-// (with and without a similarity under which a third value is a
-// presentation of both), so the table is indexed at the first flip and
-// every later flip is applied as tuple moves, and checks every pass
-// against the row pass.
+// TestDependencePairTableFlipABAOracle flips one task's truth A→B→A→B→A,
+// so the table is indexed at the first flip and every later flip is
+// applied as tuple moves, and checks every pass against the row pass.
+// A third value on the flipped task stays same-false throughout.
 func TestDependencePairTableFlipABAOracle(t *testing.T) {
 	b := model.NewBuilder()
 	for j := 0; j < 12; j++ {
 		b.AddTask(model.Task{ID: fmt.Sprintf("t%d", j), NumFalse: 1 + j%3, Requirement: 1, Value: 5})
 	}
-	// Task t0: workers 0–3 say v0 ("A"), 4–6 say v2 ("B"), 7 says v1,
-	// which is a presentation of both under nonTransitiveSim.
+	// Task t0: workers 0–3 say v0 ("A"), 4–6 say v2 ("B"), 7 says v1.
 	for i := 0; i < 8; i++ {
 		v := "v0"
 		switch {
@@ -310,25 +276,19 @@ func TestDependencePairTableFlipABAOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, bv := valueIndex(t, ds, 0, "v0"), valueIndex(t, ds, 0, "v2")
-	for _, sim := range []bool{false, true} {
-		opt := DefaultOptions()
-		if sim {
-			opt.Similarity = nonTransitiveSim
-			opt.SimilarityInDependence = true
+	opt := DefaultOptions()
+	s, o := oracleState(ds, opt), oracleState(ds, opt)
+	rng := rand.New(rand.NewSource(23))
+	for step, et := range []int32{a, bv, a, bv, a} {
+		for i := range s.accW {
+			s.accW[i] = rng.Float64()
 		}
-		s, o := oracleState(ds, opt), oracleState(ds, opt)
-		rng := rand.New(rand.NewSource(23))
-		for step, et := range []int32{a, bv, a, bv, a} {
-			for i := range s.accW {
-				s.accW[i] = rng.Float64()
-			}
-			s.truth[0] = et
-			want := []string{"build", "index", "move", "move", "move"}[step]
-			if path := syncPath(s); path != want {
-				t.Fatalf("sim=%v step %d: table path %q, want %q", sim, step, path, want)
-			}
-			passAgainstRowPass(t, fmt.Sprintf("sim=%v step %d", sim, step), s, o)
+		s.truth[0] = et
+		want := []string{"build", "index", "move", "move", "move"}[step]
+		if path := syncPath(s); path != want {
+			t.Fatalf("step %d: table path %q, want %q", step, path, want)
 		}
+		passAgainstRowPass(t, fmt.Sprintf("step %d", step), s, o)
 	}
 }
 
@@ -401,7 +361,7 @@ func bruteDependenceWork(s *state) (pairs, distinct int) {
 	cnt := make([]int32, s.n*w)
 	seen := map[string]bool{}
 	for i := 0; i < s.n; i++ {
-		s.countRow(ix, s.valueEquivalence(), i, cnt)
+		s.countRow(ix, i, cnt)
 		for k := i + 1; k < s.n; k++ {
 			c := cnt[k*w : (k+1)*w]
 			if !sharesValue(c) {

@@ -12,13 +12,12 @@ import (
 // co-observed pairs under the current truth, visits all n² pairs, calls
 // the sigmoid twice per value-sharing pair, writes dep[k][i] down a
 // column and Kahan-sums totalDep column-wise. It shares the engine's
-// dataset layout (depIndex) and similarity cache, which depend on the
-// dataset alone, and owns its count rows.
+// dataset layout (depIndex), which depends on the dataset alone, and
+// owns its count rows.
 
 // rowPassDependence overwrites s.dep, s.totalDep and the per-worker log
 // terms exactly as the row pass did.
 func rowPassDependence(s *state) {
-	equiv := s.valueEquivalence()
 	ix := s.depIndex()
 
 	r := s.opt.CopyProb
@@ -47,12 +46,12 @@ func rowPassDependence(s *state) {
 			p := int(ix.pos[i][t])
 			vi := vals[p]
 			sameCol := 2 + int(ix.class[j])
-			if vi == s.truth[j] || (equiv != nil && equiv.same(j, vi, s.truth[j])) {
+			if vi == s.truth[j] {
 				sameCol = 1
 			}
 			for b := p + 1; b < len(ws); b++ {
 				col := 0
-				if vk := vals[b]; vk == vi || (equiv != nil && equiv.same(j, vi, vk)) {
+				if vals[b] == vi {
 					col = sameCol
 				}
 				cnt[ws[b]*w+col]++

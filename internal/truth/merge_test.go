@@ -1,6 +1,8 @@
 package truth
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"imc2/internal/model"
@@ -13,6 +15,62 @@ func thresholdCosine(a, b string) float64 {
 		return 0
 	}
 	return s
+}
+
+// presentationNoiseDataset builds a campaign where honest workers emit
+// variant spellings: value strings carry a "~pK" suffix, which splits
+// each answer's support across its presentations.
+func presentationNoiseDataset(t *testing.T) (*model.Dataset, map[string]string) {
+	t.Helper()
+	b := model.NewBuilder()
+	groundTruth := map[string]string{}
+	const m = 30
+	// Value strings are realistically sized: trigram similarities of very
+	// short strings are dominated by the variant suffix and fall below
+	// any sensible threshold.
+	const trueVal = "canberra-act"
+	falseVals := []string{"alpha-wrong", "beta-wrong", "gamma-wrong"}
+	for j := 0; j < m; j++ {
+		id := fmt.Sprintf("t%02d", j)
+		b.AddTask(model.Task{ID: id, NumFalse: 3, Requirement: 1, Value: 5})
+		groundTruth[id] = trueVal
+	}
+	// 8 honest workers, ~25% wrong, and every third answer emitted as a
+	// deterministic variant form.
+	for i := 0; i < 8; i++ {
+		w := fmt.Sprintf("h%02d", i)
+		for j := 0; j < m; j++ {
+			v := trueVal
+			if (j+i)%4 == 0 {
+				v = falseVals[(i+j)%3]
+			}
+			if (j+2*i)%3 == 0 {
+				v = fmt.Sprintf("%s~p%d", v, (i+j)%2)
+			}
+			b.AddObservation(w, fmt.Sprintf("t%02d", j), v)
+		}
+	}
+	ds, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, groundTruth
+}
+
+func canonicalPrecisionOf(t *testing.T, ds *model.Dataset, res *Result, gt map[string]string) float64 {
+	t.Helper()
+	est := res.TruthMap(ds)
+	correct := 0
+	for task, want := range gt {
+		got := est[task]
+		if i := strings.IndexByte(got, '~'); i >= 0 {
+			got = got[:i]
+		}
+		if got == want {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(gt))
 }
 
 func TestMergePresentationsValidation(t *testing.T) {

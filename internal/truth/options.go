@@ -69,21 +69,14 @@ type Options struct {
 	// Similarity, when non-nil, enables the §IV-A multiple-presentation
 	// extension: support counts of a value are augmented with
 	// SimilarityWeight times the similarity-weighted support of other
-	// values (eq. 21).
+	// values (eq. 21). It reaches the estimate only: the dependence pass
+	// counts exact value matches, so presentation variants of a false
+	// value still look like a shared false value there. Merging variants
+	// before inference (MergePresentations) is what repairs that (ablation
+	// A2).
 	Similarity func(a, b string) float64
 	// SimilarityWeight is ρ ∈ [0, 1] in eq. 21.
 	SimilarityWeight float64
-	// SimilarityInDependence extends similarity into the dependence
-	// stage: values with Similarity ≥ SimilarityThreshold count as the
-	// same value when classifying shared answers as Ts/Tf/Td (eq. 7–13).
-	// The paper's eq. 21 only adjusts vote counts, which leaves a failure
-	// mode: systematic presentation variance creates shared "false"
-	// values — DATE's copier signal — and collapses precision (ablation
-	// A2). This flag is the natural completion of §IV-A that repairs it.
-	SimilarityInDependence bool
-	// SimilarityThreshold is the equivalence cut-off used by
-	// SimilarityInDependence; zero means 0.7.
-	SimilarityThreshold float64
 
 	// FalseValues models the distribution of false values (§IV-B).
 	// nil means the uniform model of §II-B.
@@ -159,12 +152,6 @@ func (o Options) Validate() error {
 	if o.Similarity == nil && o.SimilarityWeight > 0 {
 		return fmt.Errorf("truth: SimilarityWeight set without a Similarity function")
 	}
-	if o.SimilarityInDependence && o.Similarity == nil {
-		return fmt.Errorf("truth: SimilarityInDependence set without a Similarity function")
-	}
-	if o.SimilarityThreshold < 0 || o.SimilarityThreshold > 1 || math.IsNaN(o.SimilarityThreshold) {
-		return fmt.Errorf("truth: SimilarityThreshold %v must be in [0, 1]", o.SimilarityThreshold)
-	}
 	if o.EDExactLimit < 0 {
 		return fmt.Errorf("truth: EDExactLimit %d must be >= 0", o.EDExactLimit)
 	}
@@ -207,11 +194,4 @@ func (o Options) executor() Executor {
 		return o.Executor
 	}
 	return goExecutor{}
-}
-
-func (o Options) similarityThreshold() float64 {
-	if o.SimilarityThreshold == 0 {
-		return 0.7
-	}
-	return o.SimilarityThreshold
 }

@@ -104,9 +104,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerialWithSimilarity covers the §IV-A extensions
-// (similarity-adjusted votes and similarity-aware dependence), whose
-// scratch reuse must not leak state between tasks.
+// TestParallelMatchesSerialWithSimilarity covers the §IV-A extension
+// (similarity-adjusted votes, eq. 21), whose scratch reuse must not leak
+// state between tasks.
 func TestParallelMatchesSerialWithSimilarity(t *testing.T) {
 	ds, _ := copierScenario(t, 8, 4, 256+40)
 	sim := func(a, b string) float64 {
@@ -123,7 +123,6 @@ func TestParallelMatchesSerialWithSimilarity(t *testing.T) {
 	opt.PriorDependence = 0.05
 	opt.Similarity = sim
 	opt.SimilarityWeight = 0.3
-	opt.SimilarityInDependence = true
 
 	opt.Parallelism = 1
 	serial, err := Discover(ds, MethodDATE, opt)

@@ -565,3 +565,39 @@ func TestV2RejectsTrailingBytes(t *testing.T) {
 		t.Fatalf("create with trailing newline: %d %s", rec.Code, rec.Body)
 	}
 }
+
+// TestV2SubmitErrorNamesBatchIndexOnlyForBatches: a refused single
+// submission object reads as itself, while a refused element of a
+// multi-element batch is named by its index, on an in-memory and on a
+// durable server alike.
+func TestV2SubmitErrorNamesBatchIndexOnlyForBatches(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	for _, reg := range []*registry.Registry{registry.New(), registry.New(registry.WithStore(st))} {
+		h := NewRegistryServer(reg, "", platform.DefaultConfig(), nil).Handler()
+		c, err := reg.Create("labels", []Task{{ID: "t1", NumFalse: 2, Requirement: 1}}, platform.DefaultConfig(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		durable := c.Persisted()
+		post := func(body string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/campaigns/"+c.ID()+"/submissions", strings.NewReader(body)))
+			return rec
+		}
+		rec := post(`{"worker":"zz1","price":3,"answers":{"":"x"}}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid"`) {
+			t.Fatalf("durable=%v single: %d %s, want 400 invalid", durable, rec.Code, rec.Body)
+		}
+		if strings.Contains(rec.Body.String(), "batch") {
+			t.Fatalf("durable=%v single submission reported as a batch: %s", durable, rec.Body)
+		}
+		rec = post(`{"submissions":[{"worker":"w1","price":1,"answers":{"t1":"a"}},{"worker":"zz1","price":3,"answers":{"":"x"}}]}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `batch submission 1 (worker \"zz1\")`) {
+			t.Fatalf("durable=%v batch: %d %s, want 400 naming batch submission 1", durable, rec.Code, rec.Body)
+		}
+		if c.Submissions() != 1 {
+			t.Fatalf("durable=%v: %d submissions, want the batch's accepted prefix of 1", durable, c.Submissions())
+		}
+	}
+}
