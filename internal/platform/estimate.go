@@ -22,8 +22,9 @@ type EstimateSnapshot struct {
 	// Iterations is how many truth-discovery iterations produced this
 	// view.
 	Iterations int
-	// Converged reports whether the estimate is stable over Covered
-	// submissions.
+	// Converged reports whether the truth run over Covered submissions
+	// stopped before MaxIterations, its truth vector back at one of its
+	// last four values (truth.Result.Converged).
 	Converged bool
 	// Covered is how many submissions the estimate reflects.
 	Covered int

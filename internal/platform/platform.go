@@ -477,7 +477,8 @@ type Report struct {
 	PlatformUtility float64 `json:"platform_utility"`
 	// TruthIterations is how many refinement rounds stage 1 used.
 	TruthIterations int `json:"truth_iterations"`
-	// Converged reports stage-1 convergence.
+	// Converged reports whether stage 1 stopped before MaxIterations,
+	// its truth vector back at one of its last four values.
 	Converged bool `json:"converged"`
 }
 

@@ -8,6 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+
+	"imc2/internal/model"
+	"imc2/internal/platform"
 )
 
 // snapshotVersion guards against silently loading a future format.
@@ -37,11 +41,7 @@ func parseSnapName(name string) (lastSeq uint64, ok bool) {
 // leaves either the previous snapshot set or the complete new file —
 // never a half-written snapshot under the final name.
 func writeSnapshot(dir string, lastSeq uint64, st *State) error {
-	buf, err := json.Marshal(snapshotFile{
-		Version:   snapshotVersion,
-		LastSeq:   lastSeq,
-		Campaigns: st.Campaigns(),
-	})
+	buf, err := appendSnapshot(nil, lastSeq, st.Campaigns())
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}
@@ -72,6 +72,67 @@ func writeSnapshot(dir string, lastSeq uint64, st *State) error {
 		return fmt.Errorf("store: publishing snapshot: %w", err)
 	}
 	return syncDir(dir)
+}
+
+// appendSnapshot appends the snapshot file's JSON encoding, the bytes of
+// json.Marshal(snapshotFile{snapshotVersion, lastSeq, recs}), to buf.
+func appendSnapshot(buf []byte, lastSeq uint64, recs []*CampaignRecord) ([]byte, error) {
+	buf = append(buf, `{"version":`...)
+	buf = strconv.AppendInt(buf, snapshotVersion, 10)
+	buf = append(buf, `,"last_seq":`...)
+	buf = strconv.AppendUint(buf, lastSeq, 10)
+	buf = append(buf, `,"campaigns":`...)
+	if recs == nil {
+		return append(buf, "null}"...), nil
+	}
+	buf = append(buf, '[')
+	for k, rec := range recs {
+		if k > 0 {
+			buf = append(buf, ',')
+		}
+		var err error
+		if buf, err = appendCampaignRecord(buf, rec); err != nil {
+			return nil, err
+		}
+	}
+	return append(buf, "]}"...), nil
+}
+
+// appendCampaignRecord appends json.Marshal(rec)'s bytes to buf. The
+// record's rows are appended directly, as appendEvent appends a
+// submissions event's: encoding/json would re-scan the whole output of
+// their MarshalJSON. The two halves around them list CampaignRecord's
+// other fields in declaration order, with the same tags.
+func appendCampaignRecord(buf []byte, rec *CampaignRecord) ([]byte, error) {
+	if rec == nil || len(rec.Submissions) == 0 {
+		b, err := json.Marshal(rec)
+		return append(buf, b...), err
+	}
+	head, err := json.Marshal(struct {
+		ID     string         `json:"id"`
+		Name   string         `json:"name,omitempty"`
+		Tasks  []model.Task   `json:"tasks"`
+		State  platform.State `json:"state"`
+		Config ConfigRecord   `json:"config"`
+	}{rec.ID, rec.Name, rec.Tasks, rec.State, rec.Config})
+	if err != nil {
+		return nil, err
+	}
+	buf = append(append(buf, head[:len(head)-1]...), `,"submissions":`...)
+	if buf, err = rec.Submissions.AppendJSON(buf); err != nil {
+		return nil, err
+	}
+	tail, err := json.Marshal(struct {
+		Report *platform.Report `json:"report,omitempty"`
+		Audit  *platform.Audit  `json:"audit,omitempty"`
+	}{rec.Report, rec.Audit})
+	if err != nil {
+		return nil, err
+	}
+	if len(tail) == len("{}") {
+		return append(buf, '}'), nil
+	}
+	return append(append(buf, ','), tail[1:]...), nil
 }
 
 // loadLatestSnapshot finds the newest usable snapshot in dir and

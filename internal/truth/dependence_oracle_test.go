@@ -106,20 +106,22 @@ func oracleAccumulate(s *state, partial [][]float64, lo, hi int) {
 }
 
 // oracleDiscover runs DATE exactly as Engine.Step does, with the old
-// dependence pass in place of computeDependence.
+// dependence pass in place of computeDependence. It stops by the
+// engine's own predicate (truthHistory.stop), so both runs have the same
+// length and the comparison stays one of passes.
 func oracleDiscover(ds *model.Dataset, opt Options) *Result {
 	s := newState(ds, opt, opt.falseModelOrUniform())
 	s.dep = newFilledMatrix(s.n, s.n, opt.PriorDependence)
 	s.totalDep = make([]float64, s.n)
-	prev := make([]int32, s.m)
+	var hist truthHistory
 	res := &Result{Method: MethodDATE}
 	for res.Iterations < opt.MaxIterations && !res.Converged {
 		res.Iterations++
-		copy(prev, s.truth)
+		hist.record(s.truth)
 		oracleComputeDependence(s)
 		s.computeIndependence(false)
 		s.estimate()
-		res.Converged = countChanged(prev, s.truth) == 0
+		_, res.Converged = hist.stop(s.truth)
 	}
 	res.Truth, res.Accuracy, res.TaskIndependence, res.Dependence = s.truth, s.acc, s.indep, s.dep
 	return res

@@ -210,6 +210,52 @@ func TestIndependenceGreedySingletonAndPair(t *testing.T) {
 	}
 }
 
+// TestIndependenceGreedyTiesWithinTolerance pins the greedy's append
+// step: two providers whose dependence on the seed differs by less than
+// tieTolerance (relative) are a tie, broken to the lower worker index,
+// so rounding in how a posterior was summed cannot reorder a group. A
+// larger gap still orders by dependence.
+func TestIndependenceGreedyTiesWithinTolerance(t *testing.T) {
+	ds, err := model.NewBuilder().
+		AddTask(model.Task{ID: "A", NumFalse: 2, Requirement: 1, Value: 5}).
+		AddObservation("w0", "A", "x").
+		AddObservation("w1", "A", "x").
+		AddObservation("w2", "A", "x").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r, d10, d21, d12 = 0.5, 0.5, 0.1, 0.3
+	for _, tc := range []struct {
+		gap        float64 // dep[2][0] = d10·(1+gap)
+		w2BeforeW1 bool
+	}{
+		{0, false},
+		{1e-15, false}, // a rounding difference: still a tie
+		{1e-9, true},
+	} {
+		opt := DefaultOptions()
+		opt.CopyProb = r
+		s := newState(ds, opt, UniformFalse{})
+		s.dep = newZeroMatrix(3, 3)
+		s.dep[1][0], s.dep[2][0] = d10, d10*(1+tc.gap)
+		s.dep[2][1], s.dep[1][2] = d21, d12
+		s.totalDep = make([]float64, s.n) // seed: w0, the lowest index
+		s.computeIndependence(false)
+		ind := s.indep[0]
+		want := []float64{1, 1 - r*d10, (1 - r*s.dep[2][0]) * (1 - r*d21)}
+		if tc.w2BeforeW1 {
+			want = []float64{1, (1 - r*d10) * (1 - r*d12), 1 - r*s.dep[2][0]}
+		}
+		for b := range want {
+			if !numeric.AlmostEqual(ind[b], want[b], 1e-15) {
+				t.Errorf("gap %g: independence %v, want %v", tc.gap, ind, want)
+				break
+			}
+		}
+	}
+}
+
 func TestIndependenceEnumerationAveragesOrders(t *testing.T) {
 	// For a pair with symmetric dependence d, enumeration averages the two
 	// orders: each worker gets (1 + (1−r·d))/2.

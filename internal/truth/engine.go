@@ -2,6 +2,7 @@ package truth
 
 import (
 	"fmt"
+	"slices"
 
 	"imc2/internal/model"
 )
@@ -9,9 +10,10 @@ import (
 // Engine is a resumable truth-discovery run: the same dependence /
 // independence / estimation passes Discover executes, but driven one
 // iteration at a time so a caller can pause between iterations and
-// resume later. The cross-iteration state — the current truth vector and
-// the per-worker accuracies that seed the next round's vote weights —
-// lives inside the engine, so a run split across any number of Step or
+// resume later. The cross-iteration state — the current truth vector,
+// the recent truth vectors the stopping rule compares it with, and the
+// per-worker accuracies that seed the next round's vote weights — lives
+// inside the engine, so a run split across any number of Step or
 // Run calls is bit-identical to the same run executed in one Discover
 // call: pausing never re-derives the majority-vote seed and never
 // perturbs the accuracy trajectory. That identity is what lets a settle
@@ -26,7 +28,7 @@ type Engine struct {
 
 	iterations int
 	converged  bool
-	prev       []int32
+	hist       truthHistory
 
 	// mv is the one-shot majority-vote result for MethodMV, which has no
 	// iterative refinement to resume; a MV engine is born done.
@@ -54,7 +56,6 @@ func NewEngine(ds *model.Dataset, method Method, opt Options) (*Engine, error) {
 		e.s.dep = newFilledMatrix(e.s.n, e.s.n, opt.PriorDependence)
 		e.s.totalDep = make([]float64, e.s.n)
 	}
-	e.prev = make([]int32, e.s.m)
 	return e, nil
 }
 
@@ -91,7 +92,9 @@ func validateRun(ds *model.Dataset, method Method, opt Options) (FalseValueModel
 // far across all Step/Run calls.
 func (e *Engine) Iterations() int { return e.iterations }
 
-// Converged reports whether the truth estimate has stabilized.
+// Converged reports whether the run stopped by its stopping rule: the
+// last iteration's truth vector equals one of the vectors the previous
+// revisitWindow iterations started from (see truthHistory).
 func (e *Engine) Converged() bool { return e.converged }
 
 // Done reports whether the run is finished: converged, or out of
@@ -114,14 +117,14 @@ func (e *Engine) SetTrace(t Trace) {
 // independence, and estimation passes for DATE/ED, estimation only for
 // NC — and reports how many task truths moved plus whether the run is
 // now done. Traced and untraced steps share this single loop body and a
-// single convergence predicate (changed == 0): a Trace only observes
+// single stopping predicate (truthHistory.stop): a Trace only observes
 // the iteration, it cannot alter iteration counts or convergence.
 func (e *Engine) Step() (changed int, done bool) {
 	if e.mv != nil || e.Done() {
 		return 0, true
 	}
 	e.iterations++
-	copy(e.prev, e.s.truth)
+	e.hist.record(e.s.truth)
 
 	needDep := e.method == MethodDATE || e.method == MethodED
 	tr := e.s.opt.Trace
@@ -143,8 +146,7 @@ func (e *Engine) Step() (changed int, done bool) {
 			it.SharingPairs, it.Sigmoids = e.s.pairs.sharing, e.s.depEvals
 		}
 	}
-	changed = countChanged(e.prev, e.s.truth)
-	e.converged = changed == 0
+	changed, e.converged = e.hist.stop(e.s.truth)
 	if tr != nil {
 		it.Changed = changed
 		it.Converged = e.converged
@@ -182,4 +184,62 @@ func (e *Engine) Result() *Result {
 		Converged:        e.converged,
 		Method:           e.method,
 	}
+}
+
+// revisitWindow is P, how many of a run's most recent truth vectors its
+// stopping rule remembers. On sparse input DATE's truth vector can fall
+// into a limit cycle instead of settling, while the accuracies keep
+// drifting by a few thousandths per period; a revisit of period 2 or 3
+// is what those runs show, and stopping there leaves precision where the
+// 100-iteration cap would.
+const revisitWindow = 4
+
+// truthHistory is a run's stopping rule: a ring of the truth vectors the
+// last revisitWindow iterations started from. An iteration stops the run
+// when its truth vector equals one of them, i.e. when the estimate came
+// back to one of its last revisitWindow values. Period 1 (no task moved)
+// is the zero-change rule of Algorithm 1; periods 2..revisitWindow end
+// the limit cycles that rule never leaves. Engine.Step and the test
+// oracles call this one predicate, traced or not.
+type truthHistory struct {
+	ring [][]int32 // at most revisitWindow vectors
+	last int       // ring[last] is the most recently recorded vector
+}
+
+// record remembers truth as the vector the next iteration starts from,
+// replacing the oldest once the ring is full.
+func (h *truthHistory) record(truth []int32) {
+	if len(h.ring) < revisitWindow {
+		h.ring = append(h.ring, slices.Clone(truth))
+		h.last = len(h.ring) - 1
+		return
+	}
+	h.last = (h.last + 1) % revisitWindow
+	copy(h.ring[h.last], truth)
+}
+
+// stop reports how many tasks moved since the last recorded vector and
+// whether truth revisits any recorded vector, which ends the run.
+func (h *truthHistory) stop(truth []int32) (changed int, revisited bool) {
+	changed = countChanged(h.ring[h.last], truth)
+	if changed == 0 {
+		return 0, true
+	}
+	for k, v := range h.ring {
+		if k != h.last && slices.Equal(v, truth) {
+			return changed, true
+		}
+	}
+	return changed, false
+}
+
+// countChanged returns the number of positions where a and b differ.
+func countChanged(a, b []int32) int {
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
 }

@@ -88,6 +88,10 @@ func (sc *indScratch) ensure(g int) {
 	}
 }
 
+// tieTolerance is the relative gap below which the greedy ordering
+// treats two dependence posteriors as equal.
+const tieTolerance = 1e-12
+
 // independenceGreedy implements lines 16–22 of Algorithm 1 for one
 // provider group, given as positions in TaskWorkers(j).
 func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
@@ -123,11 +127,14 @@ func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 
 	for len(remaining) > 0 {
 		// Pick the remaining provider with maximal dependence on the
-		// ordered set.
-		bestPos := 0
+		// ordered set, ties to the lower worker index. Posteriors within
+		// tieTolerance of each other are ties: two copiers of one source
+		// have the same posterior up to the rounding of their sums, and
+		// that rounding must not decide the order.
+		bestPos, beat := 0, bestDep[0]*(1+tieTolerance)
 		for p := 1; p < len(remaining); p++ {
-			if bestDep[p] > bestDep[bestPos] {
-				bestPos = p
+			if bestDep[p] > beat {
+				bestPos, beat = p, bestDep[p]*(1+tieTolerance)
 			}
 		}
 		next := remaining[bestPos]

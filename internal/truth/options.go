@@ -62,8 +62,10 @@ type Options struct {
 	// PriorDependence is α, the a-priori probability that any ordered
 	// worker pair is dependent. Paper default after Fig. 3(a): 0.2.
 	PriorDependence float64
-	// MaxIterations is φ; the loop stops when the estimated truth is
-	// stable or after this many iterations. Paper default: 100.
+	// MaxIterations is φ; the loop stops when the estimated truth
+	// vector comes back to one of its last four values (it is stable, or
+	// it cycles with period 2 to 4), or after this many iterations.
+	// Paper default: 100.
 	MaxIterations int
 
 	// Similarity, when non-nil, enables the §IV-A multiple-presentation

@@ -29,8 +29,10 @@ type Result struct {
 	Dependence [][]float64
 	// Iterations is the number of refinement rounds executed.
 	Iterations int
-	// Converged reports whether the estimate stabilized before
-	// MaxIterations.
+	// Converged reports whether the run stopped before MaxIterations
+	// because its truth vector came back to one of its last four values:
+	// the previous one (no task moved) or an earlier one (a limit cycle
+	// of period 2 to 4).
 	Converged bool
 	// Method records which algorithm produced the result.
 	Method Method

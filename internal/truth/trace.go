@@ -26,8 +26,10 @@ type IterationStats struct {
 	// Changed counts tasks whose estimated truth moved this iteration —
 	// the convergence delta. Zero means the estimate is stable.
 	Changed int `json:"changed"`
-	// Converged is true on the final iteration of a converged run
-	// (equivalently: Changed == 0).
+	// Converged is true on the final iteration of a converged run: the
+	// iteration whose truth vector equals one of the vectors the
+	// previous revisitWindow iterations started from. Changed is 0 when
+	// it came back to the last one, and positive on a longer period.
 	Converged bool `json:"converged,omitempty"`
 }
 
@@ -41,17 +43,4 @@ type IterationStats struct {
 // path traced or not, only observed.
 type Trace interface {
 	ObserveIteration(IterationStats)
-}
-
-// countChanged returns the number of positions where a and b differ —
-// the engine's single convergence predicate: an iteration converges iff
-// countChanged(prev, truth) == 0, traced or not.
-func countChanged(a, b []int32) int {
-	n := 0
-	for i := range a {
-		if a[i] != b[i] {
-			n++
-		}
-	}
-	return n
 }

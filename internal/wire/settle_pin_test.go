@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -76,6 +77,27 @@ func settleOutcome(t *testing.T, c *gen.Campaign, cfg platform.Config) []byte {
 	return append(append(out, '\n'), buf...)
 }
 
+// revisitSeed is a reduced sparse campaign whose DATE run (default
+// options) stops on a revisit of period 2 or more.
+const revisitSeed = 15
+
+// requireRevisitStop fails unless the settle outcome's audit ends on a
+// converged iteration that still moved a task: a stop on an earlier
+// truth vector than the previous one.
+func requireRevisitStop(t *testing.T, outcome []byte) {
+	t.Helper()
+	_, auditJSON, _ := bytes.Cut(outcome, []byte("\n"))
+	var audit platform.Audit
+	if err := json.Unmarshal(auditJSON, &audit); err != nil {
+		t.Fatal(err)
+	}
+	conv := audit.Convergence
+	if len(conv) == 0 || !conv[len(conv)-1].Converged || conv[len(conv)-1].Changed == 0 {
+		t.Fatalf("settle does not stop on a revisit of period >= 2: convergence %+v", conv)
+	}
+	t.Logf("stops at iteration %d with %d tasks moved", len(conv), conv[len(conv)-1].Changed)
+}
+
 // TestFormatPinSettleOutcomes pins what a settle computes: the report and
 // audit of reduced fig5 and sparse generator campaigns at seeds 1, 5 and
 // 9, under GreedyBid and ReverseAuction, with DATE, MV and NC. Every
@@ -104,6 +126,21 @@ func TestFormatPinSettleOutcomes(t *testing.T) {
 			}
 		}
 	}
+	// A DATE run that stops on a revisit of period 2 or more: its last
+	// iteration still moves a task and lands on an earlier truth vector,
+	// so a change to the stopping rule moves this pin.
+	c, err := gen.NewCampaign(shapes["sparse"], randx.New(revisitSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := platform.DefaultConfig()
+	cfg.TruthOptions.Parallelism = 1
+	cfg.Mechanism = platform.MechanismGreedyBid
+	out := settleOutcome(t, c, cfg)
+	requireRevisitStop(t, out)
+	sum := sha256.Sum256(out)
+	got[fmt.Sprintf("sparse/seed=%d/GB/DATE/revisit", revisitSeed)] = hex.EncodeToString(sum[:])
+
 	path := filepath.Join(formatDir, settlePinsFile)
 	if *updateFormat {
 		buf, err := json.MarshalIndent(got, "", "  ")

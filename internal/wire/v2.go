@@ -133,8 +133,8 @@ type EstimateInfo struct {
 	// WorkerAccuracy maps worker ID → current estimated mean accuracy.
 	WorkerAccuracy map[string]float64 `json:"worker_accuracy,omitempty"`
 	// Iterations counts the truth-discovery iterations behind this
-	// view; Converged reports whether it is stable over the covered
-	// prefix.
+	// view; Converged reports whether that run stopped on a revisit of
+	// a recent truth vector rather than at the iteration cap.
 	Iterations int  `json:"iterations"`
 	Converged  bool `json:"converged"`
 	// CoveredSubmissions is how many accepted submissions the estimate
