@@ -41,9 +41,9 @@ func TestCrashRecoveryE2E(t *testing.T) {
 		tasks   = 30
 		copiers = 5
 	)
-	// The same deterministic workload the daemon pre-opens (campaign
-	// spec shaping shared with run()).
-	spec, err := campaignSpec(workers, tasks, copiers)
+	// The same deterministic workload the daemon pre-opens (gen.DemoSpec,
+	// shared with run()).
+	spec, err := gen.DemoSpec(workers, tasks, copiers)
 	if err != nil {
 		t.Fatal(err)
 	}

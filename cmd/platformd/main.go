@@ -149,7 +149,7 @@ func run(args []string) error {
 		return err
 	}
 
-	spec, err := campaignSpec(*workers, *tasks, *copiers)
+	spec, err := gen.DemoSpec(*workers, *tasks, *copiers)
 	if err != nil {
 		return err
 	}
@@ -400,24 +400,4 @@ func parseMechanism(name string) (platform.Mechanism, error) {
 	default:
 		return 0, fmt.Errorf("unknown mechanism %q (ra, ga, gb)", name)
 	}
-}
-
-// campaignSpec shapes the demo campaign.
-func campaignSpec(workers, tasks, copiers int) (gen.CampaignSpec, error) {
-	spec := gen.DefaultSpec()
-	spec.Workers = workers
-	spec.Tasks = tasks
-	spec.Copiers = copiers
-	spec.TasksPerWorker = tasks / 3
-	if spec.TasksPerWorker < 1 {
-		spec.TasksPerWorker = 1
-	}
-	// Over-provisioned demo requirements: every winner must stay
-	// replaceable for critical payments to exist.
-	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
-	spec.MinProvidersPerTask = 4
-	if err := spec.Validate(); err != nil {
-		return spec, fmt.Errorf("campaign spec: %w", err)
-	}
-	return spec, nil
 }

@@ -30,30 +30,6 @@ func TestParseMechanism(t *testing.T) {
 	}
 }
 
-func TestCampaignSpec(t *testing.T) {
-	spec, err := campaignSpec(40, 60, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Workers != 40 || spec.Tasks != 60 || spec.Copiers != 10 {
-		t.Fatalf("spec = %+v", spec)
-	}
-	if spec.TasksPerWorker != 20 {
-		t.Fatalf("TasksPerWorker = %d, want tasks/3", spec.TasksPerWorker)
-	}
-	if _, err := campaignSpec(1, 60, 10); err == nil {
-		t.Error("invalid population accepted")
-	}
-	// Tiny task counts floor TasksPerWorker at 1.
-	spec, err = campaignSpec(5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.TasksPerWorker != 1 {
-		t.Fatalf("TasksPerWorker = %d, want 1", spec.TasksPerWorker)
-	}
-}
-
 func TestRunRejectsBadMechanism(t *testing.T) {
 	if err := run([]string{"-mechanism", "vcg", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Fatal("bad mechanism accepted")

@@ -17,7 +17,7 @@ import (
 // (the contract worker agents rely on) as sealed submissions.
 func workloadSubmissions(t *testing.T, seed int64, workers, tasks, copiers int) []wire.Submission {
 	t.Helper()
-	spec, err := campaignSpec(workers, tasks, copiers)
+	spec, err := gen.DemoSpec(workers, tasks, copiers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,21 +340,12 @@ func closeCampaign(ctx context.Context, client *wire.Client, campaign string) (*
 	return client.CampaignReport(ctx, campaign)
 }
 
-// regenerate rebuilds the campaign platformd generated (same spec shaping
-// as platformd's campaignSpec).
+// regenerate rebuilds the demo campaign platformd opened from seed.
 func regenerate(seed int64, workers, tasks, copiers int) (*gen.Campaign, error) {
-	spec := gen.DefaultSpec()
-	spec.Workers = workers
-	spec.Tasks = tasks
-	spec.Copiers = copiers
-	spec.TasksPerWorker = tasks / 3
-	if spec.TasksPerWorker < 1 {
-		spec.TasksPerWorker = 1
+	spec, err := gen.DemoSpec(workers, tasks, copiers)
+	if err != nil {
+		return nil, err
 	}
-	// Over-provisioned demo requirements: every winner must stay
-	// replaceable for critical payments to exist.
-	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
-	spec.MinProvidersPerTask = 4
 	return gen.NewCampaign(spec, randx.New(seed))
 }
 

@@ -109,8 +109,8 @@ func DefaultTruthOptions() TruthOptions { return truth.DefaultOptions() }
 
 // TruthResult carries the estimated truth, the accuracy matrix, the
 // independence probabilities, and the pairwise dependence posterior. Its
-// analysis helpers (RankDependentPairs, CopierScores, MeanIndependence,
-// Confidence) turn the posterior into audit-ready signals.
+// analysis helpers (RankDependentPairs, CopierScores, MeanIndependence)
+// turn the posterior into audit-ready signals.
 type TruthResult = truth.Result
 
 // DependentPair is an undirected worker pair ranked by dependence.

@@ -128,6 +128,24 @@ func DefaultSpec() CampaignSpec {
 	}
 }
 
+// DemoSpec shapes the demo campaign that cmd/platformd opens and
+// cmd/workeragent regenerates from the same seed: each worker answers a
+// third of the tasks (at least one), and the requirements are
+// over-provisioned (Θ in [0.5, 1], four honest providers per task) so
+// every winner stays replaceable and critical payments exist. The
+// agent's answers fit the daemon's tasks only because both binaries
+// shape the campaign here.
+func DemoSpec(workers, tasks, copiers int) (CampaignSpec, error) {
+	spec := DefaultSpec()
+	spec.Workers = workers
+	spec.Tasks = tasks
+	spec.Copiers = copiers
+	spec.TasksPerWorker = max(tasks/3, 1)
+	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
+	spec.MinProvidersPerTask = 4
+	return spec, spec.Validate()
+}
+
 // Validate reports the first invalid spec field.
 func (s CampaignSpec) Validate() error {
 	switch {

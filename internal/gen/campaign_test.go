@@ -64,6 +64,34 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+func TestDemoSpec(t *testing.T) {
+	spec, err := DemoSpec(40, 60, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Workers != 40 || spec.Tasks != 60 || spec.Copiers != 10 {
+		t.Fatalf("spec = %+v", spec)
+	}
+	if spec.TasksPerWorker != 20 {
+		t.Fatalf("TasksPerWorker = %d, want tasks/3", spec.TasksPerWorker)
+	}
+	if spec.RequirementLow != 0.5 || spec.RequirementHigh != 1 || spec.MinProvidersPerTask != 4 {
+		t.Fatalf("requirements = [%v, %v] with %d providers, want [0.5, 1] with 4",
+			spec.RequirementLow, spec.RequirementHigh, spec.MinProvidersPerTask)
+	}
+	if _, err := DemoSpec(1, 60, 10); err == nil {
+		t.Error("invalid population accepted")
+	}
+	// Tiny task counts floor TasksPerWorker at 1.
+	spec, err = DemoSpec(5, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.TasksPerWorker != 1 {
+		t.Fatalf("TasksPerWorker = %d, want 1", spec.TasksPerWorker)
+	}
+}
+
 func TestNewCampaignShape(t *testing.T) {
 	spec := smallSpec()
 	c, err := NewCampaign(spec, randx.New(42))

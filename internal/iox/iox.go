@@ -1,6 +1,6 @@
-// Package iox persists campaigns, datasets, and discovery results as
-// JSON, so workloads can be generated once and replayed across runs,
-// shipped to other machines, or inspected by external tooling.
+// Package iox persists generated campaigns as JSON, so workloads can be
+// generated once and replayed across runs, shipped to other machines, or
+// inspected by external tooling.
 package iox
 
 import (
@@ -14,64 +14,8 @@ import (
 	"imc2/internal/model"
 )
 
-// datasetFile is the serialized form of a dataset: the task definitions
-// plus the flat observation list. Rebuilding through model.Builder re-runs
-// all validation on load.
-type datasetFile struct {
-	Version      int                 `json:"version"`
-	Tasks        []model.Task        `json:"tasks"`
-	Observations []model.Observation `json:"observations"`
-}
-
 // currentVersion guards against silently loading a future format.
 const currentVersion = 1
-
-// WriteDataset serializes a dataset to w.
-func WriteDataset(w io.Writer, ds *model.Dataset) error {
-	if ds == nil {
-		return fmt.Errorf("iox: nil dataset")
-	}
-	f := datasetFile{
-		Version: currentVersion,
-		Tasks:   ds.Tasks(),
-	}
-	for i := 0; i < ds.NumWorkers(); i++ {
-		vals := ds.WorkerValues(i)
-		for t, j := range ds.WorkerTasks(i) {
-			f.Observations = append(f.Observations, model.Observation{
-				Worker: ds.WorkerID(i),
-				Task:   ds.Task(j).ID,
-				Value:  ds.ValueString(j, vals[t]),
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
-}
-
-// ReadDataset deserializes and re-validates a dataset from r.
-func ReadDataset(r io.Reader) (*model.Dataset, error) {
-	var f datasetFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("iox: decoding dataset: %w", err)
-	}
-	if f.Version != currentVersion {
-		return nil, fmt.Errorf("iox: unsupported dataset version %d (want %d)", f.Version, currentVersion)
-	}
-	b := model.NewBuilder()
-	for _, t := range f.Tasks {
-		b.AddTask(t)
-	}
-	for _, o := range f.Observations {
-		b.AddObservation(o.Worker, o.Task, o.Value)
-	}
-	ds, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("iox: rebuilding dataset: %w", err)
-	}
-	return ds, nil
-}
 
 // campaignFile serializes a generated campaign, keeping the hidden ground
 // truth and the generator metadata alongside the sealed dataset.

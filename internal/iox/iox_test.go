@@ -25,16 +25,19 @@ func testCampaign(t *testing.T) *gen.Campaign {
 	return c
 }
 
+// The dataset a campaign file carries comes back with the same shape and
+// every worker's value for every task it answered.
 func TestDatasetRoundTrip(t *testing.T) {
-	orig := testCampaign(t).Dataset
+	c := testCampaign(t)
 	var buf bytes.Buffer
-	if err := WriteDataset(&buf, orig); err != nil {
+	if err := WriteCampaign(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDataset(&buf)
+	back, err := ReadCampaign(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	orig, got := c.Dataset, back.Dataset
 	if got.NumTasks() != orig.NumTasks() || got.NumWorkers() != orig.NumWorkers() ||
 		got.NumObservations() != orig.NumObservations() {
 		t.Fatalf("round trip changed shape: %d/%d/%d vs %d/%d/%d",
@@ -58,29 +61,6 @@ func TestDatasetRoundTrip(t *testing.T) {
 				t.Fatalf("value for (%s, %s) = %q, want %q", id, taskID, gotV, want)
 			}
 		}
-	}
-}
-
-func TestDatasetWriteNil(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteDataset(&buf, nil); err == nil {
-		t.Fatal("nil dataset accepted")
-	}
-}
-
-func TestDatasetReadErrors(t *testing.T) {
-	if _, err := ReadDataset(strings.NewReader("{broken")); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-	if _, err := ReadDataset(strings.NewReader(`{"version": 99}`)); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("future version accepted: %v", err)
-	}
-	// Valid JSON but invalid dataset (observation for unknown task).
-	bad := `{"version":1,"tasks":[{"id":"t","num_false":1,"requirement":1,"value":1}],
-	         "observations":[{"worker":"w","task":"zz","value":"v"}]}`
-	if _, err := ReadDataset(strings.NewReader(bad)); err == nil {
-		t.Error("invalid observation accepted")
 	}
 }
 
@@ -189,7 +169,7 @@ func TestWriteCampaignNil(t *testing.T) {
 	}
 }
 
-func TestReadDatasetPreservesSemantics(t *testing.T) {
+func TestCampaignPreservesTaskAttributes(t *testing.T) {
 	// A hand-built dataset keeps its task attributes through the trip.
 	ds, err := model.NewBuilder().
 		AddTask(model.Task{ID: "q1", NumFalse: 3, Requirement: 2.5, Value: 7.25}).
@@ -199,15 +179,16 @@ func TestReadDatasetPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := &gen.Campaign{Dataset: ds, Costs: []float64{1, 1}, TrueAccuracy: []float64{0.9, 0.9}}
 	var buf bytes.Buffer
-	if err := WriteDataset(&buf, ds); err != nil {
+	if err := WriteCampaign(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDataset(&buf)
+	got, err := ReadCampaign(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := got.Task(0)
+	task := got.Dataset.Task(0)
 	if task.NumFalse != 3 || task.Requirement != 2.5 || task.Value != 7.25 {
 		t.Fatalf("task attributes changed: %+v", task)
 	}

@@ -44,20 +44,6 @@ func LogSumExp(xs []float64) float64 {
 	return maxv + math.Log(sum.Sum())
 }
 
-// LogAdd returns log(exp(a) + exp(b)) computed stably.
-func LogAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
 // Sigmoid returns 1/(1+exp(-x)) computed without overflow for large |x|.
 func Sigmoid(x float64) float64 {
 	if x >= 0 {
@@ -71,19 +57,6 @@ func Sigmoid(x float64) float64 {
 // Logit(0) is -Inf and Logit(1) is +Inf.
 func Logit(p float64) float64 {
 	return math.Log(p) - math.Log1p(-p)
-}
-
-// SafeLog returns log(x), mapping x <= 0 to -Inf instead of NaN for x == 0
-// and panicking for negative input, which always indicates a programming
-// error in probability code.
-func SafeLog(x float64) float64 {
-	if x < 0 {
-		panic("numeric: SafeLog of negative value")
-	}
-	if x == 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(x)
 }
 
 // ClampProb clamps p into [0, 1]; values produced by long chains of
@@ -120,19 +93,11 @@ func ClampProbOpen(p, lo float64) float64 {
 	}
 }
 
-// NormalizeLogs exponentiates and normalizes a vector of log-weights into a
-// probability simplex, returning the resulting probabilities in a fresh
-// slice. All -Inf inputs yield a uniform distribution (no information).
-func NormalizeLogs(logs []float64) []float64 {
-	if len(logs) == 0 {
-		return nil
-	}
-	return NormalizeLogsInto(make([]float64, len(logs)), logs)
-}
-
-// NormalizeLogsInto is NormalizeLogs writing into dst (which must have the
-// same length as logs and may alias it); hot loops pass reusable scratch
-// to keep the per-task posterior allocation-free.
+// NormalizeLogsInto exponentiates and normalizes a vector of log-weights
+// into a probability simplex written to dst (which must have the same
+// length as logs and may alias it); hot loops pass reusable scratch to keep
+// the per-task posterior allocation-free. All -Inf inputs yield a uniform
+// distribution (no information).
 func NormalizeLogsInto(dst, logs []float64) []float64 {
 	if len(dst) != len(logs) {
 		panic("numeric: NormalizeLogsInto length mismatch")

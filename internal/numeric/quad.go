@@ -1,10 +1,5 @@
 package numeric
 
-import (
-	"fmt"
-	"math"
-)
-
 // Integrand is a real-valued function of one variable on [a, b].
 type Integrand func(x float64) float64
 
@@ -35,75 +30,4 @@ func Simpson(f Integrand, a, b float64, n int) float64 {
 		}
 	}
 	return sum.Sum() * h / 3
-}
-
-// gauss5Nodes and gauss5Weights are the 5-point Gauss–Legendre rule on
-// [-1, 1].
-var gauss5Nodes = [5]float64{
-	-0.9061798459386640, -0.5384693101056831, 0,
-	0.5384693101056831, 0.9061798459386640,
-}
-
-var gauss5Weights = [5]float64{
-	0.2369268850561891, 0.4786286704993665, 0.5688888888888889,
-	0.4786286704993665, 0.2369268850561891,
-}
-
-// GaussLegendre5 integrates f over [a, b] with a composite 5-point
-// Gauss–Legendre rule over n subintervals (minimum 1). It is exact for
-// polynomials of degree ≤ 9 on each subinterval.
-func GaussLegendre5(f Integrand, a, b float64, n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	var sum KahanSum
-	for i := 0; i < n; i++ {
-		lo := a + float64(i)*h
-		mid := lo + h/2
-		half := h / 2
-		for j := 0; j < 5; j++ {
-			sum.Add(gauss5Weights[j] * f(mid+half*gauss5Nodes[j]))
-		}
-	}
-	return sum.Sum() * (b - a) / (2 * float64(n))
-}
-
-// AdaptiveSimpson integrates f over [a, b] to absolute tolerance tol using
-// adaptive Simpson subdivision, with a recursion depth cap.
-func AdaptiveSimpson(f Integrand, a, b, tol float64) (float64, error) {
-	if !(tol > 0) {
-		return 0, fmt.Errorf("numeric: tolerance %v must be positive", tol)
-	}
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return 0, fmt.Errorf("numeric: NaN bound")
-	}
-	fa, fm, fb := f(a), f((a+b)/2), f(b)
-	whole := simpsonPanel(a, b, fa, fm, fb)
-	v := adaptiveSimpsonRec(f, a, b, fa, fm, fb, whole, tol, 50)
-	if math.IsNaN(v) {
-		return 0, fmt.Errorf("numeric: integrand produced NaN on [%v, %v]", a, b)
-	}
-	return v, nil
-}
-
-func simpsonPanel(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
-}
-
-func adaptiveSimpsonRec(f Integrand, a, b, fa, fm, fb, whole, tol float64, depth int) float64 {
-	m := (a + b) / 2
-	lm, rm := (a+m)/2, (m+b)/2
-	flm, frm := f(lm), f(rm)
-	left := simpsonPanel(a, m, fa, flm, fm)
-	right := simpsonPanel(m, b, fm, frm, fb)
-	delta := left + right - whole
-	if math.IsNaN(delta) {
-		return math.NaN() // NaN never satisfies the tolerance; stop splitting
-	}
-	if depth <= 0 || math.Abs(delta) <= 15*tol {
-		return left + right + delta/15
-	}
-	return adaptiveSimpsonRec(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
-		adaptiveSimpsonRec(f, m, b, fm, frm, fb, right, tol/2, depth-1)
 }

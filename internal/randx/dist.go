@@ -54,56 +54,3 @@ func (z *Zipf) Probabilities() []float64 {
 	}
 	return out
 }
-
-// Categorical samples from an explicit finite distribution.
-type Categorical struct {
-	cdf []float64
-}
-
-// NewCategorical builds a sampler over the given non-negative weights,
-// which need not be normalized.
-func NewCategorical(weights []float64) (*Categorical, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("randx: Categorical needs at least one weight")
-	}
-	var total float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("randx: Categorical weight[%d] = %v invalid", i, w)
-		}
-		total += w
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("randx: Categorical weights sum to zero")
-	}
-	cdf := make([]float64, len(weights))
-	var acc float64
-	for i, w := range weights {
-		acc += w / total
-		cdf[i] = acc
-	}
-	cdf[len(cdf)-1] = 1
-	return &Categorical{cdf: cdf}, nil
-}
-
-// Sample draws one index.
-func (c *Categorical) Sample(g *RNG) int {
-	u := g.Float64()
-	return sort.SearchFloat64s(c.cdf, u)
-}
-
-// TruncNormal draws from N(mean, stddev) truncated to [lo, hi] by
-// rejection, falling back to clamping after a bounded number of attempts so
-// the sampler cannot spin on pathological bounds.
-func (g *RNG) TruncNormal(mean, stddev, lo, hi float64) float64 {
-	if hi < lo {
-		panic(fmt.Sprintf("randx: TruncNormal bounds inverted [%v, %v]", lo, hi))
-	}
-	for i := 0; i < 64; i++ {
-		x := g.Normal(mean, stddev)
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	return math.Min(hi, math.Max(lo, mean))
-}

@@ -70,50 +70,3 @@ func TestZipfSampleFrequencies(t *testing.T) {
 		}
 	}
 }
-
-func TestCategoricalValidation(t *testing.T) {
-	if _, err := NewCategorical(nil); err == nil {
-		t.Error("empty weights: want error")
-	}
-	if _, err := NewCategorical([]float64{1, -1}); err == nil {
-		t.Error("negative weight: want error")
-	}
-	if _, err := NewCategorical([]float64{0, 0}); err == nil {
-		t.Error("all-zero weights: want error")
-	}
-	if _, err := NewCategorical([]float64{1, math.NaN()}); err == nil {
-		t.Error("NaN weight: want error")
-	}
-}
-
-func TestCategoricalFrequencies(t *testing.T) {
-	c, err := NewCategorical([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := New(3)
-	var ones int
-	const n = 40000
-	for i := 0; i < n; i++ {
-		if c.Sample(g) == 1 {
-			ones++
-		}
-	}
-	got := float64(ones) / n
-	if math.Abs(got-0.75) > 0.01 {
-		t.Fatalf("P(1) = %v, want ~0.75", got)
-	}
-}
-
-func TestCategoricalZeroWeightNeverSampled(t *testing.T) {
-	c, err := NewCategorical([]float64{0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := New(9)
-	for i := 0; i < 1000; i++ {
-		if got := c.Sample(g); got != 1 {
-			t.Fatalf("sampled index %d with zero weight", got)
-		}
-	}
-}

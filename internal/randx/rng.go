@@ -87,15 +87,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
 
-// UniformInt returns a uniform int in [lo, hi] inclusive. It panics if
-// hi < lo.
-func (g *RNG) UniformInt(lo, hi int) int {
-	if hi < lo {
-		panic(fmt.Sprintf("randx: UniformInt bounds inverted [%d, %d]", lo, hi))
-	}
-	return lo + g.r.Intn(hi-lo+1)
-}
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
@@ -109,49 +100,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 // eBay bid-price dataset the paper samples costs from is right-skewed.
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(g.Normal(mu, sigma))
-}
-
-// Beta returns a Beta(a, b) deviate via Jöhnk/gamma composition. Worker
-// accuracy profiles are drawn from Beta distributions.
-func (g *RNG) Beta(a, b float64) float64 {
-	x := g.Gamma(a)
-	y := g.Gamma(b)
-	if x+y == 0 {
-		return 0.5
-	}
-	return x / (x + y)
-}
-
-// Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang method.
-func (g *RNG) Gamma(shape float64) float64 {
-	if shape <= 0 {
-		panic(fmt.Sprintf("randx: Gamma shape %v must be positive", shape))
-	}
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^(1/a).
-		u := g.r.Float64()
-		for u == 0 {
-			u = g.r.Float64()
-		}
-		return g.Gamma(shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := g.r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := g.r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
 }
 
 // Perm returns a random permutation of [0, n).

@@ -1,9 +1,6 @@
 package randx
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
@@ -106,76 +103,6 @@ func TestUniformBounds(t *testing.T) {
 	}
 }
 
-func TestUniformIntBounds(t *testing.T) {
-	g := New(1)
-	seen := map[int]bool{}
-	for i := 0; i < 1000; i++ {
-		v := g.UniformInt(5, 8)
-		if v < 5 || v > 8 {
-			t.Fatalf("UniformInt(5,8) = %v out of range", v)
-		}
-		seen[v] = true
-	}
-	for v := 5; v <= 8; v++ {
-		if !seen[v] {
-			t.Errorf("UniformInt(5,8) never produced %d", v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("inverted bounds did not panic")
-		}
-	}()
-	g.UniformInt(3, 2)
-}
-
-func TestBetaMomentsRoughlyCorrect(t *testing.T) {
-	g := New(99)
-	const n = 20000
-	a, b := 8.0, 2.0
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := g.Beta(a, b)
-		if x < 0 || x > 1 {
-			t.Fatalf("Beta sample %v out of [0,1]", x)
-		}
-		sum += x
-	}
-	mean := sum / n
-	want := a / (a + b)
-	if math.Abs(mean-want) > 0.01 {
-		t.Fatalf("Beta(%v,%v) mean = %v, want ~%v", a, b, mean, want)
-	}
-}
-
-func TestGammaMean(t *testing.T) {
-	g := New(123)
-	const n = 20000
-	for _, shape := range []float64{0.5, 1, 3.5} {
-		var sum float64
-		for i := 0; i < n; i++ {
-			x := g.Gamma(shape)
-			if x < 0 {
-				t.Fatalf("Gamma(%v) produced negative %v", shape, x)
-			}
-			sum += x
-		}
-		mean := sum / n
-		if math.Abs(mean-shape) > 0.06*math.Max(1, shape) {
-			t.Errorf("Gamma(%v) mean = %v, want ~%v", shape, mean, shape)
-		}
-	}
-}
-
-func TestGammaInvalidShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Gamma(0) did not panic")
-		}
-	}()
-	New(1).Gamma(0)
-}
-
 func TestLogNormalPositive(t *testing.T) {
 	g := New(5)
 	for i := 0; i < 1000; i++ {
@@ -207,19 +134,4 @@ func TestSample(t *testing.T) {
 		}
 	}()
 	g.Sample(3, 5)
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	g := New(17)
-	for i := 0; i < 2000; i++ {
-		v := g.TruncNormal(0.7, 0.2, 0.5, 0.9)
-		if v < 0.5 || v > 0.9 {
-			t.Fatalf("TruncNormal out of bounds: %v", v)
-		}
-	}
-	// Unreachable bounds fall back to the clamped mean.
-	v := g.TruncNormal(100, 0.001, 0, 1)
-	if v != 1 {
-		t.Fatalf("TruncNormal fallback = %v, want 1", v)
-	}
 }

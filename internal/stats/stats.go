@@ -1,7 +1,7 @@
 // Package stats provides the descriptive statistics and evaluation metrics
 // used by the IMC2 experiment harness: means, deviations, confidence
-// intervals, histograms, and the truth-discovery precision metric of the
-// paper (§VII-A).
+// intervals, and the truth-discovery precision metric of the paper
+// (§VII-A).
 package stats
 
 import (
@@ -93,81 +93,4 @@ func Precision(estimated, groundTruth map[string]string) float64 {
 		}
 	}
 	return float64(correct) / float64(len(groundTruth))
-}
-
-// Histogram is a fixed-width binning of float64 samples.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	total  int
-}
-
-// NewHistogram creates a histogram over [lo, hi) with bins buckets.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs bins > 0, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram bounds [%v, %v) invalid", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Observe adds x to the histogram. Out-of-range samples are tallied
-// separately and reported by Outliers.
-func (h *Histogram) Observe(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if idx == len(h.Counts) { // x == Hi-ulp edge case
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of observed samples including outliers.
-func (h *Histogram) Total() int { return h.total }
-
-// Outliers returns the counts below Lo and at-or-above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// Fraction returns the fraction of in-range samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	in := h.total - h.under - h.over
-	if in == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(in)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation. It returns an error for empty input or q out of range.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty sample")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

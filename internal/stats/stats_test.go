@@ -127,75 +127,3 @@ func TestPrecision(t *testing.T) {
 		})
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 0.1, 0.3, 0.55, 0.8, 0.999} {
-		h.Observe(x)
-	}
-	h.Observe(-1)
-	h.Observe(2)
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d, want 8", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Fatalf("Outliers = %d, %d, want 1, 1", under, over)
-	}
-	wantCounts := []int{2, 1, 1, 2}
-	for i, w := range wantCounts {
-		if h.Counts[i] != w {
-			t.Errorf("Counts[%d] = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/6) > 1e-12 {
-		t.Errorf("Fraction(0) = %v, want 1/3", got)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("bins=0: want error")
-	}
-	if _, err := NewHistogram(1, 1, 3); err == nil {
-		t.Error("lo==hi: want error")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty: want error")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Error("q<0: want error")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Error("q>1: want error")
-	}
-	got, err := Quantile([]float64{9}, 0.7)
-	if err != nil || got != 9 {
-		t.Errorf("single-element quantile = %v, %v", got, err)
-	}
-}

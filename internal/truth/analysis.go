@@ -132,34 +132,3 @@ func (r *Result) MeanIndependence(ds *model.Dataset) []float64 {
 	}
 	return out
 }
-
-// Confidence returns, per task, the estimated truth's share of the task's
-// total accuracy-weighted support — 1.0 means unanimous support for the
-// elected value, 1/|values| means a dead heat. Unanswered tasks get 0.
-func (r *Result) Confidence(ds *model.Dataset) []float64 {
-	// Walking workers in order adds each task's cells in the order of
-	// its (ascending) TaskWorkers list; next[j] is the current worker's
-	// position b in it.
-	m := ds.NumTasks()
-	total := make([]numeric.KahanSum, m)
-	elected := make([]numeric.KahanSum, m)
-	next := make([]int, m)
-	for i, row := range r.Accuracy {
-		vals := ds.WorkerValues(i)
-		for t, j := range ds.WorkerTasks(i) {
-			w := row[t] * r.TaskIndependence[j][next[j]]
-			next[j]++
-			total[j].Add(w)
-			if vals[t] == r.Truth[j] {
-				elected[j].Add(w)
-			}
-		}
-	}
-	out := make([]float64, m)
-	for j := range out {
-		if r.Truth[j] != model.NotAnswered && total[j].Sum() > 0 {
-			out[j] = numeric.ClampProb(elected[j].Sum() / total[j].Sum())
-		}
-	}
-	return out
-}

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-
-	"imc2/internal/model"
 )
 
 func TestRankDependentPairs(t *testing.T) {
@@ -155,65 +153,5 @@ func TestMeanIndependenceBounds(t *testing.T) {
 		if v < 0 || v > 1 || math.IsNaN(v) {
 			t.Fatalf("mean independence[%d] = %v", i, v)
 		}
-	}
-}
-
-func TestConfidence(t *testing.T) {
-	// Unanimous task → confidence 1; split task → below 1.
-	ds, err := model.NewBuilder().
-		AddTask(model.Task{ID: "unanimous", NumFalse: 2, Requirement: 1, Value: 5}).
-		AddTask(model.Task{ID: "split", NumFalse: 2, Requirement: 1, Value: 5}).
-		AddObservation("w1", "unanimous", "x").
-		AddObservation("w2", "unanimous", "x").
-		AddObservation("w3", "unanimous", "x").
-		AddObservation("w1", "split", "a").
-		AddObservation("w2", "split", "a").
-		AddObservation("w3", "split", "b").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := mustDiscover(t, ds, MethodDATE, DefaultOptions())
-	conf := res.Confidence(ds)
-	jU, _ := ds.TaskIndex("unanimous")
-	jS, _ := ds.TaskIndex("split")
-	if conf[jU] < 0.99 {
-		t.Errorf("unanimous confidence = %v, want ~1", conf[jU])
-	}
-	if conf[jS] >= conf[jU] {
-		t.Errorf("split confidence %v not below unanimous %v", conf[jS], conf[jU])
-	}
-	if conf[jS] <= 0 || conf[jS] > 1 {
-		t.Errorf("split confidence %v out of range", conf[jS])
-	}
-}
-
-func TestConfidenceSortedTasksMatchPrecisionIntuition(t *testing.T) {
-	// On the copier scenario, high-confidence tasks should be mostly
-	// correct: confidence is a usable triage signal.
-	ds, truthMap := copierScenario(t, 6, 4, 40)
-	res := mustDiscover(t, ds, MethodDATE, DefaultOptions())
-	conf := res.Confidence(ds)
-	est := res.TruthMap(ds)
-
-	type tc struct {
-		conf    float64
-		correct bool
-	}
-	var tcs []tc
-	for j := 0; j < ds.NumTasks(); j++ {
-		id := ds.Task(j).ID
-		tcs = append(tcs, tc{conf[j], est[id] == truthMap[id]})
-	}
-	sort.Slice(tcs, func(a, b int) bool { return tcs[a].conf > tcs[b].conf })
-	topHalf := tcs[:len(tcs)/2]
-	correct := 0
-	for _, x := range topHalf {
-		if x.correct {
-			correct++
-		}
-	}
-	if frac := float64(correct) / float64(len(topHalf)); frac < 0.8 {
-		t.Errorf("top-confidence half only %.0f%% correct", frac*100)
 	}
 }

@@ -8,7 +8,7 @@
 // lifecycle (draft → open → closing → settled, plus cancelled), and
 // closes settle asynchronously off the request path.
 //
-//	POST /v2/campaigns                   create (task list or generator spec)
+//	POST /v2/campaigns                   create from a task list
 //	GET  /v2/campaigns                   list, paginated (?offset=&limit=)
 //	GET  /v2/campaigns/{id}              lifecycle snapshot
 //	GET  /v2/campaigns/{id}/tasks        task list, in publication order

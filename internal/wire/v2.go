@@ -3,15 +3,14 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"imc2/internal/gen"
 	"imc2/internal/imcerr"
 	"imc2/internal/model"
 	"imc2/internal/platform"
-	"imc2/internal/randx"
 	"imc2/internal/registry"
 	"imc2/internal/sched"
 	"imc2/internal/store"
@@ -145,14 +144,11 @@ type EstimateInfo struct {
 	Method string `json:"method"`
 }
 
-// CreateCampaignRequest declares a new campaign: either an explicit task
-// list or a generator spec + seed (the synthetic-workload path platformd
-// uses). Exactly one of Tasks and Spec must be set.
+// CreateCampaignRequest declares a new campaign by its task list, which
+// must not be empty.
 type CreateCampaignRequest struct {
-	Name  string            `json:"name,omitempty"`
-	Tasks []Task            `json:"tasks,omitempty"`
-	Spec  *gen.CampaignSpec `json:"spec,omitempty"`
-	Seed  int64             `json:"seed,omitempty"`
+	Name  string `json:"name,omitempty"`
+	Tasks []Task `json:"tasks,omitempty"`
 	// Draft creates the campaign unpublicized; open it with
 	// POST /v2/campaigns/{id}/open.
 	Draft bool `json:"draft,omitempty"`
@@ -319,44 +315,46 @@ func (s *Server) campaign(r *http.Request) (*registry.Campaign, error) {
 
 // decodeCreateCampaignRequest parses and structurally validates a
 // POST /v2/campaigns body: it must be one well-formed JSON value (white
-// space aside, nothing may follow it) naming exactly one of tasks and
-// spec, and a named spec must validate. Factored out of the handler so
-// FuzzDecodeV2Request exercises the identical path.
+// space aside, nothing may follow it) carrying a non-empty task list.
+// Factored out of the handler so FuzzDecodeV2Request exercises the
+// identical path.
 func decodeCreateCampaignRequest(body []byte) (CreateCampaignRequest, error) {
 	var req CreateCampaignRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return req, imcerr.Wrapf(imcerr.CodeInvalid, err, "malformed campaign request")
 	}
-	switch {
-	case len(req.Tasks) > 0 && req.Spec != nil:
-		return req, imcerr.New(imcerr.CodeInvalid, "campaign request sets both tasks and spec")
-	case len(req.Tasks) == 0 && req.Spec == nil:
-		return req, imcerr.New(imcerr.CodeInvalid, "campaign request needs tasks or a spec")
-	case req.Spec != nil:
-		// Reject impossible generator shapes at the door — the generator
-		// itself must never see an unvalidated client spec.
-		if err := req.Spec.Validate(); err != nil {
-			return req, imcerr.Wrapf(imcerr.CodeInvalid, err, "campaign spec")
-		}
+	if len(req.Tasks) == 0 {
+		return req, imcerr.New(imcerr.CodeInvalid, "campaign request needs tasks")
 	}
 	return req, nil
 }
 
-// maxBodyHint caps how much of a declared Content-Length readBody
-// allocates before any byte arrives.
-const maxBodyHint = 64 << 20
+// maxBody is the largest request body the server reads: a larger one is
+// refused as invalid, by its declared Content-Length before any byte is
+// read, or else after at most maxBody+1 bytes are buffered.
+const maxBody = 64 << 20
 
 // readBody reads a request body whole, sized by its Content-Length when
 // the client sent one.
 func readBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBody {
+		return nil, bodyTooLarge()
+	}
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
-		buf.Grow(int(min(r.ContentLength, maxBodyHint)) + bytes.MinRead)
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
 	}
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxBody+1)); err != nil {
 		return nil, imcerr.Wrapf(imcerr.CodeInvalid, err, "reading request body")
 	}
+	if buf.Len() > maxBody {
+		return nil, bodyTooLarge()
+	}
 	return buf.Bytes(), nil
+}
+
+func bodyTooLarge() error {
+	return imcerr.New(imcerr.CodeInvalid, "request body exceeds %d bytes", maxBody)
 }
 
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
@@ -370,21 +368,12 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	tasks := req.Tasks
-	if req.Spec != nil {
-		g, err := gen.NewCampaign(*req.Spec, randx.New(req.Seed))
-		if err != nil {
-			s.writeError(w, imcerr.Wrapf(imcerr.CodeInvalid, err, "generating campaign"))
-			return
-		}
-		tasks = g.Dataset.Tasks()
-	}
-	c, err := s.reg.Create(req.Name, tasks, s.cfg, req.Draft)
+	c, err := s.reg.Create(req.Name, req.Tasks, s.cfg, req.Draft)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.logf("campaign created: id=%s name=%q tasks=%d state=%s", c.ID(), c.Name(), len(tasks), c.State())
+	s.logf("campaign created: id=%s name=%q tasks=%d state=%s", c.ID(), c.Name(), len(req.Tasks), c.State())
 	writeJSON(w, http.StatusCreated, s.campaignInfo(c))
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -316,16 +317,10 @@ func TestV2ErrorCodes(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != "not_found" {
 		t.Fatalf("missing campaign: %v", err)
 	}
-	// No tasks and no spec → 400 invalid.
+	// No tasks → 400 invalid.
 	_, err = client.CreateCampaign(ctx, CreateCampaignRequest{Name: "empty"})
 	if !errors.Is(err, imcerr.ErrInvalid) {
 		t.Fatalf("empty create: %v", err)
-	}
-	// Both tasks and spec → 400 invalid.
-	spec := gen.DefaultSpec()
-	_, err = client.CreateCampaign(ctx, CreateCampaignRequest{Tasks: w.Dataset.Tasks(), Spec: &spec})
-	if !errors.Is(err, imcerr.ErrInvalid) {
-		t.Fatalf("tasks+spec create: %v", err)
 	}
 	// Close with no submissions → 422 infeasible.
 	info, err := client.CreateCampaign(ctx, CreateCampaignRequest{Name: "e", Tasks: w.Dataset.Tasks()})
@@ -343,28 +338,86 @@ func TestV2ErrorCodes(t *testing.T) {
 	}
 }
 
-func TestV2CreateFromSpec(t *testing.T) {
-	client, _ := startRegistry(t)
-	ctx := context.Background()
-	spec := gen.DefaultSpec()
-	spec.Workers = 20
-	spec.Tasks = 15
-	spec.Copiers = 5
-	spec.TasksPerWorker = 9
-	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
-	spec.ParticipationDecay = 0.3
+// TestV2CreateFromSpecRefused: a create must carry its task list. The
+// server no longer runs the workload generator on a client's spec, so a
+// spec-only body reads as a create without tasks.
+func TestV2CreateFromSpecRefused(t *testing.T) {
+	reg := registry.New()
+	h := NewRegistryServer(reg, "", platform.DefaultConfig(), nil).Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/campaigns", strings.NewReader(body)))
+		return rec
+	}
+	rec := post(`{"name":"g","seed":42,"spec":{"workers":20,"tasks":15,"copiers":5,"tasks_per_worker":9}}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid"`) {
+		t.Fatalf("spec-only create: %d %s, want 400 invalid", rec.Code, rec.Body)
+	}
+	if reg.Len() != 0 {
+		t.Fatalf("a refused create registered %d campaigns", reg.Len())
+	}
+	if rec := post(`{"name":"c","tasks":[{"id":"t1","num_false":2,"requirement":1}]}`); rec.Code != http.StatusCreated {
+		t.Fatalf("task-list create: %d %s", rec.Code, rec.Body)
+	}
+}
 
-	info, err := client.CreateCampaign(ctx, CreateCampaignRequest{Name: "gen", Spec: &spec, Seed: 42})
+// countingBody yields n spaces and counts what it hands out, so a test
+// can send a body of any size without holding it in memory.
+type countingBody struct{ n, read int64 }
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.n {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), b.n-b.read)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	b.read += k
+	return int(k), nil
+}
+
+// TestV2BodyOverCapRefused: a body one byte over maxBody is refused as
+// invalid. A declared Content-Length is refused before any byte is read,
+// on both endpoints that read a body; a body of undeclared length is read
+// no further than one byte past the cap (one case: both endpoints share
+// readBody, and the case buffers the whole cap).
+func TestV2BodyOverCapRefused(t *testing.T) {
+	reg := registry.New()
+	h := NewRegistryServer(reg, "", platform.DefaultConfig(), nil).Handler()
+	c, err := reg.Create("cap", []Task{{ID: "t1", NumFalse: 2, Requirement: 1}}, platform.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Tasks != 15 {
-		t.Fatalf("generated campaign has %d tasks, want 15", info.Tasks)
+	subs := "/v2/campaigns/" + c.ID() + "/submissions"
+	for _, tc := range []struct {
+		path     string
+		declared bool
+	}{
+		{"/v2/campaigns", true},
+		{subs, true},
+		{subs, false},
+	} {
+		body := &countingBody{n: maxBody + 1}
+		req := httptest.NewRequest(http.MethodPost, tc.path, body)
+		req.ContentLength = -1
+		if tc.declared {
+			req.ContentLength = body.n
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"invalid"`) {
+			t.Fatalf("POST %s (declared=%v): %d %s, want 400 invalid", tc.path, tc.declared, rec.Code, rec.Body)
+		}
+		if tc.declared && body.read != 0 {
+			t.Fatalf("POST %s: read %d bytes of a body declared over the cap", tc.path, body.read)
+		}
+		if body.read > maxBody+1 {
+			t.Fatalf("POST %s: read %d bytes, cap is %d", tc.path, body.read, maxBody)
+		}
 	}
-	// Workers derived from the same spec+seed submit coherently.
-	w := testWorkload(t, 42)
-	if _, err := client.SubmitBatch(ctx, info.ID, []Submission{submissionFor(w, 0)}); err != nil {
-		t.Fatalf("seed-derived submission rejected: %v", err)
+	if c.Submissions() != 0 || reg.Len() != 1 {
+		t.Fatalf("an oversized body was applied: %d submissions, %d campaigns", c.Submissions(), reg.Len())
 	}
 }
 
