@@ -216,9 +216,10 @@ func benchDiscoverFig5(b *testing.B, parallelism int) {
 
 // BenchmarkDiscoverSerial / BenchmarkDiscoverParallel are the committed
 // comparison behind the Parallelism option: identical input and results,
-// pool of 1 versus pool of GOMAXPROCS. On a ≥4-core host the parallel
-// engine settles the fig5-scale campaign ≥2× faster; CI runs both once
-// per PR as a smoke test (-benchtime=1x).
+// pool of 1 versus pool of GOMAXPROCS. On a 2-vCPU Xeon VM (go1.24,
+// medians of three alternating rounds of -benchtime=3x, BENCH_26.json)
+// the fig5-scale campaign takes 96 ms serial and 57 ms parallel per op;
+// CI runs both once per PR as a smoke test (-benchtime=1x).
 func BenchmarkDiscoverSerial(b *testing.B)   { benchDiscoverFig5(b, 1) }
 func BenchmarkDiscoverParallel(b *testing.B) { benchDiscoverFig5(b, 0) }
 

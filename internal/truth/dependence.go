@@ -250,6 +250,10 @@ func sharesValue(c []int32) bool {
 // workers share a value only when they gave the same value index:
 // presentation variants are the estimate's concern (eq. 21) or are
 // merged before inference (MergePresentations).
+//
+// Whether a later provider gave i's value is unpredictable, so the
+// column is selected without a branch: value indices are non-negative,
+// so uint32(x^vi)−1 has its top bit set exactly when x == vi.
 func (s *state) countRow(ix *depIndex, i int, cnt []int32) {
 	w := 2 + len(ix.agree)
 	clear(cnt[(i+1)*w:])
@@ -260,11 +264,8 @@ func (s *state) countRow(ix *depIndex, i int, cnt []int32) {
 		sameCol := s.sameColumn(ix, j, vi, s.truth[j])
 		later, laterVals := ws[p+1:], vals[p+1:len(ws)]
 		for b, k := range later {
-			col := 0
-			if laterVals[b] == vi {
-				col = sameCol
-			}
-			cnt[k*w+col]++
+			eq := int((uint32(laterVals[b]^vi) - 1) >> 31)
+			cnt[k*w+eq*sameCol]++
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package truth
 
-import (
-	"sort"
-
-	"imc2/internal/randx"
-)
+import "imc2/internal/randx"
 
 // computeIndependence is step 2 of Algorithm 1: for every task j and every
 // value v, it estimates I — the probability that each provider of v
@@ -58,14 +54,19 @@ func (s *state) computeIndependence(exact bool) {
 }
 
 // indScratch is one pool slot's reusable buffers for the greedy ordering:
-// the provider group, the ordered prefix (as workers), the remaining
-// providers (as positions), and — aligned with the latter — each
-// remaining provider's maximal dependence on the prefix.
+// the provider group and one greedySlot per provider of it.
 type indScratch struct {
 	providers []int
-	ordered   []int
-	remaining []int
-	bestDep   []float64
+	slots     []greedySlot
+}
+
+// greedySlot is a provider the greedy ordering has not placed yet: its
+// position in TaskWorkers(j), its dependence row, and its maximal
+// dependence on and eq. 16 product over the ordered prefix.
+type greedySlot struct {
+	pos        int
+	row        []float64
+	best, prod float64
 }
 
 // indScratchSlots lazily allocates one scratch set per pool slot,
@@ -81,10 +82,8 @@ func (s *state) indScratchSlots() []*indScratch {
 }
 
 func (sc *indScratch) ensure(g int) {
-	if cap(sc.ordered) < g {
-		sc.ordered = make([]int, g)
-		sc.remaining = make([]int, g)
-		sc.bestDep = make([]float64, g)
+	if cap(sc.slots) < g {
+		sc.slots = make([]greedySlot, g)
 	}
 }
 
@@ -93,66 +92,56 @@ func (sc *indScratch) ensure(g int) {
 const tieTolerance = 1e-12
 
 // independenceGreedy implements lines 16–22 of Algorithm 1 for one
-// provider group, given as positions in TaskWorkers(j).
+// provider group, given as positions in TaskWorkers(j), ascending.
+//
+// Every provider not yet ordered keeps a slot with its maximal
+// dependence on the ordered prefix and its eq. 16 product over that
+// prefix, multiplied in join order. When provider y joins, its slot is
+// spliced out and one pass over the others reads each dep[x][y] once: it
+// multiplies x's product by 1 − r·dep[x][y], raises x's maximum, and
+// picks the provider that joins next, whose I is then its product as it
+// stands. Each in-group cell is read at most once.
 func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 	r := s.opt.CopyProb
 	ws, ind := s.ds.TaskWorkers(j), s.indep[j]
 	sc.ensure(len(group))
 
 	// Seed: the provider with minimal total dependence (most plausibly
-	// independent), ties to the lower worker index for determinism.
-	seedPos := 0
+	// independent), ties to the lower worker index for determinism. It
+	// joins first, over an empty prefix, so its I is 1.
+	bestPos := 0
 	for p := 1; p < len(group); p++ {
-		if s.totalDep[ws[group[p]]] < s.totalDep[ws[group[seedPos]]] {
-			seedPos = p
+		if s.totalDep[ws[group[p]]] < s.totalDep[ws[group[bestPos]]] {
+			bestPos = p
 		}
 	}
-
-	ordered := sc.ordered[:0]
-	remaining := sc.remaining[:len(group)]
-	copy(remaining, group)
-	remaining[seedPos], remaining[len(remaining)-1] = remaining[len(remaining)-1], remaining[seedPos]
-	seed := remaining[len(remaining)-1]
-	remaining = remaining[:len(remaining)-1]
-	sort.Ints(remaining) // deterministic scan order
-	ordered = append(ordered, ws[seed])
-	ind[seed] = 1
-
-	// bestDep[p] tracks max_{k∈ordered} dep[remaining[p]][k], spliced in
-	// lockstep with remaining so the pair stays aligned.
-	bestDep := sc.bestDep[:len(remaining)]
-	for p, b := range remaining {
-		bestDep[p] = s.dep[ws[b]][ws[seed]]
+	slots := sc.slots[:len(group)]
+	for p, b := range group {
+		slots[p] = greedySlot{pos: b, row: s.dep[ws[b]], prod: 1}
 	}
 
-	for len(remaining) > 0 {
-		// Pick the remaining provider with maximal dependence on the
-		// ordered set, ties to the lower worker index. Posteriors within
-		// tieTolerance of each other are ties: two copiers of one source
-		// have the same posterior up to the rounding of their sums, and
-		// that rounding must not decide the order.
-		bestPos, beat := 0, bestDep[0]*(1+tieTolerance)
-		for p := 1; p < len(remaining); p++ {
-			if bestDep[p] > beat {
-				bestPos, beat = p, bestDep[p]*(1+tieTolerance)
+	for len(slots) > 0 {
+		joined := slots[bestPos]
+		ind[joined.pos] = joined.prod // I = Π over the ordered prefix (eq. 16)
+		y := ws[joined.pos]
+		slots = append(slots[:bestPos], slots[bestPos+1:]...)
+
+		// Pick the next provider with maximal dependence on the ordered
+		// set, ties to the lower worker index: the slots stay ascending.
+		// Posteriors within tieTolerance of each other are ties: two
+		// copiers of one source have the same posterior up to the
+		// rounding of their sums, and that rounding must not decide the
+		// order. Posteriors are non-negative, so any beats −1.
+		beat := -1.0
+		for p := range slots {
+			sl := &slots[p]
+			d := sl.row[y]
+			sl.prod *= 1 - r*d
+			if d > sl.best {
+				sl.best = d
 			}
-		}
-		next := remaining[bestPos]
-		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
-		bestDep = append(bestDep[:bestPos], bestDep[bestPos+1:]...)
-
-		// I(next) = Π over already-ordered providers (eq. 16).
-		depNext := s.dep[ws[next]]
-		prod := 1.0
-		for _, k := range ordered {
-			prod *= 1 - r*depNext[k]
-		}
-		ind[next] = prod
-		ordered = append(ordered, ws[next])
-
-		for p, b := range remaining {
-			if d := s.dep[ws[b]][ws[next]]; d > bestDep[p] {
-				bestDep[p] = d
+			if sl.best > beat {
+				bestPos, beat = p, sl.best*(1+tieTolerance)
 			}
 		}
 	}

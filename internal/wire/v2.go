@@ -334,11 +334,21 @@ func decodeCreateCampaignRequest(body []byte) (CreateCampaignRequest, error) {
 // read, or else after at most maxBody+1 bytes are buffered.
 const maxBody = 64 << 20
 
+// bodyChunk is the size of the pieces a body of undeclared length is
+// read in.
+const bodyChunk = 64 << 10
+
 // readBody reads a request body whole, sized by its Content-Length when
-// the client sent one.
+// the client sent one. A body of undeclared length is read in chunks of
+// bodyChunk bytes and copied once into a slice of its exact size, so it
+// allocates about twice its length; a buffer grown by doubling would
+// allocate up to four times it.
 func readBody(r *http.Request) ([]byte, error) {
 	if r.ContentLength > maxBody {
 		return nil, bodyTooLarge()
+	}
+	if r.ContentLength < 0 {
+		return readUndeclared(r.Body)
 	}
 	var buf bytes.Buffer
 	if r.ContentLength > 0 {
@@ -351,6 +361,29 @@ func readBody(r *http.Request) ([]byte, error) {
 		return nil, bodyTooLarge()
 	}
 	return buf.Bytes(), nil
+}
+
+// readUndeclared reads a body of undeclared length, refusing it once it
+// passes maxBody.
+func readUndeclared(body io.Reader) ([]byte, error) {
+	lr := io.LimitReader(body, maxBody+1)
+	var chunks [][]byte
+	size := 0
+	for {
+		c := make([]byte, bodyChunk)
+		n, err := io.ReadFull(lr, c)
+		chunks, size = append(chunks, c[:n]), size+n
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, imcerr.Wrapf(imcerr.CodeInvalid, err, "reading request body")
+		}
+	}
+	if size > maxBody {
+		return nil, bodyTooLarge()
+	}
+	return bytes.Join(chunks, nil), nil
 }
 
 func bodyTooLarge() error {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -418,6 +419,29 @@ func TestV2BodyOverCapRefused(t *testing.T) {
 	}
 	if c.Submissions() != 0 || reg.Len() != 1 {
 		t.Fatalf("an oversized body was applied: %d submissions, %d campaigns", c.Submissions(), reg.Len())
+	}
+}
+
+// TestV2UndeclaredBodyAllocatesOnce: a body of undeclared length is
+// read whole and allocates at most 2.25 times its size, where a buffer
+// grown by doubling allocates about four times it.
+func TestV2UndeclaredBodyAllocatesOnce(t *testing.T) {
+	const size = 8 << 20
+	var least uint64 = math.MaxUint64
+	for range 3 {
+		req := httptest.NewRequest(http.MethodPost, "/v2/campaigns", &countingBody{n: size})
+		req.ContentLength = -1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, err := readBody(req)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(body) != size || strings.TrimLeft(string(body[:64]), " ") != "" {
+			t.Fatalf("readBody: %d bytes, %v; want %d spaces", len(body), err, size)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(size) * 9 / 4; least > limit {
+		t.Fatalf("reading an undeclared %d-byte body allocated %d bytes, want at most %d", size, least, limit)
 	}
 }
 
