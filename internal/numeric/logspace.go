@@ -9,13 +9,7 @@
 // exponentiated after normalization.
 package numeric
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrEmptyInput reports a numeric routine invoked with no data.
-var ErrEmptyInput = errors.New("numeric: empty input")
+import "math"
 
 // LogSumExp returns log(sum(exp(xs[i]))) computed stably.
 //

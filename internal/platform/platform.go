@@ -328,15 +328,23 @@ func (p *Platform) Submit(sub Submission) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	start := len(p.log.Cells)
+	// Answers are staged in map order; of several refused answers, the
+	// one with the smallest task ID is reported, as SubmitRows reports
+	// it on RowsOf's sorted rows.
+	var refused error
+	var refusedID string
 	for taskID, v := range sub.Answers {
 		j, ok := p.taskIdx[taskID]
 		if !ok {
 			j = -1
 		}
-		if err := p.log.stage(sub.Worker, j, taskID, v); err != nil {
-			p.log.truncate(start)
-			return err
+		if err := p.log.stage(sub.Worker, j, taskID, v); err != nil && (refused == nil || taskID < refusedID) {
+			refused, refusedID = err, taskID
 		}
+	}
+	if refused != nil {
+		p.log.truncate(start)
+		return refused
 	}
 	return p.commitLocked(sub.Worker, sub.Price, start)
 }

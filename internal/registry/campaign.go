@@ -58,9 +58,6 @@ func (c *Campaign) ID() string { return c.id }
 // Name returns the operator-chosen campaign name (may be empty).
 func (c *Campaign) Name() string { return c.name }
 
-// Config returns the settle configuration fixed at creation.
-func (c *Campaign) Config() platform.Config { return c.cfg }
-
 // State reports the campaign's lifecycle state.
 func (c *Campaign) State() platform.State { return c.p.State() }
 

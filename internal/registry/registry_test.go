@@ -170,6 +170,44 @@ func TestSubmitBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// TestSubmitMultiFaultErrorIsDeterministic submits one answer set with
+// four refused answers (two empty values on published tasks, two
+// unpublished tasks) many times and requires the same error every time,
+// from the platform itself and from in-memory and durable campaigns: the
+// refusal of the smallest task ID.
+func TestSubmitMultiFaultErrorIsDeterministic(t *testing.T) {
+	tasks := []model.Task{
+		{ID: "a", NumFalse: 2, Requirement: 1, Value: 5},
+		{ID: "b", NumFalse: 2, Requirement: 1, Value: 6},
+	}
+	p, err := platform.New(tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := New().Create("mem", tasks, platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	durable, err := New(WithStore(st)).Create("durable", tasks, platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := platform.Submission{Worker: "w", Price: 1, Answers: map[string]string{"a": "", "b": "", "zz": "x", "c": "y"}}
+	const want = `platform: "w" submitted an empty value for "a"`
+	for _, tc := range []struct {
+		name   string
+		submit func(platform.Submission) error
+	}{{"platform", p.Submit}, {"in-memory", mem.Submit}, {"durable", durable.Submit}} {
+		for rep := 0; rep < 200; rep++ {
+			if err := tc.submit(sub); err == nil || err.Error() != want {
+				t.Fatalf("%s submit %d: err = %v, want %q", tc.name, rep, err, want)
+			}
+		}
+	}
+}
+
 func TestFailedSettleSurfacesError(t *testing.T) {
 	r := New()
 	c, _ := r.Create("empty", testTasks(), platform.DefaultConfig(), false)

@@ -107,8 +107,6 @@ type ConfigRecord struct {
 	InitAccuracy    float64            `json:"init_accuracy"`
 	PriorDependence float64            `json:"prior_dependence"`
 	MaxIterations   int                `json:"max_iterations"`
-	EDExactLimit    int                `json:"ed_exact_limit,omitempty"`
-	EDSamples       int                `json:"ed_samples,omitempty"`
 	Parallelism     int                `json:"parallelism,omitempty"`
 }
 
@@ -122,8 +120,6 @@ func ConfigFromPlatform(cfg platform.Config) ConfigRecord {
 		InitAccuracy:    cfg.TruthOptions.InitAccuracy,
 		PriorDependence: cfg.TruthOptions.PriorDependence,
 		MaxIterations:   cfg.TruthOptions.MaxIterations,
-		EDExactLimit:    cfg.TruthOptions.EDExactLimit,
-		EDSamples:       cfg.TruthOptions.EDSamples,
 		Parallelism:     cfg.TruthOptions.Parallelism,
 	}
 }
@@ -140,8 +136,6 @@ func (c ConfigRecord) ToPlatform() platform.Config {
 	cfg.TruthOptions.InitAccuracy = c.InitAccuracy
 	cfg.TruthOptions.PriorDependence = c.PriorDependence
 	cfg.TruthOptions.MaxIterations = c.MaxIterations
-	cfg.TruthOptions.EDExactLimit = c.EDExactLimit
-	cfg.TruthOptions.EDSamples = c.EDSamples
 	cfg.TruthOptions.Parallelism = c.Parallelism
 	return cfg
 }

@@ -92,11 +92,6 @@ func validateRun(ds *model.Dataset, method Method, opt Options) (FalseValueModel
 // far across all Step/Run calls.
 func (e *Engine) Iterations() int { return e.iterations }
 
-// Converged reports whether the run stopped by its stopping rule: the
-// last iteration's truth vector equals one of the vectors the previous
-// revisitWindow iterations started from (see truthHistory).
-func (e *Engine) Converged() bool { return e.converged }
-
 // Done reports whether the run is finished: converged, or out of
 // iterations (Options.MaxIterations). Step is a no-op once Done.
 func (e *Engine) Done() bool {

@@ -19,8 +19,8 @@ import "imc2/internal/randx"
 //     (line 20).
 //
 // When exact is true (MethodED), the greedy ordering is replaced by
-// averaging I over all |W|! orderings for groups up to EDExactLimit and
-// over EDSamples deterministic random orderings for larger groups.
+// averaging I over all |W|! orderings for groups up to edExactLimit and
+// over edSamples deterministic random orderings for larger groups.
 func (s *state) computeIndependence(exact bool) {
 	// Task-parallel: task j only writes its own independence row, and
 	// per-group results never mix across tasks, so the schedule cannot
@@ -147,6 +147,15 @@ func (s *state) independenceGreedy(j int, group []int, sc *indScratch) {
 	}
 }
 
+// ED enumerates every ordering of a provider group of up to
+// edExactLimit workers and samples edSamples orderings of a larger one.
+// 720 = 6!, so a sampled group gets as many orderings as the largest
+// enumerated one.
+const (
+	edExactLimit = 6
+	edSamples    = 720
+)
+
 // independenceByEnumeration averages I over orderings of the provider
 // group: exactly (all permutations) for small groups, or over a
 // deterministic sample of random orderings for large ones. This is the ED
@@ -173,7 +182,7 @@ func (s *state) independenceByEnumeration(j int, group []int) {
 		count++
 	}
 
-	if g <= s.opt.edExactLimit() {
+	if g <= edExactLimit {
 		perm := make([]int, g)
 		for i := range perm {
 			perm[i] = i
@@ -190,7 +199,7 @@ func (s *state) independenceByEnumeration(j int, group []int) {
 		for i := range perm {
 			perm[i] = i
 		}
-		for k := 0; k < s.opt.edSamples(); k++ {
+		for k := 0; k < edSamples; k++ {
 			rng.Shuffle(g, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
 			accumulate(perm)
 		}

@@ -24,8 +24,9 @@ const (
 	// accuracy-weighted voting that assumes all workers are independent.
 	MethodNC
 	// MethodED ("enumerate dependence") replaces DATE's greedy ordering
-	// with averaging over enumerated orderings of each value's provider
-	// group — exponential in the group size.
+	// with averaging over orderings of each value's provider group: all
+	// of them for a group of up to edExactLimit workers (exponential in
+	// the group size), edSamples sampled ones for a larger group.
 	MethodED
 )
 
@@ -84,15 +85,6 @@ type Options struct {
 	// nil means the uniform model of §II-B.
 	FalseValues FalseValueModel
 
-	// EDExactLimit bounds exact ordering enumeration for MethodED: groups
-	// up to this size are enumerated exactly (size! orderings); larger
-	// groups average over EDSamples random orderings. Zero means the
-	// default of 6.
-	EDExactLimit int
-	// EDSamples is the number of sampled orderings for oversized groups
-	// in MethodED. Zero means the default of 720.
-	EDSamples int
-
 	// Parallelism bounds the worker pool the engine spreads each
 	// iteration's dependence, independence, and estimation passes over.
 	// Zero means GOMAXPROCS; 1 forces a serial run. Results are
@@ -128,8 +120,6 @@ func DefaultOptions() Options {
 		InitAccuracy:    0.5,
 		PriorDependence: 0.2,
 		MaxIterations:   100,
-		EDExactLimit:    6,
-		EDSamples:       720,
 	}
 }
 
@@ -154,30 +144,10 @@ func (o Options) Validate() error {
 	if o.Similarity == nil && o.SimilarityWeight > 0 {
 		return fmt.Errorf("truth: SimilarityWeight set without a Similarity function")
 	}
-	if o.EDExactLimit < 0 {
-		return fmt.Errorf("truth: EDExactLimit %d must be >= 0", o.EDExactLimit)
-	}
-	if o.EDSamples < 0 {
-		return fmt.Errorf("truth: EDSamples %d must be >= 0", o.EDSamples)
-	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("truth: Parallelism %d must be >= 0", o.Parallelism)
 	}
 	return nil
-}
-
-func (o Options) edExactLimit() int {
-	if o.EDExactLimit == 0 {
-		return 6
-	}
-	return o.EDExactLimit
-}
-
-func (o Options) edSamples() int {
-	if o.EDSamples == 0 {
-		return 720
-	}
-	return o.EDSamples
 }
 
 // parallelism resolves the effective pool size: Parallelism, or

@@ -31,8 +31,6 @@ func TestOptionsValidate(t *testing.T) {
 			func(o *Options) { o.SimilarityWeight = 0.5; o.Similarity = nil },
 			"without a Similarity",
 		},
-		{"negative ED limit", func(o *Options) { o.EDExactLimit = -1 }, "EDExactLimit"},
-		{"negative ED samples", func(o *Options) { o.EDSamples = -1 }, "EDSamples"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -76,19 +74,11 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
+// TestEDDefaults pins ED's ordering counts to 6 and 720, the values that
+// every campaign created before they became constants recorded in its
+// created event, so a recovered ED campaign settles as it did before.
 func TestEDDefaults(t *testing.T) {
-	var o Options
-	if got := o.edExactLimit(); got != 6 {
-		t.Errorf("edExactLimit default = %d, want 6", got)
-	}
-	if got := o.edSamples(); got != 720 {
-		t.Errorf("edSamples default = %d, want 720", got)
-	}
-	o.EDExactLimit, o.EDSamples = 4, 100
-	if got := o.edExactLimit(); got != 4 {
-		t.Errorf("edExactLimit = %d, want 4", got)
-	}
-	if got := o.edSamples(); got != 100 {
-		t.Errorf("edSamples = %d, want 100", got)
+	if edExactLimit != 6 || edSamples != 720 {
+		t.Errorf("edExactLimit, edSamples = %d, %d; want 6, 720", edExactLimit, edSamples)
 	}
 }

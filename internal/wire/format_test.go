@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -31,6 +32,10 @@ import (
 // by a crashed daemon (a snapshot plus a WAL tail, never closed); the
 // pins decode it with the current code and require the same bytes back,
 // so a directory written by an earlier build keeps recovering.
+// testdata/format/data-ed-members is the same scenario written before
+// ED's ordering counts became constants: its created events and snapshot
+// records still carry "ed_exact_limit":6,"ed_samples":720, and it must
+// recover to the same state as the current directory.
 //
 // Regenerate with
 //
@@ -198,10 +203,11 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// openFormatData recovers the committed data directory into a registry.
-func openFormatData(t *testing.T) (*store.FileStore, *registry.Registry) {
+// openFormatData recovers the committed data directory
+// testdata/format/name into a registry.
+func openFormatData(t *testing.T, name string) (*store.FileStore, *registry.Registry) {
 	t.Helper()
-	return recoverDir(t, copyDir(t, filepath.Join(formatDir, "data")))
+	return recoverDir(t, copyDir(t, filepath.Join(formatDir, name)))
 }
 
 // recoverDir opens the store in dir and restores a registry from it.
@@ -321,7 +327,7 @@ func TestFormatPinUpdate(t *testing.T) {
 // TestFormatPinHTTPBodies pins the GET …/report and GET …/audit bodies of
 // campaigns recovered from the committed data directory, byte for byte.
 func TestFormatPinHTTPBodies(t *testing.T) {
-	_, reg := openFormatData(t)
+	_, reg := openFormatData(t, "data")
 	srv := NewRegistryServer(reg, "", formatConfig(), nil)
 	h := srv.Handler()
 	for _, tc := range []struct{ path, golden string }{
@@ -422,7 +428,27 @@ func TestFormatPinSnapshotRecord(t *testing.T) {
 	}
 	checkGolden(t, "campaign_record.json", zeroTimes(t, *rec))
 
-	snaps, err := filepath.Glob(filepath.Join(formatDir, "data", "snap-*.json"))
+	for i, raw := range snapshotRecords(t, "data") {
+		var rec store.CampaignRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Errorf("snapshot record %d (%s) re-encodes differently\n got: %s\nwant: %s", i, rec.ID, got, raw)
+		}
+	}
+}
+
+// snapshotRecords reads the campaign records of the one snapshot in the
+// committed data directory testdata/format/name: the four campaigns
+// created before the format scenario's snapshot.
+func snapshotRecords(t *testing.T, name string) []json.RawMessage {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(formatDir, name, "snap-*.json"))
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("committed snapshots = %v, %v; want exactly one", snaps, err)
 	}
@@ -439,31 +465,29 @@ func TestFormatPinSnapshotRecord(t *testing.T) {
 	if len(file.Campaigns) != 4 {
 		t.Fatalf("committed snapshot holds %d campaigns, want 4", len(file.Campaigns))
 	}
-	for i, raw := range file.Campaigns {
-		var rec store.CampaignRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, raw) {
-			t.Errorf("snapshot record %d (%s) re-encodes differently\n got: %s\nwant: %s", i, rec.ID, got, raw)
-		}
-	}
+	return file.Campaigns
 }
 
-// TestFormatPinParentDirRecovers requires the committed data directory
+// TestFormatPinParentDirRecovers requires each committed data directory
 // to recover to the state the current code reaches by running the same
 // scenario and recovering its own directory: the same durable records
 // and, campaign by campaign, the same registry.
 func TestFormatPinParentDirRecovers(t *testing.T) {
-	oldFS, oldReg := openFormatData(t)
 	dir := t.TempDir()
 	runFormatScenario(t, dir)
 	newFS, newReg := recoverDir(t, dir)
+	for _, name := range []string{"data", "data-ed-members"} {
+		t.Run(name, func(t *testing.T) {
+			oldFS, oldReg := openFormatData(t, name)
+			recoversLikeFresh(t, oldFS, oldReg, newFS, newReg)
+		})
+	}
+}
 
+// recoversLikeFresh compares a registry recovered from a committed data
+// directory with one recovered from a fresh run of the format scenario.
+func recoversLikeFresh(t *testing.T, oldFS *store.FileStore, oldReg *registry.Registry, newFS *store.FileStore, newReg *registry.Registry) {
+	t.Helper()
 	oldRecs, newRecs := oldFS.State().Campaigns(), newFS.State().Campaigns()
 	if len(oldRecs) != 5 || len(newRecs) != len(oldRecs) {
 		t.Fatalf("recovered %d campaigns from the committed dir and %d from a fresh run, want 5", len(oldRecs), len(newRecs))
@@ -524,39 +548,113 @@ func TestFormatPinParentDirRecovers(t *testing.T) {
 // TestFormatPinZeroPairAudit pins the one place the WAL bytes moved when
 // the store began logging platform.Audit itself: a zero-pair audit (a
 // one-worker campaign's) now encodes "pairs":null where the old store
-// record omitted the key. Both forms decode to nil pairs.
+// record omitted the key. Both forms decode to nil pairs; the
+// data-ed-members directory holds the old one.
 func TestFormatPinZeroPairAudit(t *testing.T) {
-	payloads := walPayloads(t, filepath.Join(formatDir, "data", "wal-000000000000000a.log"))
-	var raw []byte
-	for _, p := range payloads {
-		var ev store.Event
-		if err := json.Unmarshal(p, &ev); err != nil {
+	for _, name := range []string{"data", "data-ed-members"} {
+		t.Run(name, func(t *testing.T) {
+			payloads := walPayloads(t, filepath.Join(formatDir, name, "wal-000000000000000a.log"))
+			var raw []byte
+			for _, p := range payloads {
+				var ev store.Event
+				if err := json.Unmarshal(p, &ev); err != nil {
+					t.Fatal(err)
+				}
+				if ev.Type == store.EventSettled && ev.Campaign == formatSolo {
+					raw = p
+				}
+			}
+			if raw == nil {
+				t.Fatal("committed WAL tail holds no settled event for the one-worker campaign")
+			}
+			var ev store.Event
+			if err := json.Unmarshal(raw, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Settled.Audit == nil || ev.Settled.Audit.Pairs != nil {
+				t.Fatalf("zero-pair audit decoded as %+v, want nil pairs", ev.Settled.Audit)
+			}
+			got, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := withNullPairs(raw); !bytes.Equal(got, want) {
+				t.Errorf("zero-pair settled event re-encodes as\n got: %s\nwant: %s", got, want)
+			}
+		})
+	}
+}
+
+// withNullPairs is the current encoding of a zero-pair settled event:
+// raw itself, or, when the old store record omitted the key, raw with
+// "pairs":null added to its audit.
+func withNullPairs(raw []byte) []byte {
+	if bytes.Contains(raw, []byte(`"pairs":null`)) {
+		return raw
+	}
+	return bytes.Replace(raw, []byte(`"audit":{`), []byte(`"audit":{"pairs":null,`), 1)
+}
+
+// edMembers are the two created-event and snapshot-record members that
+// ED's ordering counts were logged as before they became constants.
+const edMembers = `,"ed_exact_limit":6,"ed_samples":720`
+
+// TestFormatPinEDMembersDropped requires the committed data directory
+// written with ED's ordering counts in every settle configuration to
+// re-encode to its recorded bytes with exactly those two members taken
+// out of each created event and snapshot campaign record, and every
+// other event byte for byte, but for the zero-pair audit's older form
+// (TestFormatPinZeroPairAudit).
+func TestFormatPinEDMembersDropped(t *testing.T) {
+	dir := filepath.Join(formatDir, "data-ed-members")
+	dropped := func(t *testing.T, what string, raw, got []byte) {
+		t.Helper()
+		if n := bytes.Count(raw, []byte(edMembers)); n != 1 {
+			t.Fatalf("%s holds the ED members %d times, want once: %s", what, n, raw)
+		}
+		if want := bytes.Replace(raw, []byte(edMembers), nil, 1); !bytes.Equal(got, want) {
+			t.Errorf("%s re-encodes as\n got: %s\nwant: %s", what, got, want)
+		}
+	}
+
+	created := 0
+	for _, seg := range []string{"wal-0000000000000001.log", "wal-000000000000000a.log"} {
+		for i, raw := range walPayloads(t, filepath.Join(dir, seg)) {
+			var ev store.Event
+			if err := json.Unmarshal(raw, &ev); err != nil {
+				t.Fatalf("%s event %d: %v", seg, i+1, err)
+			}
+			got, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s event %d (%s %s)", seg, i+1, ev.Type, ev.Campaign)
+			switch {
+			case ev.Type == store.EventCreated:
+				created++
+				dropped(t, what, raw, got)
+			case ev.Type == store.EventSettled && ev.Campaign == formatSolo:
+				if want := withNullPairs(raw); !bytes.Equal(got, want) {
+					t.Errorf("%s re-encodes as\n got: %s\nwant: %s", what, got, want)
+				}
+			case !bytes.Equal(got, raw):
+				t.Errorf("%s re-encodes differently\n got: %s\nwant: %s", what, got, raw)
+			}
+		}
+	}
+	if created != 5 {
+		t.Errorf("committed WAL holds %d created events, want 5", created)
+	}
+
+	for i, raw := range snapshotRecords(t, "data-ed-members") {
+		var rec store.CampaignRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if ev.Type == store.EventSettled && ev.Campaign == formatSolo {
-			raw = p
+		got, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if raw == nil {
-		t.Fatal("committed WAL tail holds no settled event for the one-worker campaign")
-	}
-	var ev store.Event
-	if err := json.Unmarshal(raw, &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Settled.Audit == nil || ev.Settled.Audit.Pairs != nil {
-		t.Fatalf("zero-pair audit decoded as %+v, want nil pairs", ev.Settled.Audit)
-	}
-	got, err := json.Marshal(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := raw
-	if !bytes.Contains(raw, []byte(`"pairs":null`)) {
-		// Written by the old store record, which omitted the key.
-		want = bytes.Replace(raw, []byte(`"audit":{`), []byte(`"audit":{"pairs":null,`), 1)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("zero-pair settled event re-encodes as\n got: %s\nwant: %s", got, want)
+		dropped(t, fmt.Sprintf("snapshot record %d (%s)", i, rec.ID), raw, got)
 	}
 }

@@ -122,9 +122,6 @@ func NewRegistryServer(reg *registry.Registry, _ string, cfg platform.Config, lo
 	return s
 }
 
-// Registry exposes the campaign store the server serves.
-func (s *Server) Registry() *registry.Registry { return s.reg }
-
 // Shutdown drains in-flight asynchronous settles and waits for them to
 // finish, bounded by ctx. Draining comes first — cancelling before the
 // wait (the old behavior) could abort a settle between computing its
