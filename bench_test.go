@@ -187,7 +187,8 @@ func benchFig5Submissions(c *imc2.Campaign) []imc2.Submission {
 // the critical-payment search) and a low iteration cap (settle cost is
 // linear in iterations).
 func benchSettleConfig() imc2.PlatformConfig {
-	cfg := imc2.NewPlatformConfig(imc2.WithMechanism(imc2.MechanismGreedyBid))
+	cfg := imc2.DefaultPlatformConfig()
+	cfg.Mechanism = imc2.MechanismGreedyBid
 	cfg.TruthOptions.CopyProb = 0.8
 	cfg.TruthOptions.PriorDependence = 0.05
 	cfg.TruthOptions.MaxIterations = 3

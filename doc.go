@@ -45,7 +45,8 @@
 // settle never blocks the others:
 //
 //	reg := imc2.NewCampaignRegistry()
-//	cfg := imc2.NewPlatformConfig(imc2.WithMechanism(imc2.MechanismReverseAuction))
+//	cfg := imc2.DefaultPlatformConfig()
+//	cfg.Mechanism = imc2.MechanismGreedyBid
 //	c, err := reg.Create("week-31", ds.Tasks(), cfg, false)
 //	… c.Submit(imc2.Submission{…}) …
 //	report, err := c.Settle(ctx)        // ctx-bounded two-stage settle
@@ -53,11 +54,11 @@
 //
 // Settles are CPU-bound in stage 1; the truth-discovery engine spreads
 // each iteration over a bounded worker pool (TruthOptions.Parallelism,
-// 0 = GOMAXPROCS, 1 = serial; also imc2.WithTruthParallelism and
-// platformd's -parallelism). The partition is a pure function of the
-// dataset shape, so every parallelism degree produces bit-identical
-// results — see API.md's "Settle performance" and the committed
-// BenchmarkDiscoverSerial/BenchmarkDiscoverParallel comparison.
+// 0 = GOMAXPROCS, 1 = serial; platformd's -parallelism). The partition
+// is a pure function of the dataset shape, so every parallelism degree
+// produces bit-identical results — see API.md's "Settle performance"
+// and the committed BenchmarkDiscoverSerial/BenchmarkDiscoverParallel
+// comparison.
 //
 // A registry settling many campaigns at once should attach a settle
 // scheduler, which bounds the aggregate instead of each settle
@@ -72,13 +73,11 @@
 //	defer s.Close()
 //	reg := imc2.NewCampaignRegistry(imc2.WithSettleScheduler(s))
 //
-// (or the shorthand imc2.WithMaxConcurrentSettles(2), after which the
-// registry's Close stops the internally-built scheduler; platformd
-// wires this via -max-settles and -sched-workers). Scheduling never
-// changes
-// outcomes: the work partition's shape-purity above means reports stay
-// bit-identical under any interleaving of campaigns on the shared pool,
-// which the multi-campaign stress test in internal/wire pins
+// (platformd wires this via -max-settles and -sched-workers; the
+// caller, not the registry, closes the scheduler). Scheduling never
+// changes outcomes: the work partition's shape-purity above means
+// reports stay bit-identical under any interleaving of campaigns on the
+// shared pool, which the multi-campaign stress test in internal/wire pins
 // bit-for-bit against serial baselines. The admission queue may itself
 // be bounded (SettleSchedulerConfig.MaxQueuedSettles, platformd
 // -max-queued-settles): an overflowing close is rejected with
@@ -104,7 +103,8 @@
 // bit-identical registry (campaigns that died mid-settle are re-queued
 // automatically):
 //
-//	st, err := imc2.NewFileStore("/var/lib/imc2")
+//	st, err := imc2.OpenFileStore(imc2.CampaignStoreOptions{Dir: "/var/lib/imc2"})
+//	defer st.Close() // after the registry's settles drain
 //	reg := imc2.NewCampaignRegistry(imc2.WithCampaignStore(st))
 //	pending, err := imc2.RestoreCampaigns(reg, st)  // before serving
 //

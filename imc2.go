@@ -300,52 +300,17 @@ func NewPlatform(tasks []Task) (*Platform, error) { return platform.New(tasks) }
 func NewDraftPlatform(tasks []Task) (*Platform, error) { return platform.NewDraft(tasks) }
 
 // DefaultPlatformConfig returns the paper's configuration:
-// DATE + ReverseAuction.
+// DATE + ReverseAuction. Customize it by assigning fields (TruthMethod,
+// TruthOptions, Mechanism).
 func DefaultPlatformConfig() PlatformConfig { return platform.DefaultConfig() }
-
-// PlatformOption customizes a platform configuration built by
-// NewPlatformConfig.
-type PlatformOption func(*PlatformConfig)
-
-// WithTruthMethod selects the stage-1 truth-discovery algorithm.
-func WithTruthMethod(m TruthMethod) PlatformOption {
-	return func(cfg *PlatformConfig) { cfg.TruthMethod = m }
-}
-
-// WithTruthOptions replaces the stage-1 parameters wholesale.
-func WithTruthOptions(opt TruthOptions) PlatformOption {
-	return func(cfg *PlatformConfig) { cfg.TruthOptions = opt }
-}
-
-// WithTruthParallelism bounds the worker pool the stage-1 engine spreads
-// each iteration over: 0 (the default) uses GOMAXPROCS, 1 forces a
-// serial run. Results are bit-identical for every setting; the knob
-// trades only settle latency. See doc.go's "Settle performance".
-func WithTruthParallelism(p int) PlatformOption {
-	return func(cfg *PlatformConfig) { cfg.TruthOptions.Parallelism = p }
-}
-
-// WithMechanism selects the stage-2 auction mechanism.
-func WithMechanism(m Mechanism) PlatformOption {
-	return func(cfg *PlatformConfig) { cfg.Mechanism = m }
-}
-
-// NewPlatformConfig builds a configuration from the paper's defaults
-// plus the given options.
-func NewPlatformConfig(opts ...PlatformOption) PlatformConfig {
-	cfg := platform.DefaultConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg
-}
 
 // ---- Campaign registry (multi-campaign service) ------------------------------
 
 // CampaignRegistry hosts many concurrent campaigns in one process — the
-// store behind the /v2 wire protocol. Campaign lookup and creation are
-// sharded; each campaign settles under its own lifecycle, so one long
-// settle never blocks the others.
+// store behind the /v2 wire protocol. Lookups and listings read one
+// index and never wait on a creation's durable append; each campaign
+// settles under its own lifecycle, so one long settle never blocks the
+// others.
 type CampaignRegistry = registry.Registry
 
 // HostedCampaign is one registered campaign: a platform engine plus its
@@ -356,11 +321,9 @@ type HostedCampaign = registry.Campaign
 // NewCampaignRegistry.
 type RegistryOption = registry.Option
 
-// NewCampaignRegistry returns an empty campaign registry. A registry
-// whose settle scheduler was built internally (WithMaxConcurrentSettles)
-// owns that scheduler's goroutines: call the registry's Close when done
-// with it to stop the shared worker pool. A scheduler attached with
-// WithSettleScheduler stays the caller's to Close.
+// NewCampaignRegistry returns an empty campaign registry. The scheduler
+// and store attached to it stay the caller's to Close, after the
+// registry's settles drain.
 func NewCampaignRegistry(opts ...RegistryOption) *CampaignRegistry { return registry.New(opts...) }
 
 // ---- Provisional estimates (computed on read) ---------------------------------
@@ -398,23 +361,9 @@ func NewSettleScheduler(cfg SettleSchedulerConfig) *SettleScheduler { return sch
 // WithSettleScheduler attaches a settle scheduler to the registry: every
 // campaign settle acquires an admission slot from it and runs its
 // truth-discovery passes on the shared pool. The caller keeps ownership
-// — one scheduler may serve several registries, so the registry's Close
-// leaves it running; Close the scheduler itself when done.
+// — one scheduler may serve several registries — and Closes it when
+// done.
 func WithSettleScheduler(s *SettleScheduler) RegistryOption { return registry.WithScheduler(s) }
-
-// WithMaxConcurrentSettles is the one-line form of WithSettleScheduler:
-// it attaches a fresh scheduler with a GOMAXPROCS-sized shared pool and
-// the given admission bound (0 = unlimited, but still one shared pool).
-// The scheduler is built when the option is applied, so each registry
-// gets its own (an unused option value costs nothing, and reusing one
-// across registries never shares a pool). Its goroutines belong to the
-// registry — Close the registry (or reg.Scheduler().Close()) when done
-// with it.
-func WithMaxConcurrentSettles(n int) RegistryOption {
-	return func(r *CampaignRegistry) {
-		registry.WithOwnedScheduler(sched.New(sched.Config{MaxConcurrentSettles: n}))(r)
-	}
-}
 
 // ---- Durable campaign store (event-sourced WAL + snapshots) ------------------
 
@@ -448,15 +397,9 @@ const (
 	FsyncNever  = store.FsyncNever
 )
 
-// NewFileStore opens (or recovers) a durable campaign store in dir with
-// default options: snapshot every 256 events, fsync-on-settle. Close it
-// after the registry's settles drain.
-func NewFileStore(dir string) (*FileCampaignStore, error) {
-	return store.Open(store.Options{Dir: dir})
-}
-
-// OpenFileStore opens (or recovers) a durable campaign store with full
-// control over the snapshot interval and fsync policy.
+// OpenFileStore opens (or recovers) a durable campaign store in
+// opts.Dir; zero options snapshot every 256 events and fsync on settle.
+// Close it after the registry's settles drain.
 func OpenFileStore(opts CampaignStoreOptions) (*FileCampaignStore, error) {
 	return store.Open(opts)
 }
@@ -468,25 +411,6 @@ func OpenFileStore(opts CampaignStoreOptions) (*FileCampaignStore, error) {
 // registry's settles drain. Rebuild prior state with RestoreCampaigns
 // before serving traffic.
 func WithCampaignStore(st CampaignStore) RegistryOption { return registry.WithStore(st) }
-
-// WithStoreDir is the one-line durable registry: it opens (or recovers)
-// a file store in dir with default options and hands it to the registry
-// as an owned store, closed by the registry's Close. If the store fails
-// to open, the registry is poisoned: campaign creation returns the open
-// error instead of silently running without the durability the caller
-// asked for. Recovered prior state is NOT restored automatically —
-// call RestoreCampaigns (via the registry's Store) when the directory
-// may hold state from an earlier run.
-func WithStoreDir(dir string) RegistryOption {
-	return func(r *CampaignRegistry) {
-		st, err := store.Open(store.Options{Dir: dir})
-		if err != nil {
-			registry.WithStoreError(err)(r)
-			return
-		}
-		registry.WithOwnedStore(st)(r)
-	}
-}
 
 // RestoreCampaigns rebuilds an empty durable registry from its store's
 // recovered state — original IDs, submission order, lifecycle states,

@@ -212,13 +212,9 @@ func TestFacadeRegistryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := imc2.NewPlatformConfig(
-		imc2.WithTruthMethod(imc2.MethodMV),
-		imc2.WithMechanism(imc2.MechanismGreedyBid),
-	)
-	if cfg.TruthMethod != imc2.MethodMV || cfg.Mechanism != imc2.MechanismGreedyBid {
-		t.Fatalf("options not applied: %+v", cfg)
-	}
+	cfg := imc2.DefaultPlatformConfig()
+	cfg.TruthMethod = imc2.MethodMV
+	cfg.Mechanism = imc2.MechanismGreedyBid
 	hosted, err := reg.Create("facade", campaign.Dataset.Tasks(), cfg, true)
 	if err != nil {
 		t.Fatal(err)
@@ -247,32 +243,19 @@ func TestFacadeRegistryLifecycle(t *testing.T) {
 	}
 }
 
-func TestFacadeSettleScheduler(t *testing.T) {
-	// The shorthand: a registry with an internally-built scheduler whose
-	// pool the registry's Close must stop.
-	// The option builds its scheduler at apply time: reusing one option
-	// value must give each registry its own scheduler (closing one
-	// registry's pool cannot degrade another's).
-	opt := imc2.WithMaxConcurrentSettles(2)
-	reg := imc2.NewCampaignRegistry(opt)
-	defer reg.Close()
-	if reg.Scheduler() == nil {
-		t.Fatal("WithMaxConcurrentSettles attached no scheduler")
-	}
-	reg2 := imc2.NewCampaignRegistry(opt)
-	if reg2.Scheduler() == reg.Scheduler() {
-		t.Fatal("two registries built from one option share a scheduler")
-	}
-	reg2.Close()
+// hostSchedCampaign creates a campaign on reg and submits every worker's
+// bid and answers, ready to settle.
+func hostSchedCampaign(t *testing.T, reg *imc2.CampaignRegistry, name string, seed int64) *imc2.HostedCampaign {
+	t.Helper()
 	spec := imc2.DefaultCampaignSpec()
 	spec.Workers, spec.Tasks, spec.Copiers, spec.TasksPerWorker = 20, 15, 5, 9
 	spec.RequirementLow, spec.RequirementHigh = 0.5, 1
 	spec.ParticipationDecay = 0.3
-	campaign, err := imc2.NewCampaign(spec, imc2.NewRNG(6))
+	campaign, err := imc2.NewCampaign(spec, imc2.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosted, err := reg.Create("sched", campaign.Dataset.Tasks(), imc2.DefaultPlatformConfig(), false)
+	hosted, err := reg.Create(name, campaign.Dataset.Tasks(), imc2.DefaultPlatformConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,20 +269,35 @@ func TestFacadeSettleScheduler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := hosted.Settle(context.Background())
+	return hosted
+}
+
+func TestFacadeSettleScheduler(t *testing.T) {
+	// The caller owns the scheduler: the registry settles through it and
+	// never closes it.
+	s := imc2.NewSettleScheduler(imc2.SettleSchedulerConfig{Workers: 2, MaxConcurrentSettles: 2})
+	reg := imc2.NewCampaignRegistry(imc2.WithSettleScheduler(s))
+	rep, err := hostSchedCampaign(t, reg, "sched", 6).Settle(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Winners) == 0 {
 		t.Fatal("scheduled settle produced no winners")
 	}
-	stats := reg.Scheduler().Stats()
+	stats := s.Stats()
 	if stats.MaxConcurrentSettles != 2 || stats.TotalCompleted != 1 {
 		t.Fatalf("scheduler stats = %+v", stats)
 	}
 	// Close is idempotent and leaves later (inline) settles working.
-	reg.Close()
-	reg.Close()
+	s.Close()
+	s.Close()
+	rep2, err := hostSchedCampaign(t, reg, "after-close", 6).Settle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep2.Winners) != len(rep.Winners) {
+		t.Fatalf("settle after Close: %d winners, want %d", len(rep2.Winners), len(rep.Winners))
+	}
 }
 
 func TestFacadeExplicitSettleScheduler(t *testing.T) {

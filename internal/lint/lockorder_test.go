@@ -26,15 +26,16 @@ func TestLockGraphReconstructsHierarchy(t *testing.T) {
 	// The orderings the code documents in prose and the analyzer must
 	// recover from the AST.
 	wantEdges := [][2]string{
-		// registry.go Create: shard inserted while the registry lock is held.
-		{"imc2/internal/registry.Registry.mu", "imc2/internal/registry.shard.mu"},
+		// registry.go Create/Restore: the campaign is published to the
+		// index while the create lock is held.
+		{"imc2/internal/registry.Registry.createMu", "imc2/internal/registry.Registry.mu"},
 		// campaign.go Open/Cancel/submitDurable: the platform's internal
 		// lock nests under the campaign's storeMu.
 		{"imc2/internal/registry.Campaign.storeMu", "imc2/internal/platform.Platform.mu"},
 		// appendLocked → Store.Append: the WAL lock nests under storeMu.
 		{"imc2/internal/registry.Campaign.storeMu", "imc2/internal/store.FileStore.mu"},
-		// Create appends the created event while holding the registry lock.
-		{"imc2/internal/registry.Registry.mu", "imc2/internal/store.FileStore.mu"},
+		// Create appends the created event while holding the create lock.
+		{"imc2/internal/registry.Registry.createMu", "imc2/internal/store.FileStore.mu"},
 	}
 	for _, w := range wantEdges {
 		if _, ok := g.Edge(w[0], w[1]); !ok {

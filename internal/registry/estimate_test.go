@@ -65,11 +65,12 @@ func assembled(t *testing.T, c *Campaign) *model.Dataset {
 func TestWarmCloseThroughRegistryByteIdentical(t *testing.T) {
 	const seed = 17
 	mkReg := func() *Registry {
-		return New(WithOwnedScheduler(sched.New(sched.Config{MaxConcurrentSettles: 2})))
+		s := sched.New(sched.Config{MaxConcurrentSettles: 2})
+		t.Cleanup(s.Close)
+		return New(WithScheduler(s))
 	}
 
 	coldReg := mkReg()
-	defer coldReg.Close()
 	coldRep, err := seedOpenCampaign(t, coldReg, seed, platform.DefaultConfig()).Settle(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,6 @@ func TestWarmCloseThroughRegistryByteIdentical(t *testing.T) {
 		return eng
 	}
 	warmReg := mkReg()
-	defer warmReg.Close()
 	warm := seedOpenCampaign(t, warmReg, seed, cfg)
 	eng, err = truth.NewEngine(assembled(t, warm), cfg.TruthMethod, cfg.TruthOptions)
 	if err != nil {
@@ -115,8 +115,8 @@ func TestWarmCloseThroughRegistryByteIdentical(t *testing.T) {
 // settled truth; once settled the campaign reads empty.
 func TestEstimateReadIsFreshAndConverged(t *testing.T) {
 	s := sched.New(sched.Config{MaxConcurrentSettles: 1})
-	r := New(WithOwnedScheduler(s))
-	defer r.Close()
+	t.Cleanup(s.Close)
+	r := New(WithScheduler(s))
 	c := seedOpenCampaign(t, r, 3, platform.DefaultConfig())
 
 	snap, err := c.Estimate(context.Background())

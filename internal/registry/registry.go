@@ -1,18 +1,16 @@
 // Package registry hosts many concurrent crowdsourcing campaigns inside
 // one process — the multiplexing the paper's Fig. 1 platform needs to
-// serve more than a single auction per daemon. The store is sharded so
-// campaign lookup and creation never contend on a single lock, and each
-// campaign settles under its own lifecycle (see internal/platform.State),
-// so a long two-stage settle in one campaign cannot block traffic to any
-// other.
+// serve more than a single auction per daemon. Lookups and listings take
+// only a read lock on one index, so they never wait on a creation's
+// durable append, and each campaign settles under its own lifecycle (see
+// internal/platform.State), so a long two-stage settle in one campaign
+// cannot block traffic to any other.
 package registry
 
 import (
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"imc2/internal/imcerr"
 	"imc2/internal/model"
@@ -22,34 +20,18 @@ import (
 	"imc2/internal/tracing"
 )
 
-// numShards spreads campaigns over independent locks. A power of two
-// keeps the modulo cheap; 16 shards comfortably serve thousands of
-// campaigns.
-const numShards = 16
-
 // Registry is a concurrent campaign store. The zero value is not usable;
 // construct with New.
 type Registry struct {
-	seq    atomic.Uint64
-	shards [numShards]shard
-
 	// sched, when non-nil, is the registry-wide settle scheduler: every
 	// campaign settle acquires an admission slot from it and runs its
-	// truth-discovery passes on its shared pool. ownsSched records
-	// whether Close may stop it (true only when the scheduler was built
-	// for this registry, not injected and possibly shared).
-	sched     *sched.Scheduler
-	ownsSched bool
+	// truth-discovery passes on its shared pool.
+	sched *sched.Scheduler
 
 	// st, when non-nil, receives every campaign mutation as a durable
 	// event (see internal/store). The nil default is the in-memory-only
-	// registry with zero overhead on the hot submission path. ownsStore
-	// records whether Close may close it. storeErr latches a store that
-	// failed to open (the facade's WithStoreDir): campaign creation then
-	// fails loudly instead of silently running without durability.
-	st        store.Store
-	ownsStore bool
-	storeErr  error
+	// registry with zero overhead on the hot submission path.
+	st store.Store
 
 	// m, when non-nil, holds the registry's obs instruments (see
 	// WithObservability). Nil is the uninstrumented registry.
@@ -60,17 +42,23 @@ type Registry struct {
 	// clock reads, zero allocations on the hot paths.
 	tracer *tracing.Tracer
 
-	// ordered lists campaigns in creation (= ID) order. Campaigns are
-	// never removed, so pagination is a slice copy — List must not walk
-	// and sort the whole store per request (an unauthenticated client
-	// could make that a cheap CPU drain on a large registry).
-	mu      sync.RWMutex
-	ordered []*Campaign
-}
+	// createMu serializes creation and restoration: minting an ID,
+	// appending its created event, and publishing the campaign happen as
+	// one step, so created events reach the log in ID order (replay
+	// asserts it). seq is the last minted ID's number. Lock order:
+	// createMu before mu and before the store's own lock.
+	createMu sync.Mutex
+	seq      uint64
 
-type shard struct {
-	mu   sync.RWMutex
-	byID map[string]*Campaign
+	// mu guards the index: byID for lookups, and ordered, which lists
+	// campaigns in creation (= ID) order. Campaigns are never removed,
+	// so pagination is a slice copy — List must not walk and sort the
+	// whole store per request (an unauthenticated client could make
+	// that a cheap CPU drain on a large registry). Readers never wait on
+	// a durable append: creation takes mu only to publish.
+	mu      sync.RWMutex
+	byID    map[string]*Campaign
+	ordered []*Campaign
 }
 
 // Option configures a registry at construction.
@@ -81,21 +69,11 @@ type Option func(*Registry)
 // MaxConcurrentSettles) and run their truth-discovery passes on its
 // shared worker pool instead of spawning a pool per settle. Reports are
 // bit-identical with and without a scheduler; only aggregate resource
-// use changes.
-// The caller keeps ownership: the registry's Close will not stop a
-// scheduler attached this way (it may be shared with other registries);
-// Close the scheduler itself when done. Use WithOwnedScheduler to hand
-// the registry a scheduler built just for it.
-func WithScheduler(s *sched.Scheduler) Option {
-	return func(r *Registry) { r.sched, r.ownsSched = s, false }
-}
-
-// WithOwnedScheduler attaches a scheduler the registry owns: the
-// registry's Close stops its shared pool. For schedulers built
-// per-registry (e.g. a facade shorthand), never for one shared across
+// use changes. The caller keeps ownership and Closes the scheduler
+// after the registry's settles drain; one scheduler may serve several
 // registries.
-func WithOwnedScheduler(s *sched.Scheduler) Option {
-	return func(r *Registry) { r.sched, r.ownsSched = s, true }
+func WithScheduler(s *sched.Scheduler) Option {
+	return func(r *Registry) { r.sched = s }
 }
 
 // WithStore attaches a durable event store: every campaign mutation
@@ -106,14 +84,7 @@ func WithOwnedScheduler(s *sched.Scheduler) Option {
 // drain. Use Restore to rebuild the registry from the store's state
 // before serving traffic.
 func WithStore(st store.Store) Option {
-	return func(r *Registry) { r.st, r.ownsStore = st, false }
-}
-
-// WithOwnedStore attaches a store the registry owns: the registry's
-// Close closes it (flushing the WAL). For stores opened just for this
-// registry, never for one shared across registries.
-func WithOwnedStore(st store.Store) Option {
-	return func(r *Registry) { r.st, r.ownsStore = st, true }
+	return func(r *Registry) { r.st = st }
 }
 
 // WithTracing attaches a tracer: every campaign settle gets a span tree
@@ -125,20 +96,9 @@ func WithTracing(tr *tracing.Tracer) Option {
 	return func(r *Registry) { r.tracer = tr }
 }
 
-// WithStoreError poisons the registry with a store-open failure:
-// campaign creation returns the error instead of running without
-// durability the operator asked for. The facade's WithStoreDir uses it
-// because functional options cannot return errors.
-func WithStoreError(err error) Option {
-	return func(r *Registry) { r.storeErr = err }
-}
-
 // New returns an empty registry.
 func New(opts ...Option) *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].byID = make(map[string]*Campaign)
-	}
+	r := &Registry{byID: make(map[string]*Campaign)}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -153,33 +113,32 @@ func (r *Registry) Scheduler() *sched.Scheduler { return r.sched }
 // registry is in-memory only.
 func (r *Registry) Store() store.Store { return r.st }
 
-// Close releases the registry's resources: it stops the shared worker
-// pool of a scheduler the registry owns (WithOwnedScheduler) and closes
-// a store the registry owns (WithOwnedStore), flushing its WAL. It is a
-// no-op without either, on a second call, and for caller-provided
-// scheduler/store — those may serve other registries, so their owners
-// Close them. Callers must let in-flight settles drain before Close, or
-// a settle's final durable write can race the store closing.
-func (r *Registry) Close() {
-	if r.ownsSched && r.sched != nil {
-		r.sched.Close()
-	}
-	if r.ownsStore && r.st != nil {
-		_ = r.st.Close()
-	}
+// newCampaign wraps an engine with the registry's identity and shared
+// resources.
+func (r *Registry) newCampaign(id, name string, p *platform.Platform, cfg platform.Config) *Campaign {
+	return &Campaign{id: id, name: name, p: p, cfg: cfg, sched: r.sched, store: r.st, m: r.m, tracer: r.tracer}
 }
 
-func (r *Registry) shardFor(id string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &r.shards[h.Sum32()%numShards]
+// publish makes campaigns visible to Get, List and Len at once.
+func (r *Registry) publish(cs ...*Campaign) {
+	r.mu.Lock()
+	for _, c := range cs {
+		r.byID[c.id] = c
+	}
+	r.ordered = append(r.ordered, cs...)
+	r.mu.Unlock()
+	for range cs {
+		r.m.noteCreated()
+	}
 }
 
 // nextID mints a campaign ID. Zero-padded hex of a monotone counter, so
 // lexicographic order is creation order and List pages deterministically.
+// Callers hold createMu.
 func (r *Registry) nextID() string {
 	const hexDigits = "0123456789abcdef"
-	n := r.seq.Add(1)
+	r.seq++
+	n := r.seq
 	buf := []byte("cmp-0000000000000000")
 	for i := len(buf) - 1; n > 0; i-- {
 		buf[i] = hexDigits[n&0xf]
@@ -218,23 +177,12 @@ func (r *Registry) Create(name string, tasks []model.Task, cfg platform.Config, 
 	if err != nil {
 		return nil, err
 	}
-	if r.storeErr != nil {
-		return nil, imcerr.Wrapf(imcerr.CodeInternal, r.storeErr, "registry: campaign store unavailable")
-	}
-	// Mint the ID, insert, and append under r.mu so ordered stays in
-	// strict ID order even when creations race. The shard insert happens
-	// before the ordered append: a campaign must be Get-able from the
-	// moment List can return it, or a client could 404 on an ID the
-	// server just listed. (Lock order r.mu → shard.mu is safe: no path
-	// acquires r.mu while holding a shard lock.)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := &Campaign{id: r.nextID(), name: name, p: p, cfg: cfg, sched: r.sched, store: r.st, m: r.m, tracer: r.tracer}
+	r.createMu.Lock()
+	defer r.createMu.Unlock()
+	c := r.newCampaign(r.nextID(), name, p, cfg)
 	if r.st != nil {
 		// Durability before visibility: the created event is on disk
-		// before any client can learn the campaign's ID. Holding r.mu
-		// across the append also serializes created events into ID
-		// order, which replay asserts.
+		// before any client can learn the campaign's ID.
 		ev := store.Event{
 			Type:     store.EventCreated,
 			Campaign: c.id,
@@ -249,21 +197,15 @@ func (r *Registry) Create(name string, tasks []model.Task, cfg platform.Config, 
 			return nil, imcerr.Wrapf(imcerr.CodeInternal, err, "registry: persisting campaign creation")
 		}
 	}
-	s := r.shardFor(c.id)
-	s.mu.Lock()
-	s.byID[c.id] = c
-	s.mu.Unlock()
-	r.ordered = append(r.ordered, c)
-	r.m.noteCreated()
+	r.publish(c)
 	return c, nil
 }
 
 // Get looks a campaign up by ID.
 func (r *Registry) Get(id string) (*Campaign, error) {
-	s := r.shardFor(id)
-	s.mu.RLock()
-	c := s.byID[id]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	c := r.byID[id]
+	r.mu.RUnlock()
 	if c == nil {
 		return nil, imcerr.New(imcerr.CodeNotFound, "registry: no campaign %q", id)
 	}

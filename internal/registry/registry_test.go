@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"imc2/internal/gen"
 	"imc2/internal/imcerr"
 	"imc2/internal/model"
 	"imc2/internal/platform"
 	"imc2/internal/randx"
+	"imc2/internal/store"
 )
 
 func testTasks() []model.Task {
@@ -253,8 +256,6 @@ func TestRetriedSettleClearsStaleError(t *testing.T) {
 	}
 }
 
-// TestRegistryStress hammers one registry with concurrent creates,
-// submissions, settles, and reads across many campaigns. Run with -race.
 // TestListedCampaignsAlwaysGettable races creations against list+get:
 // any ID List returns must already resolve through Get (regression for
 // publishing to the ordered index before the lookup map).
@@ -311,6 +312,8 @@ func TestListedCampaignsAlwaysGettable(t *testing.T) {
 	}
 }
 
+// TestRegistryStress hammers one registry with concurrent creates,
+// submissions, settles, and reads across many campaigns. Run with -race.
 func TestRegistryStress(t *testing.T) {
 	r := New()
 	const campaigns = 6
@@ -373,5 +376,71 @@ func TestRegistryStress(t *testing.T) {
 		if err != nil || len(rep.Winners) == 0 {
 			t.Fatalf("campaign %s report: %v, %v", c.ID(), rep, err)
 		}
+	}
+}
+
+// blockingStore is a store whose Append, once armed, announces itself on
+// entered and waits for release — a creation stuck in its fsync.
+type blockingStore struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (s *blockingStore) Append(store.Event) error {
+	if s.armed.Load() {
+		s.entered <- struct{}{}
+		<-s.release
+	}
+	return nil
+}
+
+func (s *blockingStore) AppendContext(_ context.Context, ev store.Event) error { return s.Append(ev) }
+
+func (s *blockingStore) Close() error { return nil }
+
+// TestReadsDoNotWaitOnCreateAppend holds one Create inside its created
+// event's append and requires Get of an existing campaign, List and Len
+// to return meanwhile, without the blocked campaign. List and Len used
+// to wait on the lock the creation holds across its append.
+func TestReadsDoNotWaitOnCreateAppend(t *testing.T) {
+	st := &blockingStore{entered: make(chan struct{}), release: make(chan struct{})}
+	r := New(WithStore(st))
+	existing, err := r.Create("existing", testTasks(), platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.armed.Store(true)
+	created := make(chan error, 1)
+	go func() {
+		_, err := r.Create("blocked", testTasks(), platform.DefaultConfig(), false)
+		created <- err
+	}()
+	<-st.entered
+
+	reads := make(chan struct{})
+	go func() {
+		defer close(reads)
+		if c, err := r.Get(existing.ID()); err != nil || c != existing {
+			t.Errorf("Get(%s) = %v, %v", existing.ID(), c, err)
+		}
+		if cs, total := r.List(0, 0); total != 1 || len(cs) != 1 {
+			t.Errorf("List = %d campaigns (total %d), want 1", len(cs), total)
+		}
+		if n := r.Len(); n != 1 {
+			t.Errorf("Len = %d, want 1", n)
+		}
+	}()
+	select {
+	case <-reads:
+	case <-time.After(5 * time.Second):
+		t.Error("reads blocked behind a creation's durable append")
+	}
+	close(st.release)
+	<-reads
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Len(); n != 2 {
+		t.Fatalf("Len after the creation = %d, want 2", n)
 	}
 }

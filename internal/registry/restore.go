@@ -24,15 +24,23 @@ import (
 // Restore must run on an empty registry, before it serves traffic, with
 // recoveredAt stamping when the durable state was loaded (the store's
 // RecoveredAt). Restored events are already in the log, so restoration
-// appends nothing.
+// appends nothing. It is all or nothing: a record that does not restore
+// leaves the registry empty and its ID sequence untouched, so a retry
+// with corrected records can still run.
 func (r *Registry) Restore(recs []*store.CampaignRecord, recoveredAt time.Time) (pending []*Campaign, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ordered) != 0 {
-		return nil, imcerr.New(imcerr.CodeConflict, "registry: Restore needs an empty registry (have %d campaigns)", len(r.ordered))
+	r.createMu.Lock()
+	defer r.createMu.Unlock()
+	if n := r.Len(); n != 0 {
+		return nil, imcerr.New(imcerr.CodeConflict, "registry: Restore needs an empty registry (have %d campaigns)", n)
 	}
-	var maxSeq uint64
+	cs := make([]*Campaign, 0, len(recs))
+	seen := make(map[string]bool, len(recs))
+	seq := r.seq
 	for _, rec := range recs {
+		if seen[rec.ID] {
+			return nil, imcerr.New(imcerr.CodeConflict, "registry: duplicate campaign %q in recovered state", rec.ID)
+		}
+		seen[rec.ID] = true
 		state := rec.State
 		requeue := false
 		if state == platform.StateClosing {
@@ -49,35 +57,17 @@ func (r *Registry) Restore(recs []*store.CampaignRecord, recoveredAt time.Time) 
 		if perr != nil {
 			return nil, imcerr.Wrapf(imcerr.CodeOf(perr), perr, "registry: restoring campaign %q", rec.ID)
 		}
-		c := &Campaign{
-			id:          rec.ID,
-			name:        rec.Name,
-			p:           p,
-			cfg:         rec.Config.ToPlatform(),
-			sched:       r.sched,
-			store:       r.st,
-			m:           r.m,
-			recoveredAt: recoveredAt,
-		}
-		s := r.shardFor(c.id)
-		s.mu.Lock()
-		if _, dup := s.byID[c.id]; dup {
-			s.mu.Unlock()
-			return nil, imcerr.New(imcerr.CodeConflict, "registry: duplicate campaign %q in recovered state", c.id)
-		}
-		s.byID[c.id] = c
-		s.mu.Unlock()
-		r.ordered = append(r.ordered, c)
-		r.m.noteCreated()
-		if n, ok := parseCampaignID(rec.ID); ok && n > maxSeq {
-			maxSeq = n
+		c := r.newCampaign(rec.ID, rec.Name, p, rec.Config.ToPlatform())
+		c.recoveredAt = recoveredAt
+		cs = append(cs, c)
+		if n, ok := parseCampaignID(rec.ID); ok && n > seq {
+			seq = n
 		}
 		if requeue {
 			pending = append(pending, c)
 		}
 	}
-	if maxSeq > r.seq.Load() {
-		r.seq.Store(maxSeq)
-	}
+	r.publish(cs...)
+	r.seq = seq
 	return pending, nil
 }

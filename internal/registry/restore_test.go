@@ -2,9 +2,13 @@ package registry
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -331,11 +335,140 @@ func TestRestoreRefusesNonEmptyRegistry(t *testing.T) {
 	}
 }
 
-func TestStoreErrorPoisonsCreation(t *testing.T) {
-	r := New(WithStoreError(errors.New("disk on fire")))
-	_, err := r.Create("x", testTasks(), platform.DefaultConfig(), false)
-	if err == nil || imcerr.CodeOf(err) != imcerr.CodeInternal {
-		t.Fatalf("create on poisoned registry: %v, want internal", err)
+// TestFailedRestoreLeavesRegistryEmpty: a restore that fails on its
+// second record registers nothing and leaves the ID sequence alone, so a
+// retry with the valid record succeeds and the next creation mints the
+// ID after it. It used to keep the first record registered, so the next
+// Create minted that record's ID again and replaced it in the index.
+func TestFailedRestoreLeavesRegistryEmpty(t *testing.T) {
+	cfg := store.ConfigFromPlatform(platform.DefaultConfig())
+	open := &store.CampaignRecord{ID: "cmp-0000000000000001", Name: "open", Tasks: testTasks(), State: platform.StateOpen, Config: cfg}
+	// A settled record without its report does not restore.
+	broken := &store.CampaignRecord{ID: "cmp-0000000000000002", Name: "broken", Tasks: testTasks(), State: platform.StateSettled, Config: cfg}
+
+	r := New()
+	if _, err := r.Restore([]*store.CampaignRecord{open, broken}, time.Now()); err == nil {
+		t.Fatal("restore of a settled record without a report succeeded")
+	}
+	if n := r.Len(); n != 0 {
+		t.Fatalf("failed restore left %d campaigns registered", n)
+	}
+	if _, err := r.Get(open.ID); !errors.Is(err, imcerr.ErrNotFound) {
+		t.Fatalf("failed restore left %s gettable: %v", open.ID, err)
+	}
+	if _, err := r.Restore([]*store.CampaignRecord{open}, time.Now()); err != nil {
+		t.Fatalf("retry with the valid record: %v", err)
+	}
+	c, err := r.Create("fresh", testTasks(), platform.DefaultConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ID() != "cmp-0000000000000002" {
+		t.Fatalf("fresh campaign ID = %s, want cmp-0000000000000002", c.ID())
+	}
+	cs, total := r.List(0, 0)
+	if total != 2 || cs[0].ID() != open.ID || cs[1] != c {
+		t.Fatalf("List = %d campaigns, want [%s %s]", total, open.ID, c.ID())
+	}
+}
+
+// TestDurableConcurrentWritesRecoverExactly races creations against
+// submission batches on one durable campaign, then recovers a copy of
+// the data directory: the recovered registry lists the same campaigns in
+// the same order, each with the same rows in the same order, and the
+// recovered campaign settles to the live settle's report bytes.
+func TestDurableConcurrentWritesRecoverExactly(t *testing.T) {
+	dir := t.TempDir()
+	r := New(WithStore(openStore(t, dir)))
+	wl := testWorkload(t, 21)
+	cfg := platform.DefaultConfig()
+	cfg.TruthOptions.Parallelism = 1
+	target, err := r.Create("target", wl.Dataset.Tasks(), cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]platform.Submission, wl.Dataset.NumWorkers())
+	for i := range subs {
+		subs[i] = submissionFor(wl, i)
+	}
+
+	const creators, perCreator, batch = 4, 6, 3
+	var wg sync.WaitGroup
+	for g := 0; g < creators; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perCreator; k++ {
+				if _, err := r.Create(fmt.Sprintf("c-%d-%d", g, k), testTasks(), cfg, k%2 == 0); err != nil {
+					t.Errorf("create: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	for lo := 0; lo < len(subs); lo += batch {
+		wg.Add(1)
+		go func(b []platform.Submission) {
+			defer wg.Done()
+			if n, err := target.SubmitRows(platform.RowsOf(b)); n != len(b) || err != nil {
+				t.Errorf("SubmitRows = %d, %v", n, err)
+			}
+		}(subs[lo:min(lo+batch, len(subs))])
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	type view struct {
+		id, name string
+		state    platform.State
+		rows     []platform.Submission
+	}
+	observe := func(reg *Registry) []view {
+		cs, _ := reg.List(0, 0)
+		vs := make([]view, len(cs))
+		for i, c := range cs {
+			vs[i] = view{c.ID(), c.Name(), c.State(), c.p.SubmissionList()}
+		}
+		return vs
+	}
+	want := observe(r)
+	if len(want) != 1+creators*perCreator || len(want[0].rows) != len(subs) {
+		t.Fatalf("live registry: %d campaigns, %d target rows", len(want), len(want[0].rows))
+	}
+
+	// Recover from a copy taken now, so the live settle below does not
+	// write into the directory being recovered.
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	liveRep, err := target.Settle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, crashed)
+	r2 := New(WithStore(st2))
+	if _, err := r2.Restore(st2.State().Campaigns(), st2.RecoveredAt()); err != nil {
+		t.Fatal(err)
+	}
+	if got := observe(r2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered registry differs from the live one:\n got %+v\nwant %+v", got, want)
+	}
+	recovered, err := r2.Get(target.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recRep, err := recovered.Settle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, _ := json.Marshal(liveRep)
+	rb, _ := json.Marshal(recRep)
+	if string(lb) != string(rb) {
+		t.Fatalf("recovered settle differs from the live one\nlive:      %s\nrecovered: %s", lb, rb)
 	}
 }
 

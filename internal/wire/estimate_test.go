@@ -132,8 +132,8 @@ func TestV2EstimateEndpoint(t *testing.T) {
 // queue drains.
 func TestV2EstimateBackpressure503(t *testing.T) {
 	scheduler := sched.New(sched.Config{MaxConcurrentSettles: 1, MaxQueuedSettles: 1})
-	reg := registry.New(registry.WithOwnedScheduler(scheduler))
-	t.Cleanup(reg.Close)
+	t.Cleanup(scheduler.Close)
+	reg := registry.New(registry.WithScheduler(scheduler))
 	srv := NewRegistryServer(reg, "", platform.DefaultConfig(), nil)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

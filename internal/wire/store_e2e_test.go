@@ -151,8 +151,8 @@ func TestE2EMidSettleRecoveryResumes(t *testing.T) {
 	// settle takes the same admission path a live close does.
 	st2 := openStore(t, dir)
 	scheduler := sched.New(sched.Config{MaxConcurrentSettles: 1})
-	reg2 := registry.New(registry.WithOwnedScheduler(scheduler), registry.WithStore(st2))
-	t.Cleanup(reg2.Close)
+	t.Cleanup(scheduler.Close)
+	reg2 := registry.New(registry.WithScheduler(scheduler), registry.WithStore(st2))
 	pending, err := reg2.Restore(st2.State().Campaigns(), st2.RecoveredAt())
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +189,8 @@ func TestE2EMidSettleRecoveryResumes(t *testing.T) {
 // the rejected close (still open, still accepting).
 func TestCloseBackpressure503(t *testing.T) {
 	scheduler := sched.New(sched.Config{MaxConcurrentSettles: 1, MaxQueuedSettles: 1})
-	reg := registry.New(registry.WithOwnedScheduler(scheduler))
-	t.Cleanup(reg.Close)
+	t.Cleanup(scheduler.Close)
+	reg := registry.New(registry.WithScheduler(scheduler))
 	cfg := platform.DefaultConfig()
 	srv := NewRegistryServer(reg, "", cfg, nil)
 	hs := httptest.NewServer(srv.Handler())
