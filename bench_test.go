@@ -119,9 +119,11 @@ func BenchmarkGreedyAccuracy(b *testing.B) {
 func BenchmarkGreedyBid(b *testing.B) { benchMechanism(b, benchInstance(b), imc2.RunGreedyBid) }
 
 // The fig5-scale mechanism benches time stage 2 alone on the instance a
-// fig5 settle builds. At this scale ReverseAuction's critical payments (one
-// selection rerun per winner) are most of a settle, which the small
-// instance above does not show.
+// fig5 settle builds (200,000 index entries). At this scale
+// ReverseAuction's critical payments (one selection rerun per winner,
+// each resumed from a copy of the full run's state) cost a few times
+// GreedyBid's single pass, and both allocate little beyond the coverage
+// index, which the small instance above does not show.
 func BenchmarkReverseAuctionFig5(b *testing.B) {
 	benchMechanism(b, benchFig5Instance(b), imc2.RunReverseAuction)
 }

@@ -249,7 +249,8 @@ func VerifyTruthfulness(in *AuctionInstance, worker int, bids []float64) error {
 // BuildAuctionInstance assembles the SOAC instance from a dataset, the
 // per-observation accuracy of truth discovery (TruthResult.Accuracy,
 // whose rows align with the dataset's WorkerTasks), and the submitted
-// bids.
+// bids. The instance shares the accuracy rows and the dataset's task
+// lists; mechanisms only read them.
 func BuildAuctionInstance(ds *Dataset, accuracy [][]float64, bids []float64) *AuctionInstance {
 	return platform.BuildInstance(ds, accuracy, bids)
 }

@@ -28,20 +28,21 @@ func GreedyAccuracy(in *Instance) (*Outcome, error) {
 	}
 	s := newCoverageIndex(in).newState()
 	taken := make([]bool, in.NumWorkers())
-	winners, err := selectByAccuracy(s, taken, -1)
+	winners, err := selectByAccuracy(s, taken, -1, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	payments := make([]float64, in.NumWorkers())
-	inS := make(map[int]bool, len(winners))
+	inS := make([]bool, in.NumWorkers())
 	for _, w := range winners {
 		inS[w] = true
 	}
+	var alt []int // one buffer for every rerun's selection
 	for _, i := range winners {
 		s.reset()
 		clear(taken)
-		alt, err := selectByAccuracy(s, taken, i)
+		alt, err = selectByAccuracy(s, taken, i, alt[:0])
 		if err != nil {
 			// The full set covered every task, so W\{i} failing to
 			// means i is irreplaceable.
@@ -61,12 +62,11 @@ func GreedyAccuracy(in *Instance) (*Outcome, error) {
 }
 
 // selectByAccuracy runs GA's selection from s over the workers neither
-// taken nor skip (-1 for none) and returns the winners in order, or
-// ErrInfeasible when no remaining worker covers anything while
-// requirements are still open.
-func selectByAccuracy(s *coverageState, taken []bool, skip int) ([]int, error) {
+// taken nor skip (-1 for none) and returns winners with the selected
+// workers appended in order, or ErrInfeasible when no remaining worker
+// covers anything while requirements are still open.
+func selectByAccuracy(s *coverageState, taken []bool, skip int, winners []int) ([]int, error) {
 	bids := s.ix.in.Bids
-	var winners []int
 	for !s.done() {
 		best, bestCov := -1, 0.0
 		for k, cov := range s.cov {
@@ -125,7 +125,7 @@ func GreedyBid(in *Instance) (*Outcome, error) {
 
 	// Vickrey-style uniform price: the first losing bid.
 	clearing := math.Inf(1)
-	isWinner := make(map[int]bool, len(winners))
+	isWinner := make([]bool, in.NumWorkers())
 	for _, w := range winners {
 		isWinner[w] = true
 	}

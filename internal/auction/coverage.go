@@ -13,9 +13,10 @@ import "slices"
 // once per mechanism call: for every task j, the entries (k, A_k^j) of
 // the workers performing it, stored contiguously in ascending worker
 // order, plus the state at the full requirement profile. A
-// coverageState is the mutable part (Θ', cov, the per-entry
-// contributions min(Θ'_j, A_k^j) and Σ Θ'); it is reset or copied from
-// another state, never rebuilt.
+// coverageState is the mutable part (Θ', cov and Σ Θ', 8·(m+n) bytes);
+// it is reset or copied from another state, never rebuilt. It keeps no
+// per-entry contribution: entry (k, A_k^j) contributes min(Θ'_j, A_k^j)
+// to cov_k, which apply recomputes from the old and new residual.
 //
 // Invariant: starting from reset and applying the same workers in the
 // same order yields bit-identical states, because apply performs the same
@@ -52,7 +53,6 @@ func newCoverageIndex(in *Instance) *coverageIndex {
 		ix:       ix,
 		residual: append([]float64(nil), in.Requirements...),
 		cov:      make([]float64, in.NumWorkers()),
-		contrib:  make([]float64, entries),
 	}
 	next := append([]int(nil), ix.taskOff[:m]...)
 	for i, ts := range in.TaskSets {
@@ -60,11 +60,9 @@ func newCoverageIndex(in *Instance) *coverageIndex {
 			e := next[j]
 			next[j]++
 			a := in.Accuracy[i][t]
-			c := min2(st.residual[j], a)
 			ix.entWorker[e] = int32(i)
 			ix.entAcc[e] = a
-			st.contrib[e] = c
-			st.cov[i] += c
+			st.cov[i] += min(st.residual[j], a)
 		}
 	}
 	for _, q := range in.Requirements {
@@ -78,7 +76,6 @@ type coverageState struct {
 	ix       *coverageIndex
 	residual []float64 // Θ'_j
 	cov      []float64 // cov_k
-	contrib  []float64 // per index entry: min(Θ'_j, A_k^j)
 	remain   float64   // Σ_j Θ'_j
 }
 
@@ -89,7 +86,6 @@ func (ix *coverageIndex) newState() *coverageState {
 		ix:       ix,
 		residual: slices.Clone(st.residual),
 		cov:      slices.Clone(st.cov),
-		contrib:  slices.Clone(st.contrib),
 		remain:   st.remain,
 	}
 }
@@ -101,7 +97,6 @@ func (s *coverageState) reset() { s.copyFrom(&s.ix.start) }
 func (s *coverageState) copyFrom(o *coverageState) {
 	copy(s.residual, o.residual)
 	copy(s.cov, o.cov)
-	copy(s.contrib, o.contrib)
 	s.remain = o.remain
 }
 
@@ -109,35 +104,32 @@ func (s *coverageState) copyFrom(o *coverageState) {
 func (s *coverageState) done() bool { return s.remain <= covered }
 
 // apply selects worker i: residuals over T_i drop by min(Θ'_j, A_i^j) and
-// the coverages of every worker sharing those tasks are refreshed.
+// every entry of those tasks adds min(new Θ'_j, A) − min(old Θ'_j, A) to
+// its worker's coverage. The builtin min is branch-free on amd64 and
+// arm64; a compare-and-branch minimum mispredicts on unsorted accuracies.
 func (s *coverageState) apply(i int) {
-	ix := s.ix
+	ix, cov := s.ix, s.cov
 	acc := ix.in.Accuracy[i]
 	for t, j := range ix.in.TaskSets[i] {
-		dec := min2(s.residual[j], acc[t])
+		old := s.residual[j]
+		dec := min(old, acc[t])
 		if dec <= 0 {
 			continue
 		}
-		newResidual := s.residual[j] - dec
+		newResidual := old - dec
 		if newResidual < covered {
 			newResidual = 0
 		}
-		s.remain -= s.residual[j] - newResidual
+		s.remain -= old - newResidual
 		s.residual[j] = newResidual
-		for e := ix.taskOff[j]; e < ix.taskOff[j+1]; e++ {
-			newC := min2(newResidual, ix.entAcc[e])
-			s.cov[ix.entWorker[e]] += newC - s.contrib[e]
-			s.contrib[e] = newC
+		lo, hi := ix.taskOff[j], ix.taskOff[j+1]
+		workers, accs := ix.entWorker[lo:hi], ix.entAcc[lo:hi]
+		for e, k := range workers {
+			a := accs[e]
+			cov[k] += min(newResidual, a) - min(old, a)
 		}
 	}
 	if s.remain < covered {
 		s.remain = 0
 	}
-}
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -28,7 +28,9 @@ var ErrInfeasible error = imcerr.New(imcerr.CodeInfeasible, "auction: accuracy r
 var ErrMonopolist error = imcerr.New(imcerr.CodeMonopolist, "auction: a winner is irreplaceable (no critical payment exists)")
 
 // Instance is a SOAC problem: select a minimum-cost worker subset whose
-// accuracies cover every task's requirement (eq. 4–6).
+// accuracies cover every task's requirement (eq. 4–6). Mechanisms only
+// read an instance: none writes TaskSets or Accuracy, so a caller may
+// share those rows with a dataset and a truth result.
 type Instance struct {
 	// Bids holds each worker's claimed price b_i.
 	Bids []float64

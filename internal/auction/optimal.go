@@ -142,7 +142,7 @@ func optimalCost(ix *coverageIndex, skip int) (float64, []int, error) {
 			decs := make([]float64, len(in.TaskSets[i]))
 			var totalDec float64
 			for t, j := range in.TaskSets[i] {
-				dec := min2(residual[j], in.Accuracy[i][t])
+				dec := min(residual[j], in.Accuracy[i][t])
 				decs[t] = dec
 				residual[j] -= dec
 				totalDec += dec

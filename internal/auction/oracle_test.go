@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"imc2/internal/gen"
@@ -26,6 +27,16 @@ type oracleCoverage struct {
 	byTask   [][]int
 	pos      []map[int]int
 	remain   float64
+}
+
+// min2 is the compare-and-branch minimum the coverage state used before
+// it moved to the builtin min. The oracle keeps it, so the bit-for-bit
+// comparisons pin the builtin against it, sign of zero included.
+func min2(a, b float64) float64 {
+	if a < b {
+		return a
+	}
+	return b
 }
 
 func newOracleCoverage(in *Instance) *oracleCoverage {
@@ -189,6 +200,63 @@ func oracleCase(rng *rand.Rand, intBids bool) *Instance {
 	return in
 }
 
+// edgeCase draws a small instance from the values at which a minimum's
+// compare-and-branch and its builtin form could part, or at which a
+// coverage update lands exactly on a boundary:
+//   - accuracies equal to the task's requirement and to the residuals
+//     that other accuracies leave behind (q/2, q/4, q−q/4, q−q/2−q/4),
+//     so min(Θ', A) is often taken between equal operands;
+//   - accuracies of exactly 0 and 1, and requirements above 1;
+//   - zero requirements, which no worker can reduce;
+//   - −0 as a requirement, an accuracy or a bid (Validate admits it).
+//
+// Bids are small integers or zero, so ratio ties are common.
+func edgeCase(rng *rand.Rand) *Instance {
+	negZero := math.Copysign(0, -1)
+	n, m := 2+rng.Intn(9), 1+rng.Intn(5)
+	in := &Instance{
+		Bids:         make([]float64, n),
+		TaskSets:     make([][]int, n),
+		Accuracy:     make([][]float64, n),
+		Requirements: make([]float64, m),
+	}
+	for j := range in.Requirements {
+		switch r := rng.Intn(8); {
+		case r == 0:
+			in.Requirements[j] = 0
+		case r == 1:
+			in.Requirements[j] = negZero
+		case r < 5:
+			in.Requirements[j] = float64(1+rng.Intn(8)) / 4
+		default:
+			in.Requirements[j] = 0.05 + 1.5*rng.Float64()
+		}
+	}
+	for i := range in.Bids {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			in.Bids[i] = 0
+		case r == 1:
+			in.Bids[i] = negZero
+		default:
+			in.Bids[i] = float64(1 + rng.Intn(3))
+		}
+		for j, q := range in.Requirements {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			menu := [...]float64{0, negZero, 1, q, q / 2, q / 4, q - q/4, q - q/2 - q/4}
+			a := menu[rng.Intn(len(menu))]
+			if a > 1 {
+				a = 1
+			}
+			in.TaskSets[i] = append(in.TaskSets[i], j)
+			in.Accuracy[i] = append(in.Accuracy[i], a)
+		}
+	}
+	return in
+}
+
 // requireSameOutcome asserts zero-tolerance agreement: the same error
 // class and text, or the same winners in order and the same bits in
 // every payment and aggregate.
@@ -230,27 +298,41 @@ func requireSameOutcome(t *testing.T, label string, got *Outcome, gotErr error, 
 }
 
 func TestReverseAuctionMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	var feasible, infeasible, monopolist int
-	for trial := 0; trial < 6000; trial++ {
-		in := oracleCase(rng, trial%3 == 0)
-		want, wantErr := oracleReverseAuction(in)
-		got, gotErr := ReverseAuction(in)
-		requireSameOutcome(t, fmt.Sprintf("trial %d", trial), got, gotErr, want, wantErr)
-		switch {
-		case wantErr == nil:
-			feasible++
-		case errors.Is(wantErr, ErrInfeasible):
-			infeasible++
-		case errors.Is(wantErr, ErrMonopolist):
-			monopolist++
-		default:
-			t.Fatalf("trial %d: unexpected oracle error %v", trial, wantErr)
-		}
+	generators := []struct {
+		name   string
+		draw   func(rng *rand.Rand, trial int) *Instance
+		trials int
+		// minimum case mix: feasible, infeasible, monopolist
+		feasible, infeasible, monopolist int
+	}{
+		{"random", func(rng *rand.Rand, trial int) *Instance { return oracleCase(rng, trial%3 == 0) }, 6000, 2500, 250, 1000},
+		{"edge", func(rng *rand.Rand, _ int) *Instance { return edgeCase(rng) }, 6000, 1500, 500, 500},
 	}
-	t.Logf("feasible %d, infeasible %d, monopolist %d", feasible, infeasible, monopolist)
-	if feasible < 2500 || infeasible < 250 || monopolist < 1000 {
-		t.Fatalf("case mix too thin: feasible %d, infeasible %d, monopolist %d", feasible, infeasible, monopolist)
+	for g, src := range generators {
+		t.Run(src.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41 + int64(g)))
+			var feasible, infeasible, monopolist int
+			for trial := 0; trial < src.trials; trial++ {
+				in := src.draw(rng, trial)
+				want, wantErr := oracleReverseAuction(in)
+				got, gotErr := ReverseAuction(in)
+				requireSameOutcome(t, fmt.Sprintf("trial %d", trial), got, gotErr, want, wantErr)
+				switch {
+				case wantErr == nil:
+					feasible++
+				case errors.Is(wantErr, ErrInfeasible):
+					infeasible++
+				case errors.Is(wantErr, ErrMonopolist):
+					monopolist++
+				default:
+					t.Fatalf("trial %d: unexpected oracle error %v", trial, wantErr)
+				}
+			}
+			t.Logf("feasible %d, infeasible %d, monopolist %d", feasible, infeasible, monopolist)
+			if feasible < src.feasible || infeasible < src.infeasible || monopolist < src.monopolist {
+				t.Fatalf("case mix too thin: feasible %d, infeasible %d, monopolist %d", feasible, infeasible, monopolist)
+			}
+		})
 	}
 }
 
@@ -287,6 +369,20 @@ func TestReverseAuctionMatchesOracleFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig5-scale oracle rerun takes seconds")
 	}
+	in := fig5Instance(t)
+	want, wantErr := oracleReverseAuction(in)
+	got, gotErr := ReverseAuction(in)
+	requireSameOutcome(t, "fig5", got, gotErr, want, wantErr)
+	if wantErr != nil || len(want.Winners) < 10 {
+		t.Fatalf("fig5 instance should settle with many winners: %v, %v", want, wantErr)
+	}
+}
+
+// fig5Instance builds the auction instance a fig5 settle builds: 400
+// workers × 2000 tasks, 500 tasks per worker, accuracies from three DATE
+// iterations, task sets shared with the dataset.
+func fig5Instance(t *testing.T) *Instance {
+	t.Helper()
 	spec := gen.DefaultSpec()
 	spec.Workers = 400
 	spec.Tasks = 2000
@@ -319,45 +415,84 @@ func TestReverseAuctionMatchesOracleFig5(t *testing.T) {
 	for j := range in.Requirements {
 		in.Requirements[j] = ds.Task(j).Requirement
 	}
-
-	want, wantErr := oracleReverseAuction(in)
-	got, gotErr := ReverseAuction(in)
-	requireSameOutcome(t, "fig5", got, gotErr, want, wantErr)
-	if wantErr != nil || len(want.Winners) < 10 {
-		t.Fatalf("fig5 instance should settle with many winners: %v, %v", want, wantErr)
-	}
+	return in
 }
 
 // TestCoverageStateMatchesMapOracle pins the shared state to the
 // map-backed one it replaced: after every apply, every coverage, residual
 // and the remaining total carry the same bits, so every mechanism built
-// on it selects and prices exactly as before.
+// on it selects and prices exactly as before. The map-backed state keeps
+// each entry's contribution and takes minima with min2, the shared one
+// recomputes both sides of the update with the builtin min; on the edge
+// instances the two meet equal operands (an accuracy equal to the old or
+// the new residual) thousands of times, −0 among them.
 func TestCoverageStateMatchesMapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 300; trial++ {
-		in := oracleCase(rng, trial%3 == 0)
-		want := newOracleCoverage(in)
-		got := newCoverageIndex(in).newState()
-		order := rng.Perm(in.NumWorkers())
-		for step := 0; ; step++ {
-			for k := range want.cov {
-				if math.Float64bits(got.cov[k]) != math.Float64bits(want.cov[k]) {
-					t.Fatalf("trial %d step %d: cov[%d] = %v, oracle %v", trial, step, k, got.cov[k], want.cov[k])
+	generators := []struct {
+		name string
+		draw func(rng *rand.Rand, trial int) *Instance
+		// minimum count of entry updates whose accuracy equals the
+		// task's old or new residual
+		equal int
+	}{
+		{"random", func(rng *rand.Rand, trial int) *Instance { return oracleCase(rng, trial%3 == 0) }, 0},
+		{"edge", func(rng *rand.Rand, _ int) *Instance { return edgeCase(rng) }, 1000},
+	}
+	for g, src := range generators {
+		t.Run(src.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43 + int64(g)))
+			equal := 0
+			for trial := 0; trial < 300; trial++ {
+				in := src.draw(rng, trial)
+				equal += requireSameCoverage(t, fmt.Sprintf("trial %d", trial), in, rng.Perm(in.NumWorkers()))
+			}
+			t.Logf("%d entry updates at an equal operand", equal)
+			if equal < src.equal {
+				t.Fatalf("%d entry updates at an equal operand, want at least %d", equal, src.equal)
+			}
+		})
+	}
+}
+
+// requireSameCoverage applies order to the shared state and to the
+// map-backed oracle, compares the bits of every coverage, residual and
+// the remaining total before the first and after every apply, and
+// returns how many entry updates met an accuracy equal to the task's old
+// or new residual.
+func requireSameCoverage(t *testing.T, label string, in *Instance, order []int) (equal int) {
+	t.Helper()
+	want := newOracleCoverage(in)
+	got := newCoverageIndex(in).newState()
+	for step := 0; ; step++ {
+		for k := range want.cov {
+			if math.Float64bits(got.cov[k]) != math.Float64bits(want.cov[k]) {
+				t.Fatalf("%s step %d: cov[%d] = %v, oracle %v", label, step, k, got.cov[k], want.cov[k])
+			}
+		}
+		for j := range want.residual {
+			if math.Float64bits(got.residual[j]) != math.Float64bits(want.residual[j]) {
+				t.Fatalf("%s step %d: residual[%d] = %v, oracle %v", label, step, j, got.residual[j], want.residual[j])
+			}
+		}
+		if math.Float64bits(got.remain) != math.Float64bits(want.remain) {
+			t.Fatalf("%s step %d: remain = %v, oracle %v", label, step, got.remain, want.remain)
+		}
+		if step == len(order) {
+			return equal
+		}
+		i := order[step]
+		old := slices.Clone(want.residual)
+		want.apply(i)
+		got.apply(i)
+		for _, j := range in.TaskSets[i] {
+			if want.residual[j] == old[j] {
+				continue // the task's entries were not updated
+			}
+			for _, k := range want.byTask[j] {
+				a := in.Accuracy[k][want.pos[k][j]]
+				if a == old[j] || a == want.residual[j] {
+					equal++
 				}
 			}
-			for j := range want.residual {
-				if math.Float64bits(got.residual[j]) != math.Float64bits(want.residual[j]) {
-					t.Fatalf("trial %d step %d: residual[%d] = %v, oracle %v", trial, step, j, got.residual[j], want.residual[j])
-				}
-			}
-			if math.Float64bits(got.remain) != math.Float64bits(want.remain) {
-				t.Fatalf("trial %d step %d: remain = %v, oracle %v", trial, step, got.remain, want.remain)
-			}
-			if step == len(order) {
-				break
-			}
-			want.apply(order[step])
-			got.apply(order[step])
 		}
 	}
 }

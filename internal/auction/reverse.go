@@ -26,7 +26,8 @@ import (
 // the rerun over W\{i} is the full run, step for step, until the step at
 // which the full run picked i. The payment phase therefore replays the
 // full run once on a rolling state. Before applying winner i it copies
-// that state and runs only the rerun's suffix, starting the max from
+// that state (Θ' and cov, 8·(m+n) bytes; the state keeps no per-entry
+// contributions) and runs only the rerun's suffix, starting the max from
 // i's share of the prefix steps, which the replay folds in as it goes.
 // The result is the same max over the same floats as a rerun from
 // scratch, so outcomes are bit-identical to it. (In exact arithmetic no

@@ -749,7 +749,9 @@ func buildAudit(ds *model.Dataset, res *truth.Result, topK int) *Audit {
 // BuildInstance converts a dataset plus its per-observation accuracy and
 // bid vector into the SOAC instance the auction stage consumes.
 // accuracy[i] is aligned with ds.WorkerTasks(i), as truth.Result.Accuracy
-// is, and so with the instance's TaskSets[i]; the instance shares it.
+// is, and so with the instance's TaskSets[i]. The instance shares both
+// the accuracy rows and the dataset's task lists (TaskSets[i] is
+// ds.WorkerTasks(i)); no mechanism writes either.
 func BuildInstance(ds *model.Dataset, accuracy [][]float64, bids []float64) *auction.Instance {
 	n, m := ds.NumWorkers(), ds.NumTasks()
 	in := &auction.Instance{
@@ -759,7 +761,7 @@ func BuildInstance(ds *model.Dataset, accuracy [][]float64, bids []float64) *auc
 		Requirements: make([]float64, m),
 	}
 	for i := 0; i < n; i++ {
-		in.TaskSets[i] = append([]int(nil), ds.WorkerTasks(i)...)
+		in.TaskSets[i] = ds.WorkerTasks(i)
 	}
 	for j := 0; j < m; j++ {
 		in.Requirements[j] = ds.Task(j).Requirement

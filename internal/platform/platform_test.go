@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"imc2/internal/auction"
 	"imc2/internal/gen"
 	"imc2/internal/model"
 	"imc2/internal/randx"
@@ -320,6 +322,58 @@ func TestBuildInstanceAlignment(t *testing.T) {
 	for j := 0; j < ds.NumTasks(); j++ {
 		if in.Requirements[j] != ds.Task(j).Requirement {
 			t.Fatalf("requirement[%d] mismatch", j)
+		}
+	}
+}
+
+// TestMechanismsLeaveInstanceUnchanged pins what lets BuildInstance share
+// the dataset's task lists and the truth result's accuracy rows instead
+// of copying them: no mechanism writes TaskSets or Accuracy, so the
+// dataset and the truth result read the same after a settle's auction.
+func TestMechanismsLeaveInstanceUnchanged(t *testing.T) {
+	_, c := smallCampaign(t, 21)
+	ds := c.Dataset
+	res, err := truth.Discover(ds, truth.MethodDATE, truth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := BuildInstance(ds, res.Accuracy, c.Costs)
+	for i := range in.TaskSets {
+		if len(in.TaskSets[i]) > 0 && &in.TaskSets[i][0] != &ds.WorkerTasks(i)[0] {
+			t.Fatalf("TaskSets[%d] is a copy, want the dataset's WorkerTasks(%d)", i, i)
+		}
+	}
+	taskSets := make([][]int, len(in.TaskSets))
+	accuracy := make([][]float64, len(in.Accuracy))
+	for i := range in.TaskSets {
+		taskSets[i] = slices.Clone(in.TaskSets[i])
+		accuracy[i] = slices.Clone(in.Accuracy[i])
+	}
+	mechanisms := []struct {
+		name string
+		run  func(*auction.Instance) (*auction.Outcome, error)
+	}{
+		{"ReverseAuction", auction.ReverseAuction},
+		{"GreedyBid", auction.GreedyBid},
+		{"GreedyAccuracy", auction.GreedyAccuracy},
+	}
+	for _, m := range mechanisms {
+		out, err := m.run(in)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if len(out.Winners) == 0 {
+			t.Fatalf("%s selected no winner", m.name)
+		}
+		for i := range taskSets {
+			if !slices.Equal(in.TaskSets[i], taskSets[i]) {
+				t.Fatalf("%s changed TaskSets[%d]: %v, was %v", m.name, i, in.TaskSets[i], taskSets[i])
+			}
+			for k := range accuracy[i] {
+				if math.Float64bits(in.Accuracy[i][k]) != math.Float64bits(accuracy[i][k]) {
+					t.Fatalf("%s changed Accuracy[%d][%d]: %v, was %v", m.name, i, k, in.Accuracy[i][k], accuracy[i][k])
+				}
+			}
 		}
 	}
 }

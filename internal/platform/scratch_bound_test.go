@@ -15,11 +15,11 @@ import (
 // The bound is stated in n² and observations only. The n² term covers
 // the dependence matrix (8·n² bytes) and the pair table's count rows;
 // the observation term covers every per-answer layout (the dataset's
-// lists and values, accuracy, independence, positions, the instance's
-// task sets) and the per-task arrays, as every task has an answer
-// (m ≤ observations). A buffer sized n·m — 12 bytes per cell for a
-// dense accuracy matrix and answer block — is 1.4M cells here and
-// cannot fit.
+// lists and values, accuracy, independence, positions; the instance
+// shares the dataset's task lists) and the per-task arrays, as every
+// task has an answer (m ≤ observations). A buffer sized n·m — 12 bytes
+// per cell for a dense accuracy matrix and answer block — is 1.4M cells
+// here and cannot fit.
 func TestSettleScratchBound(t *testing.T) {
 	spec := gen.DefaultSpec()
 	spec.Workers, spec.Tasks, spec.Copiers = 120, 12000, 24
